@@ -244,3 +244,47 @@ func TestMeasureRespectsFlips(t *testing.T) {
 		t.Errorf("flips did not reduce hit rate: %.3f >= %.3f", hit, perfect)
 	}
 }
+
+// fullBTBSet returns a 4-way set with every way valid and fields using
+// their full widths.
+func fullBTBSet(cfg Config) Set {
+	s := Set{Tags: make([]uint32, cfg.Ways), Targets: make([]uint64, cfg.Ways), Valid: make([]bool, cfg.Ways), Victim: 2}
+	for i := range s.Tags {
+		s.Tags[i] = uint32(0xB5A5+i*0x137) & (1<<cfg.TagBits - 1)
+		s.Targets[i] = uint64(0x9E3779B9 * uint32(i+1))
+		s.Valid[i] = true
+	}
+	return s
+}
+
+// BenchmarkSetCodecUnpack decodes one packed BTB set into a reused set, the
+// PVProxy's refill on every PVCache miss.
+func BenchmarkSetCodecUnpack(b *testing.B) {
+	cfg := DefaultConfig(1024)
+	codec, err := NewSetCodec(cfg, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	codec.Pack(fullBTBSet(cfg), buf)
+	var dst Set
+	for b.Loop() {
+		codec.UnpackInto(buf, &dst)
+	}
+}
+
+// BenchmarkSetCodecPack encodes one BTB set into a cleared block, the
+// PVTable's store on every dirty PVCache eviction.
+func BenchmarkSetCodecPack(b *testing.B) {
+	cfg := DefaultConfig(1024)
+	codec, err := NewSetCodec(cfg, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := fullBTBSet(cfg)
+	buf := make([]byte, 64)
+	for b.Loop() {
+		clear(buf)
+		codec.Pack(s, buf)
+	}
+}

@@ -1,5 +1,7 @@
 package core
 
+import "encoding/binary"
+
 // Codec converts between the decoded form S of one predictor set and the
 // packed bytes stored in the memory system. Implementations must satisfy
 // two laws, which the property tests in this package check for every codec
@@ -10,6 +12,10 @@ package core
 //     (no valid entries). This makes an untouched PVTable slot read back
 //     as "predictor miss", matching hardware that never initializes the
 //     reserved physical range.
+//
+// The shipped codecs lay their fields out with BitWriter and BitReader,
+// which move a whole field per call: the reader with one unaligned 64-bit
+// word load, the writer with a byte-chunked OR.
 type Codec[S any] interface {
 	// BlockBytes is the packed size; it must equal the memory system's
 	// cache block size so one request moves one predictor set.
@@ -41,13 +47,23 @@ type BitWriter struct {
 // NewBitWriter wraps buf, starting at bit 0.
 func NewBitWriter(buf []byte) *BitWriter { return &BitWriter{buf: buf} }
 
-// Write appends the low n bits of v (n <= 64) at the cursor.
+// Write ORs the low n bits of v (n <= 64) into the buffer at the cursor;
+// bits of v above n are ignored. It ORs one byte-sized chunk at a time and
+// stops after the last byte that receives a set bit, so a zero field leaves
+// the buffer untouched.
 func (w *BitWriter) Write(v uint64, n uint) {
-	for i := uint(0); i < n; i++ {
-		if v&(1<<i) != 0 {
-			w.buf[w.pos>>3] |= 1 << (w.pos & 7)
-		}
-		w.pos++
+	if n < 64 {
+		v &= 1<<n - 1
+	}
+	i, sh := w.pos>>3, w.pos&7
+	w.pos += n
+	if v == 0 {
+		return
+	}
+	w.buf[i] |= byte(v << sh)
+	for v >>= 8 - sh; v != 0; v >>= 8 {
+		i++
+		w.buf[i] |= byte(v)
 	}
 }
 
@@ -63,16 +79,30 @@ type BitReader struct {
 // NewBitReader wraps buf, starting at bit 0.
 func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
 
-// Read consumes n bits (n <= 64) and returns them in the low bits.
+// Read consumes n bits (n <= 64) and returns them in the low bits. A field
+// is one unaligned little-endian 64-bit load at its first byte, shifted
+// right by the cursor's bit offset and ORed with the ninth byte for a field
+// that straddles it, then masked to n bits. A field starting in the last 8
+// bytes of the buffer is loaded from a zero-padded copy instead, so no load
+// reads past the buffer.
 func (r *BitReader) Read(n uint) uint64 {
+	i, sh := r.pos>>3, r.pos&7
+	r.pos += n
 	var v uint64
-	for i := uint(0); i < n; i++ {
-		if r.buf[r.pos>>3]&(1<<(r.pos&7)) != 0 {
-			v |= 1 << i
-		}
-		r.pos++
+	// Shifts by 64 yield 0: at sh == 0 the ninth byte adds nothing, and at
+	// n == 0 the mask is empty.
+	if i+9 <= uint(len(r.buf)) {
+		v = binary.LittleEndian.Uint64(r.buf[i:])>>sh | uint64(r.buf[i+8])<<(64-sh)
+	} else if n > 0 {
+		// The field starts in the last 8 bytes, so it also ends in them and
+		// needs no ninth byte. A field running past the end panics here, as
+		// a direct load would.
+		_ = r.buf[(r.pos-1)>>3]
+		var tail [8]byte
+		copy(tail[:], r.buf[i:])
+		v = binary.LittleEndian.Uint64(tail[:]) >> sh
 	}
-	return v
+	return v & (^uint64(0) >> (64 - n))
 }
 
 // Pos returns the bit cursor.

@@ -115,9 +115,7 @@ func (t *Table[S]) WriteSet(set int, s S) {
 	if dst == nil {
 		dst = make([]byte, t.cfg.BlockBytes)
 	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 	t.codec.Pack(s, dst)
 	t.blocks[set] = dst

@@ -218,7 +218,7 @@ func New(cfg Config) *Hierarchy {
 		l1i:        make([]*Cache, cfg.Cores),
 		l1d:        make([]*Cache, cfg.Cores),
 		l2:         NewCache(cfg.L2),
-		dir:        newDirectory(),
+		dir:        newDirectorySized(cfg.Cores * cfg.L1D.Sets() * cfg.L1D.Ways),
 		evictHooks: make([]func(Addr, EvictCause), cfg.Cores),
 		fx:         make([]*Effects, cfg.Cores),
 		lastIBlock: make([]Addr, cfg.Cores),

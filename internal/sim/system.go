@@ -29,8 +29,8 @@ type System struct {
 	cores []*cpu.Core
 	clock []uint64
 	// inflight tracks outstanding prefetch completion times per core for
-	// timeliness modeling (timing runs only).
-	inflight []map[memsys.Addr]uint64
+	// timeliness modeling (timing runs only), keyed by block address.
+	inflight []memsys.AddrTable[memsys.Addr, uint64]
 
 	// proxyCfg/proxyClamped record the effective PVProxy configuration
 	// (after MSHR/evict-buffer clamping) for virtualized runs, so reports
@@ -103,7 +103,7 @@ func (s prefetchSink) Prefetch(addr memsys.Addr, availableAt uint64) {
 		// In-flight completion times matter only to detailed timing, and
 		// only detailed steps consume (and prune) the table. Inserting
 		// while detail is off — SMARTS functional fast-forward gaps — would
-		// grow the map without bound: the core clock is frozen there, so
+		// grow the table without bound: the core clock is frozen there, so
 		// even pruning could never retire an entry.
 		return
 	}
@@ -113,7 +113,7 @@ func (s prefetchSink) Prefetch(addr memsys.Addr, availableAt uint64) {
 		start = now
 	}
 	block := sys.Hier.L1D(s.core).BlockAddr(addr)
-	sys.inflight[s.core][block] = start + res.Latency
+	sys.inflight[s.core].Put(block, start+res.Latency)
 }
 
 // NewSystem builds and wires a system; it panics on invalid configuration
@@ -137,7 +137,7 @@ func NewSystem(cfg Config) *System {
 		preds:     make([]pv.Instance, n),
 		cores:     make([]*cpu.Core, n),
 		clock:     make([]uint64, n),
-		inflight:  make([]map[memsys.Addr]uint64, n),
+		inflight:  make([]memsys.AddrTable[memsys.Addr, uint64], n),
 		snapStart: make([]cpu.Snapshot, n),
 		snapPrev:  make([]cpu.Snapshot, n),
 		snapCur:   make([]cpu.Snapshot, n),
@@ -177,7 +177,7 @@ func NewSystem(cfg Config) *System {
 			phased = trace.NewPhased(phases, cfg.Seed, c)
 			sys.gens[c] = phased
 		}
-		sys.inflight[c] = make(map[memsys.Addr]uint64)
+		sys.inflight[c] = memsys.NewAddrTable[memsys.Addr, uint64](inflightHint)
 		// The CPI accounting ratios are per-core constants taken from the
 		// core's first phase: phase switches change the access stream, not
 		// the timing model's instruction mix.
@@ -437,17 +437,14 @@ func (s *System) stepAccess(c int, acc trace.Access) {
 	if s.cfg.Timing && s.detail {
 		var extra uint64
 		block := s.Hier.L1D(c).BlockAddr(acc.Addr)
-		if ready, ok := s.inflight[c][block]; ok {
-			if ready > now {
-				extra = ready - now // prefetch was late: pay the residual
-			}
-			delete(s.inflight[c], block)
+		if ready, ok := s.inflight[c].Delete(block); ok && ready > now {
+			extra = ready - now // prefetch was late: pay the residual
 		}
 		core := s.cores[c]
 		core.OnFetch(fres.Latency)
 		core.OnAccess(res.Latency, extra)
 		s.clock[c] = uint64(core.Cycles())
-		if len(s.inflight[c]) > 1<<15 {
+		if s.inflight[c].Len() > inflightPruneAt {
 			s.pruneInflight(c)
 		}
 	}
@@ -474,14 +471,21 @@ func (s *System) stepAccess(c int, acc trace.Access) {
 	}
 }
 
-// pruneInflight drops completed prefetch records to bound memory.
+// inflightPruneAt is the per-core in-flight record count past which
+// completed records are pruned. inflightHint presizes each core's table: a
+// timing run's population is typically a few thousand records, so the
+// table starts small and doubles on demand, and Reset keeps what it grew.
+const (
+	inflightPruneAt = 1 << 15
+	inflightHint    = 256
+)
+
+// pruneInflight drops completed prefetch records to bound memory. Dropping
+// them changes no result: a record whose ready time has passed adds no
+// late-prefetch penalty when its block is demanded, found or not.
 func (s *System) pruneInflight(c int) {
 	now := s.clock[c]
-	for b, ready := range s.inflight[c] {
-		if ready <= now {
-			delete(s.inflight[c], b)
-		}
-	}
+	s.inflight[c].Retain(func(_ memsys.Addr, ready uint64) bool { return ready > now })
 }
 
 // StepAll advances every core one access, round-robin. Cores interleave at
@@ -561,7 +565,7 @@ func (s *System) Reset() {
 		s.gens[c].Reset()
 		s.cores[c].Reset()
 		s.clock[c] = 0
-		clear(s.inflight[c])
+		s.inflight[c].Reset()
 		if s.preds[c] != nil {
 			// Instance.Reset also resets the backing PVTable; under §2.1
 			// sharing every core resets the same table, which is idempotent.

@@ -15,8 +15,9 @@
 //   - Geometry / Pattern (region.go): the spatial-region layout and the
 //     bit-vector patterns generations produce.
 //   - Engine (engine.go): the per-core optimization engine — the active
-//     generation table (filter + accumulation, indexed by the open-addressed
-//     tagIndex of tagindex.go) that observes the L1D access/eviction stream.
+//     generation table (filter + accumulation, indexed by memsys.AddrTable,
+//     the simulator's shared open-addressed table) that observes the L1D
+//     access/eviction stream.
 //   - PatternStore (pht.go): the PHT port the engine trains against. The
 //     paper's central claim is that this interface survives virtualization
 //     unchanged; InfinitePHT and DedicatedPHT are the conventional

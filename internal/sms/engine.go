@@ -83,6 +83,11 @@ type accumEntry struct {
 	valid   bool
 }
 
+// tagIndex maps region tags to AGT slots. It is presized for the AGT's
+// entry count, which bounds its population, so it never allocates after
+// construction.
+type tagIndex = memsys.AddrTable[uint64, int32]
+
 // Engine is the SMS prefetcher of §3.1: it observes every L1 data access
 // and every L1 eviction/invalidation of one core, maintains the AGT, and
 // consults/updates a PatternStore (the PHT — dedicated or virtualized).
@@ -130,8 +135,8 @@ func NewEngineConfig(cfg Config, pht PatternStore, sink PrefetchSink) *Engine {
 		sink:          sink,
 		filter:        make([]filterEntry, cfg.AGT.FilterEntries),
 		accum:         make([]accumEntry, cfg.AGT.AccumEntries),
-		filterIdx:     newTagIndex(cfg.AGT.FilterEntries),
-		accumIdx:      newTagIndex(cfg.AGT.AccumEntries),
+		filterIdx:     memsys.NewAddrTable[uint64, int32](cfg.AGT.FilterEntries),
+		accumIdx:      memsys.NewAddrTable[uint64, int32](cfg.AGT.AccumEntries),
 		patternBufCap: cfg.PatternBufEntries,
 	}
 	if e.patternBufCap > 0 {
@@ -174,14 +179,14 @@ func (e *Engine) OnAccess(now uint64, pc, addr memsys.Addr) {
 	tag := e.geom.RegionTag(addr)
 	off := e.geom.Offset(addr)
 
-	if i, ok := e.accumIdx.get(tag); ok {
+	if i, ok := e.accumIdx.Get(tag); ok {
 		a := &e.accum[i]
 		a.pat = a.pat.Set(off)
 		a.lastUse = e.tick
 		return
 	}
 
-	if i, ok := e.filterIdx.get(tag); ok {
+	if i, ok := e.filterIdx.Get(tag); ok {
 		f := &e.filter[i]
 		if f.offset == off {
 			f.lastUse = e.tick
@@ -192,7 +197,7 @@ func (e *Engine) OnAccess(now uint64, pc, addr memsys.Addr) {
 		key := e.geom.Key(f.pc, f.offset)
 		pat := Pattern(0).Set(f.offset).Set(off)
 		f.valid = false
-		e.filterIdx.del(tag)
+		e.filterIdx.Delete(tag)
 		e.insertAccum(now, tag, key, pat)
 		return
 	}
@@ -230,21 +235,21 @@ func (e *Engine) OnEvict(now uint64, blockAddr memsys.Addr) {
 	tag := e.geom.RegionTag(blockAddr)
 	off := e.geom.Offset(blockAddr)
 
-	if i, ok := e.accumIdx.get(tag); ok {
+	if i, ok := e.accumIdx.Get(tag); ok {
 		a := &e.accum[i]
 		if a.pat.Has(off) {
 			e.Stats.EvictionsEndingGen++
-			e.closeAccum(now, i)
+			e.closeAccum(now, int(i))
 		}
 		return
 	}
-	if i, ok := e.filterIdx.get(tag); ok {
+	if i, ok := e.filterIdx.Get(tag); ok {
 		f := &e.filter[i]
 		if f.offset == off {
 			e.Stats.EvictionsEndingGen++
 			e.Stats.FilterGenerations++
 			f.valid = false
-			e.filterIdx.del(tag)
+			e.filterIdx.Delete(tag)
 		}
 	}
 }
@@ -255,7 +260,7 @@ func (e *Engine) closeAccum(now uint64, i int) {
 	a := &e.accum[i]
 	e.pht.Store(now, a.key, a.pat)
 	e.Stats.GenerationsStored++
-	e.accumIdx.del(a.tag)
+	e.accumIdx.Delete(a.tag)
 	a.valid = false
 }
 
@@ -275,12 +280,12 @@ func (e *Engine) insertFilter(tag uint64, pc memsys.Addr, off int) {
 			}
 		}
 		// Capacity eviction of a single-access region: nothing is learned.
-		e.filterIdx.del(e.filter[victim].tag)
+		e.filterIdx.Delete(e.filter[victim].tag)
 		e.Stats.FilterCapacityEvicts++
 	}
 	e.tick++
 	e.filter[victim] = filterEntry{tag: tag, pc: pc, offset: off, lastUse: e.tick, valid: true}
-	e.filterIdx.put(tag, victim)
+	e.filterIdx.Put(tag, int32(victim))
 }
 
 func (e *Engine) insertAccum(now uint64, tag uint64, key uint32, pat Pattern) {
@@ -305,12 +310,12 @@ func (e *Engine) insertAccum(now uint64, tag uint64, key uint32, pat Pattern) {
 	}
 	e.tick++
 	e.accum[victim] = accumEntry{tag: tag, key: key, pat: pat, lastUse: e.tick, valid: true}
-	e.accumIdx.put(tag, victim)
+	e.accumIdx.Put(tag, int32(victim))
 }
 
 // ActiveGenerations reports (filter, accumulation) occupancy; tests use it.
 func (e *Engine) ActiveGenerations() (filter, accum int) {
-	return e.filterIdx.len(), e.accumIdx.len()
+	return e.filterIdx.Len(), e.accumIdx.Len()
 }
 
 // Reset returns the engine to its post-construction state in place, so a
@@ -322,8 +327,8 @@ func (e *Engine) Reset() {
 	for i := range e.accum {
 		e.accum[i] = accumEntry{}
 	}
-	e.filterIdx.reset()
-	e.accumIdx.reset()
+	e.filterIdx.Reset()
+	e.accumIdx.Reset()
 	e.tick = 0
 	if e.patternBuf != nil {
 		e.patternBuf = e.patternBuf[:0]
@@ -348,37 +353,40 @@ func (e *Engine) CheckInvariants() error {
 	return nil
 }
 
-// checkIndex verifies a tagIndex against its backing entry array.
+// checkIndex verifies a tag index against its backing entry array.
 func checkIndex(ix *tagIndex, entries int, entry func(int) (tag uint64, valid bool)) error {
+	var err error
 	seen := 0
-	for c := range ix.slots {
-		if ix.slots[c] < 0 {
-			continue
-		}
+	ix.Retain(func(tag uint64, slot int32) bool {
 		seen++
-		i := int(ix.slots[c])
-		if i < 0 || i >= entries {
-			return fmt.Errorf("index slot %d out of range", i)
+		i := int(slot)
+		switch {
+		case err != nil:
+		case i < 0 || i >= entries:
+			err = fmt.Errorf("index slot %d out of range", i)
+		default:
+			if t, valid := entry(i); !valid || t != tag {
+				err = fmt.Errorf("index desync at tag %#x", tag)
+			} else if got, ok := ix.Get(tag); !ok || int(got) != i {
+				err = fmt.Errorf("probe chain broken for tag %#x", tag)
+			}
 		}
-		tag, valid := entry(i)
-		if !valid || tag != ix.tags[c] {
-			return fmt.Errorf("index desync at tag %#x", ix.tags[c])
-		}
-		if got, ok := ix.get(tag); !ok || got != i {
-			return fmt.Errorf("probe chain broken for tag %#x", tag)
-		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	for i := 0; i < entries; i++ {
 		tag, valid := entry(i)
 		if !valid {
 			continue
 		}
-		if got, ok := ix.get(tag); !ok || got != i {
+		if got, ok := ix.Get(tag); !ok || int(got) != i {
 			return fmt.Errorf("valid entry %d (tag %#x) unreachable via index", i, tag)
 		}
 	}
-	if seen != ix.live {
-		return fmt.Errorf("live count %d != occupied cells %d", ix.live, seen)
+	if seen != ix.Len() {
+		return fmt.Errorf("live count %d != occupied cells %d", ix.Len(), seen)
 	}
 	return nil
 }

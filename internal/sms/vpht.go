@@ -48,8 +48,9 @@ func NewSetCodec(ways int, tagBits, patternBits uint, blockBytes int) (SetCodec,
 // BlockBytes implements core.Codec.
 func (c SetCodec) BlockBytes() int { return c.Block }
 
-// UnusedBits reports the trailing slack after entries and cursor (39 - 4 =
-// 35 for the paper's 11-way layout... the paper counts 39 before the cursor).
+// UnusedBits reports the trailing slack after entries and cursor. The
+// paper's 11-way layout leaves 512 - 11x43 = 39 spare bits in a 64-byte
+// block; the cursor takes 4 of them, leaving 35.
 func (c SetCodec) UnusedBits() int {
 	return c.Block*8 - c.Ways*int(c.TagBits+c.PatternBits) - 4
 }

@@ -262,3 +262,44 @@ func TestVPHTSwitchTable(t *testing.T) {
 		t.Fatalf("process A's pattern lost: (%v, %v)", pat, ok)
 	}
 }
+
+// fullPHTSet returns a set of the paper's 11-way layout with every way
+// valid and fields using their full widths.
+func fullPHTSet() PHTSet {
+	s := PHTSet{Tags: make([]uint32, 11), Pats: make([]Pattern, 11), Victim: 7}
+	for i := range s.Tags {
+		s.Tags[i] = uint32(0x5A5+i*0x93) & 0x7FF
+		s.Pats[i] = Pattern(0x9E3779B9 * uint32(i+1))
+	}
+	return s
+}
+
+// BenchmarkSetCodecUnpack decodes one packed 11-way PHT set into a reused
+// set, the PVProxy's refill on every PVCache miss.
+func BenchmarkSetCodecUnpack(b *testing.B) {
+	codec, err := NewSetCodec(11, 11, 32, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	codec.Pack(fullPHTSet(), buf)
+	var dst PHTSet
+	for b.Loop() {
+		codec.UnpackInto(buf, &dst)
+	}
+}
+
+// BenchmarkSetCodecPack encodes one 11-way PHT set into a cleared block,
+// the PVTable's store on every dirty PVCache eviction.
+func BenchmarkSetCodecPack(b *testing.B) {
+	codec, err := NewSetCodec(11, 11, 32, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := fullPHTSet()
+	buf := make([]byte, 64)
+	for b.Loop() {
+		clear(buf)
+		codec.Pack(s, buf)
+	}
+}

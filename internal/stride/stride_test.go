@@ -233,3 +233,51 @@ func TestNames(t *testing.T) {
 		t.Error("Virtual() accessor wrong")
 	}
 }
+
+// fullStrideSet returns a 4-way set with every way valid and fields using
+// their full widths.
+func fullStrideSet(cfg Config) Set {
+	s := Set{Entries: make([]Entry, cfg.Ways), Victim: 3}
+	for i := range s.Entries {
+		s.Entries[i] = Entry{
+			Valid:     true,
+			Tag:       uint32(0x2A5B+i*0x137) & (1<<cfg.TagBits - 1),
+			LastBlock: 0x9E3779B9 * uint32(i+1),
+			Stride:    int8(-3 * (i + 1)),
+			Conf:      uint8(i % 4),
+		}
+	}
+	return s
+}
+
+// BenchmarkSetCodecUnpack decodes one packed stride set into a reused set,
+// the PVProxy's refill on every PVCache miss.
+func BenchmarkSetCodecUnpack(b *testing.B) {
+	cfg := DefaultConfig(256)
+	codec, err := NewSetCodec(cfg, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	codec.Pack(fullStrideSet(cfg), buf)
+	var dst Set
+	for b.Loop() {
+		codec.UnpackInto(buf, &dst)
+	}
+}
+
+// BenchmarkSetCodecPack encodes one stride set into a cleared block, the
+// PVTable's store on every dirty PVCache eviction.
+func BenchmarkSetCodecPack(b *testing.B) {
+	cfg := DefaultConfig(256)
+	codec, err := NewSetCodec(cfg, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := fullStrideSet(cfg)
+	buf := make([]byte, 64)
+	for b.Loop() {
+		clear(buf)
+		codec.Pack(s, buf)
+	}
+}
