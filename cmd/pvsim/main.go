@@ -76,7 +76,6 @@ func run(args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "log per-run progress")
 	parallel := fs.Int("p", 0, "max parallel simulations")
 	compile := fs.Bool("compile", false, "pre-compile access streams into binary traces and replay them batched (bit-identical output)")
-	coreParallel := fs.Bool("core-parallel", false, "parallelize each simulation across its simulated cores with a deterministic ordered commit (bit-identical output; composes with -compile)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -84,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("no experiment given; try 'pvsim list'")
 	}
 
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, Compile: *compile, CoreParallel: *coreParallel}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, Compile: *compile}
 	if *verbose {
 		opts.Log = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
 	}

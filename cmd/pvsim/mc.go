@@ -9,14 +9,12 @@ import (
 	"pvsim/internal/mc"
 )
 
-// runMC implements `pvsim mc`: run the model checker's three explorers —
+// runMC implements `pvsim mc`: run the model checker's two explorers —
 // every schedule of a small sweep grid (with and without injected
-// cancellation), every local-phase interleaving of the core-parallel step
-// pipeline, and every event ordering of a tiny PVProxy — at bounded
+// cancellation) and every event ordering of a tiny PVProxy — at bounded
 // budgets, printing explored counts. A counterexample prints its decision
-// trail and a replay command, and exits nonzero; -replay-schedule,
-// -replay-pipeline and -replay-state re-run a single printed seed with a
-// full trace.
+// trail and a replay command, and exits nonzero; -replay-schedule and
+// -replay-state re-run a single printed seed with a full trace.
 func runMC(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pvsim mc", flag.ContinueOnError)
 	budget := fs.Int("budget", mc.DefaultBudget, "max schedules/states per explorer")
@@ -28,11 +26,7 @@ func runMC(args []string, stdout io.Writer) error {
 	mshrs := fs.Int("mshrs", 1, "state explorer: MSHRs")
 	accesses := fs.Int("accesses", 6, "state explorer: seed-trace length")
 	traceSeed := fs.Uint64("trace-seed", 1, "state explorer: seed deriving the access trace")
-	pipeCores := fs.Int("pipeline-cores", 2, "pipeline explorer: simulated cores")
-	pipeWarmup := fs.Int("pipeline-warmup", 3, "pipeline explorer: warmup accesses per core")
-	pipeMeasure := fs.Int("pipeline-measure", 5, "pipeline explorer: measured accesses per core")
 	replaySchedule := fs.String("replay-schedule", "", "replay one schedule by its counterexample seed")
-	replayPipeline := fs.String("replay-pipeline", "", "replay one pipeline interleaving by its counterexample seed")
 	replayState := fs.String("replay-state", "", "replay one proxy event path by its counterexample seed")
 	replayCancel := fs.Bool("cancel", false, "with -replay-schedule: the seed came from the cancellation pass")
 	verbose := fs.Bool("v", false, "log per-explorer progress to stderr")
@@ -48,7 +42,6 @@ func runMC(args []string, stdout io.Writer) error {
 		log = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
 	}
 	schedOpts := mc.ScheduleOptions{Jobs: *jobs, Workers: *workers, Budget: *budget, Log: log}
-	pipeOpts := mc.PipelineOptions{Cores: *pipeCores, Warmup: *pipeWarmup, Measure: *pipeMeasure, Budget: *budget, Log: log}
 	stateOpts := mc.StateOptions{
 		Sets: *sets, Entries: *entries, MSHRs: *mshrs,
 		Accesses: *accesses, TraceSeed: *traceSeed, Budget: *budget, Log: log,
@@ -58,10 +51,6 @@ func runMC(args []string, stdout io.Writer) error {
 		schedOpts.Cancel = *replayCancel
 		trace, err := mc.ReplaySchedule(schedOpts, *replaySchedule)
 		return printReplay(stdout, "schedule", *replaySchedule, trace, err)
-	}
-	if *replayPipeline != "" {
-		trace, err := mc.ReplayPipeline(pipeOpts, *replayPipeline)
-		return printReplay(stdout, "pipeline interleaving", *replayPipeline, trace, err)
 	}
 	if *replayState != "" {
 		trace, err := mc.ReplayState(stateOpts, *replayState)
@@ -80,9 +69,7 @@ func runMC(args []string, stdout io.Writer) error {
 		cancelOpts.Cancel = true
 		passes = append(passes, pass{"schedules+cancel", func() (mc.Report, error) { return mc.ExploreSchedules(cancelOpts) }})
 	}
-	passes = append(passes,
-		pass{"pipeline", func() (mc.Report, error) { return mc.ExplorePipeline(pipeOpts) }},
-		pass{"states", func() (mc.Report, error) { return mc.ExploreStates(stateOpts) }})
+	passes = append(passes, pass{"states", func() (mc.Report, error) { return mc.ExploreStates(stateOpts) }})
 
 	for _, p := range passes {
 		rep, err := p.run()
@@ -107,8 +94,6 @@ func runMC(args []string, stdout io.Writer) error {
 				if p.name == "schedules+cancel" {
 					extra = " -cancel"
 				}
-			case "pipeline":
-				replayFlag = "-replay-pipeline"
 			}
 			fmt.Fprintf(stdout, "replay with: pvsim mc %s %s%s\n", replayFlag, rep.Cex.Seed, extra)
 			return fmt.Errorf("mc: %s: counterexample found (seed %s)", p.name, rep.Cex.Seed)

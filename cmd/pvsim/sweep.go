@@ -34,7 +34,6 @@ func runSweep(args []string, stdout io.Writer) error {
 	parallel := fs.Int("p", 0, "max parallel simulations (output is identical at any value)")
 	maxSystems := fs.Int("pool", 0, "max pooled systems (0 = default, negative = unbounded)")
 	compile := fs.Bool("compile", false, "pre-compile access streams into binary traces and replay them batched (bit-identical, faster on repeated grids)")
-	coreParallel := fs.Bool("core-parallel", false, "parallelize each job across its simulated cores with a deterministic ordered commit (bit-identical output; composes with -compile)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,7 +81,7 @@ func runSweep(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems, Compile: *compile, CoreParallel: *coreParallel}
+	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems, Compile: *compile}
 	var progress sweep.Progress
 	if *verbose {
 		opts.Log = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

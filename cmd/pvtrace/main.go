@@ -1,22 +1,17 @@
-// Command pvtrace records, compiles and inspects synthetic workload
-// traces: the exact access streams the simulator feeds the memory
-// hierarchy. Two binary formats exist: the sequential delta-encoded
-// stream format (PVA1, -record) for external replay, and the compiled
-// block format (PVA2, -compile) — chunked delta encoding with periodic
-// absolute sync points — which the simulator's batched step pipeline
-// replays with zero allocation at memory-bandwidth speed.
+// Command pvtrace compiles and inspects synthetic workload traces: the
+// exact access streams the simulator feeds the memory hierarchy. Traces
+// are written in the compiled block format (PVA2) — chunked delta encoding
+// with periodic absolute sync points — which the simulator's batched step
+// pipeline replays with zero allocation at memory-bandwidth speed.
 //
 // Usage:
 //
-//	pvtrace -record -workload Apache -n 1000000 -core 0 -o apache.pva
 //	pvtrace -compile -workload Apache -n 1000000 -core 0 -o apache.pvc
-//	pvtrace -compile -from apache.pva -o apache.pvc
-//	pvtrace -inspect apache.pva      (either format; sniffed by magic)
+//	pvtrace -inspect apache.pvc
 //	pvtrace -list
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -35,17 +30,15 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pvtrace", flag.ContinueOnError)
-	record := fs.Bool("record", false, "record a trace (PVA1 stream format)")
 	compile := fs.Bool("compile", false, "compile a trace (PVA2 block format, batch-replayable)")
-	inspect := fs.String("inspect", "", "summarize a trace file (either format)")
+	inspect := fs.String("inspect", "", "summarize a compiled trace file")
 	list := fs.Bool("list", false, "list available workloads")
-	workload := fs.String("workload", "Apache", "workload to record or compile")
-	from := fs.String("from", "", "transcode an existing PVA1 recording instead of generating (-compile only)")
-	n := fs.Int("n", 1_000_000, "accesses to record or compile")
-	core := fs.Int("core", 0, "core whose stream to record or compile")
+	workload := fs.String("workload", "Apache", "workload to compile")
+	n := fs.Int("n", 1_000_000, "accesses to compile")
+	core := fs.Int("core", 0, "core whose stream to compile")
 	seed := fs.Uint64("seed", 42, "generator seed")
 	chunk := fs.Int("chunk", 0, "records per compiled chunk (0 = default)")
-	outFile := fs.String("o", "", "output file for -record/-compile")
+	outFile := fs.String("o", "", "output file for -compile")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,63 +50,16 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 
-	case *record:
+	case *compile:
 		if *outFile == "" {
-			return fmt.Errorf("-record needs -o FILE")
+			return fmt.Errorf("-compile needs -o FILE")
 		}
 		w, err := workloads.ByName(*workload)
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*outFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		gen := trace.NewGenerator(w.Params, *seed, *core)
-		if err := trace.Record(gen, *n, f); err != nil {
-			return err
-		}
-		info, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "recorded %d accesses of %s core %d to %s (%.1f MB, %.2f B/access)\n",
-			*n, w.Name, *core, *outFile, float64(info.Size())/1e6, float64(info.Size())/float64(*n))
-		return nil
-
-	case *compile:
-		if *outFile == "" {
-			return fmt.Errorf("-compile needs -o FILE")
-		}
-		var (
-			src  trace.Stream
-			cn   int
-			meta string
-		)
-		if *from != "" {
-			f, err := os.Open(*from)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			rep, err := trace.NewReplayer(f)
-			if err != nil {
-				return err
-			}
-			src = rep
-			cn = int(rep.Len())
-			meta = fmt.Sprintf("from=%s", *from)
-		} else {
-			w, err := workloads.ByName(*workload)
-			if err != nil {
-				return err
-			}
-			src = trace.NewGenerator(w.Params, *seed, *core)
-			cn = *n
-			meta = fmt.Sprintf("workload=%s seed=%d core=%d", w.Name, *seed, *core)
-		}
-		ct, err := trace.Compile(src, cn, *chunk, meta)
+		meta := fmt.Sprintf("workload=%s seed=%d core=%d", w.Name, *seed, *core)
+		ct, err := trace.Compile(trace.NewGenerator(w.Params, *seed, *core), *n, *chunk, meta)
 		if err != nil {
 			return err
 		}
@@ -127,18 +73,19 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "compiled %d accesses to %s (%d chunks of %d, %.1f MB, %.2f B/access)\n",
-			cn, *outFile, ct.Chunks(), ct.ChunkLen(), float64(written)/1e6, float64(written)/float64(cn))
+			*n, *outFile, ct.Chunks(), ct.ChunkLen(), float64(written)/1e6, float64(written)/float64(*n))
 		return nil
 
 	case *inspect != "":
-		rep, desc, err := openTrace(*inspect)
+		ct, err := trace.OpenCompiled(*inspect)
 		if err != nil {
 			return err
 		}
-		s, err := trace.Summarize(rep)
-		if err != nil {
-			return err
+		desc := fmt.Sprintf("PVA2 compiled (%d chunks of %d)", ct.Chunks(), ct.ChunkLen())
+		if m := ct.Meta(); m != "" {
+			desc += " — " + m
 		}
+		s := trace.Summarize(ct.Replayer())
 		fmt.Fprintf(out, "format:          %s\n", desc)
 		fmt.Fprintf(out, "accesses:        %d\n", s.Accesses)
 		fmt.Fprintf(out, "writes:          %d (%.1f%%)\n", s.Writes, float64(s.Writes)/float64(s.Accesses)*100)
@@ -148,31 +95,6 @@ func run(args []string, out io.Writer) error {
 		return nil
 
 	default:
-		return fmt.Errorf("one of -record, -compile, -inspect or -list required")
+		return fmt.Errorf("one of -compile, -inspect or -list required")
 	}
-}
-
-// openTrace opens a trace file of either format, sniffing the magic, and
-// returns a reader over it plus a one-line format description.
-func openTrace(path string) (trace.Reader, string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(b) >= 4 && string(b[:4]) == "PVA2" {
-		ct, err := trace.ReadCompiled(bytes.NewReader(b))
-		if err != nil {
-			return nil, "", err
-		}
-		desc := fmt.Sprintf("PVA2 compiled (%d chunks of %d)", ct.Chunks(), ct.ChunkLen())
-		if m := ct.Meta(); m != "" {
-			desc += " — " + m
-		}
-		return ct.Replayer(), desc, nil
-	}
-	rep, err := trace.NewReplayer(bytes.NewReader(b))
-	if err != nil {
-		return nil, "", err
-	}
-	return rep, "PVA1 stream", nil
 }

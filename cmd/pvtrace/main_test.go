@@ -18,10 +18,13 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestRecordAndInspect records a workload's access stream to a file — a
+// compiled PVA2 trace, the one on-disk format — and checks that inspecting
+// it reports every access.
 func TestRecordAndInspect(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "t.pva")
+	file := filepath.Join(t.TempDir(), "t.pvc")
 	var out bytes.Buffer
-	if err := run([]string{"-record", "-workload", "Qry1", "-n", "5000", "-o", file}, &out); err != nil {
+	if err := run([]string{"-compile", "-workload", "Qry1", "-n", "5000", "-o", file}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(file); err != nil {
@@ -36,17 +39,17 @@ func TestRecordAndInspect(t *testing.T) {
 	}
 }
 
-// TestRecordDeterministic mirrors the pvcalib determinism pin for the
-// trace recorder: two recordings of the same (workload, seed, core, n)
+// TestCompileDeterministic mirrors the pvcalib determinism pin for the
+// trace compiler: two compilations of the same (workload, seed, core, n)
 // must be byte-identical files with byte-identical command output, a
 // different seed must change the bytes, and inspecting the same file
 // twice must render identical summaries.
-func TestRecordDeterministic(t *testing.T) {
+func TestCompileDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	record := func(file, seed string) (fileBytes []byte, cmdOut string) {
+	compile := func(file, seed string) (fileBytes []byte, cmdOut string) {
 		t.Helper()
 		var out bytes.Buffer
-		if err := run([]string{"-record", "-workload", "DB2", "-n", "4000", "-seed", seed, "-o", file}, &out); err != nil {
+		if err := run([]string{"-compile", "-workload", "DB2", "-n", "4000", "-seed", seed, "-o", file}, &out); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(file)
@@ -54,20 +57,20 @@ func TestRecordDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The summary line names the output file; normalize it away so
-		// recordings into different paths stay comparable.
+		// compilations into different paths stay comparable.
 		return b, strings.ReplaceAll(out.String(), file, "OUT")
 	}
-	a, aOut := record(filepath.Join(dir, "a.pva"), "42")
-	b, bOut := record(filepath.Join(dir, "b.pva"), "42")
+	a, aOut := compile(filepath.Join(dir, "a.pvc"), "42")
+	b, bOut := compile(filepath.Join(dir, "b.pvc"), "42")
 	if !bytes.Equal(a, b) {
-		t.Fatalf("same (workload, seed, n) recorded different bytes: %d vs %d", len(a), len(b))
+		t.Fatalf("same (workload, seed, n) compiled different bytes: %d vs %d", len(a), len(b))
 	}
 	if aOut != bOut {
-		t.Fatalf("record output differs for identical recordings:\n--- a ---\n%s\n--- b ---\n%s", aOut, bOut)
+		t.Fatalf("compile output differs for identical compilations:\n--- a ---\n%s\n--- b ---\n%s", aOut, bOut)
 	}
-	c, _ := record(filepath.Join(dir, "c.pva"), "43")
+	c, _ := compile(filepath.Join(dir, "c.pvc"), "43")
 	if bytes.Equal(a, c) {
-		t.Fatal("seed 43 recorded the same bytes as seed 42; seeding is broken")
+		t.Fatal("seed 43 compiled the same bytes as seed 42; seeding is broken")
 	}
 
 	inspect := func(file string) string {
@@ -78,8 +81,8 @@ func TestRecordDeterministic(t *testing.T) {
 		}
 		return out.String()
 	}
-	first := inspect(filepath.Join(dir, "a.pva"))
-	if second := inspect(filepath.Join(dir, "a.pva")); first != second {
+	first := inspect(filepath.Join(dir, "a.pvc"))
+	if second := inspect(filepath.Join(dir, "a.pvc")); first != second {
 		t.Fatalf("inspect is not deterministic:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 	if !strings.Contains(first, "accesses:        4000") {
@@ -87,29 +90,27 @@ func TestRecordDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompileAndInspect exercises the PVA2 path end to end: compile from a
-// generator, compile by transcoding a recording, and inspect both — the
-// transcoded trace must summarize identically to its source recording.
+// TestCompileAndInspect exercises the PVA2 path end to end: compile the
+// same stream at two chunk lengths and inspect both — the chunking is an
+// encoding detail, so the two must summarize identically.
 func TestCompileAndInspect(t *testing.T) {
 	dir := t.TempDir()
-	pva := filepath.Join(dir, "t.pva")
-	pvc := filepath.Join(dir, "t.pvc")
-	trans := filepath.Join(dir, "trans.pvc")
+	small := filepath.Join(dir, "small.pvc")
+	dflt := filepath.Join(dir, "default.pvc")
 
 	var out bytes.Buffer
-	if err := run([]string{"-record", "-workload", "Qry1", "-n", "5000", "-o", pva}, &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run([]string{"-compile", "-workload", "Qry1", "-n", "5000", "-chunk", "1024", "-o", pvc}, &out); err != nil {
+	if err := run([]string{"-compile", "-workload", "Qry1", "-n", "5000", "-chunk", "1024", "-o", small}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "5 chunks of 1024") {
 		t.Errorf("compile output:\n%s", out.String())
 	}
+	if _, err := os.Stat(small); err != nil {
+		t.Fatal(err)
+	}
 	out.Reset()
-	if err := run([]string{"-compile", "-from", pva, "-o", trans, "-n", "999"}, &out); err != nil {
-		t.Fatal(err) // -n must be ignored when transcoding: the recording sets the length
+	if err := run([]string{"-compile", "-workload", "Qry1", "-n", "5000", "-o", dflt}, &out); err != nil {
+		t.Fatal(err)
 	}
 
 	inspect := func(file string) string {
@@ -120,10 +121,13 @@ func TestCompileAndInspect(t *testing.T) {
 		}
 		return out.String()
 	}
-	src, compiled, transcoded := inspect(pva), inspect(pvc), inspect(trans)
-	for name, s := range map[string]string{"compiled": compiled, "transcoded": transcoded} {
+	a, b := inspect(small), inspect(dflt)
+	for name, s := range map[string]string{"small": a, "default": b} {
 		if !strings.Contains(s, "PVA2 compiled") {
 			t.Errorf("%s inspect does not name the format:\n%s", name, s)
+		}
+		if !strings.Contains(s, "workload=Qry1 seed=42 core=0") {
+			t.Errorf("%s inspect does not show the provenance:\n%s", name, s)
 		}
 		if !strings.Contains(s, "accesses:        5000") {
 			t.Errorf("%s inspect summary:\n%s", name, s)
@@ -131,8 +135,8 @@ func TestCompileAndInspect(t *testing.T) {
 	}
 	// Same stream, same statistics: strip the format line and compare.
 	strip := func(s string) string { return s[strings.Index(s, "accesses:"):] }
-	if strip(src) != strip(compiled) || strip(compiled) != strip(transcoded) {
-		t.Fatalf("summaries diverge across formats:\n--- pva ---\n%s--- pvc ---\n%s--- trans ---\n%s", src, compiled, transcoded)
+	if strip(a) != strip(b) {
+		t.Fatalf("summaries diverge across chunk lengths:\n--- 1024 ---\n%s--- default ---\n%s", a, b)
 	}
 }
 
@@ -141,13 +145,24 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{}, &out); err == nil {
 		t.Error("no mode accepted")
 	}
-	if err := run([]string{"-record"}, &out); err == nil {
-		t.Error("record without -o accepted")
+	if err := run([]string{"-compile"}, &out); err == nil {
+		t.Error("compile without -o accepted")
 	}
-	if err := run([]string{"-record", "-workload", "nope", "-o", "/tmp/x"}, &out); err == nil {
+	if err := run([]string{"-compile", "-workload", "nope", "-o", filepath.Join(t.TempDir(), "x")}, &out); err == nil {
 		t.Error("unknown workload accepted")
+	}
+	if err := run([]string{"-record", "-o", filepath.Join(t.TempDir(), "x")}, &out); err == nil {
+		t.Error("removed -record flag accepted")
 	}
 	if err := run([]string{"-inspect", "/does/not/exist"}, &out); err == nil {
 		t.Error("missing file accepted")
+	}
+	// A file that is not a compiled trace is rejected by its magic.
+	notTrace := filepath.Join(t.TempDir(), "not.pvc")
+	if err := os.WriteFile(notTrace, append([]byte("XXXX"), make([]byte, 60)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-inspect", notTrace}, &out); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("non-PVA2 file: err = %v, want a bad-magic error", err)
 	}
 }

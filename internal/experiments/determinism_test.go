@@ -87,40 +87,32 @@ func TestGoldenReportDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden digest re-runs five experiments; skipped with -short")
 	}
-	// The parallel stepper claims bit-identity, so it must reproduce the
-	// very same golden captures — no re-capture, no per-mode constants.
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"serial", Options{Scale: determinismScale, Seed: 42}},
-		{"core-parallel", Options{Scale: determinismScale, Seed: 42, CoreParallel: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			r := NewRunner(mode.opts)
-			digest := func(ids ...string) string {
-				var sb strings.Builder
-				for _, id := range ids {
-					e, err := ByID(id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sb.WriteString(e.Run(r).Text())
+	// The serial stepper is the only one; the subtest keeps its name so
+	// the golden captures stay reported per stepping mode.
+	t.Run("serial", func(t *testing.T) {
+		r := NewRunner(Options{Scale: determinismScale, Seed: 42})
+		digest := func(ids ...string) string {
+			var sb strings.Builder
+			for _, id := range ids {
+				e, err := ByID(id)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sum := sha256.Sum256([]byte(sb.String()))
-				return hex.EncodeToString(sum[:])
+				sb.WriteString(e.Run(r).Text())
 			}
-			if got := digest("fig4", "stride", "fig6", "ablations"); got != goldenDigest {
-				t.Fatalf("report text diverged from the pre-refactor capture:\n got %s\nwant %s\n(run the pvsim command in the goldenDigest comment to inspect)", got, goldenDigest)
-			}
-			if got := digest("mixes"); got != goldenMixesDigest {
-				t.Fatalf("mixes report text diverged from its capture:\n got %s\nwant %s\n(run the pvsim command in the goldenMixesDigest comment to inspect)", got, goldenMixesDigest)
-			}
-			if got := digest("timing"); got != goldenTimingDigest {
-				t.Fatalf("timing report text diverged from its capture:\n got %s\nwant %s\n(run the pvsim command in the goldenTimingDigest comment to inspect)", got, goldenTimingDigest)
-			}
-		})
-	}
+			sum := sha256.Sum256([]byte(sb.String()))
+			return hex.EncodeToString(sum[:])
+		}
+		if got := digest("fig4", "stride", "fig6", "ablations"); got != goldenDigest {
+			t.Fatalf("report text diverged from the pre-refactor capture:\n got %s\nwant %s\n(run the pvsim command in the goldenDigest comment to inspect)", got, goldenDigest)
+		}
+		if got := digest("mixes"); got != goldenMixesDigest {
+			t.Fatalf("mixes report text diverged from its capture:\n got %s\nwant %s\n(run the pvsim command in the goldenMixesDigest comment to inspect)", got, goldenMixesDigest)
+		}
+		if got := digest("timing"); got != goldenTimingDigest {
+			t.Fatalf("timing report text diverged from its capture:\n got %s\nwant %s\n(run the pvsim command in the goldenTimingDigest comment to inspect)", got, goldenTimingDigest)
+		}
+	})
 }
 
 // TestRunnerSeedSensitivity makes sure the determinism test has teeth: a

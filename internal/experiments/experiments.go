@@ -44,16 +44,6 @@ type Options struct {
 	// (sim.Signature excludes the switch); phase-flush configurations fall
 	// back to live generators automatically.
 	Compile bool
-	// CoreParallel opts every simulation into the deterministic two-phase
-	// parallel stepper (sim.Config.CoreParallel): batches run a parallel
-	// per-core local phase and a serial commit that replays shared-state
-	// effects in exact round-robin order, byte-identical to serial
-	// stepping. Like Compile it is a pure execution strategy sharing the
-	// serial cache keys, applied to fresh builds and to systems
-	// re-acquired from the KeepSystems pool alike; ineligible wirings
-	// (timing runs, shared tables, phase flush, ...) fall back to serial
-	// stepping automatically.
-	CoreParallel bool
 	// MaxResults bounds the result cache the same way (results are small —
 	// kilobytes of statistics — but an open-ended server accumulates one
 	// per distinct configuration forever). 0 means unbounded.
@@ -272,7 +262,6 @@ func (r *Runner) acquireSystem(key string, cfg sim.Config) *sim.System {
 	}
 	if sys == nil {
 		cfg.Compile = cfg.Compile || r.opts.Compile
-		cfg.CoreParallel = cfg.CoreParallel || r.opts.CoreParallel
 		return sim.NewSystem(cfg)
 	}
 	sys.Reset()
@@ -283,11 +272,6 @@ func (r *Runner) acquireSystem(key string, cfg sim.Config) *sim.System {
 		// when the system already compiled (or cannot: phase flush).
 		sys.CompileStreams(cfg.Warmup + cfg.Measure)
 	}
-	// A pooled system may have been built before this option applied (or
-	// with it set when this run does not want it); re-apply the effective
-	// switch in place. Ineligible wirings fall back to serial silently, and
-	// either way the output bytes are identical.
-	sys.SetCoreParallel(cfg.CoreParallel || r.opts.CoreParallel)
 	return sys
 }
 
@@ -356,7 +340,6 @@ func (r *Runner) CachedResults() int {
 func (r *Runner) simulate(key string, cfg sim.Config) sim.Result {
 	if !r.opts.KeepSystems {
 		cfg.Compile = cfg.Compile || r.opts.Compile
-		cfg.CoreParallel = cfg.CoreParallel || r.opts.CoreParallel
 		return sim.Run(cfg)
 	}
 	sys := r.acquireSystem(key, cfg)

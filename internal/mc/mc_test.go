@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"pvsim/internal/sim"
 )
 
 func TestChooserEnumeratesFullTree(t *testing.T) {
@@ -287,98 +285,5 @@ func TestStateExplorerDeterminism(t *testing.T) {
 	}
 	if a.Explored != b.Explored || a.Paths != b.Paths || (a.Cex == nil) != (b.Cex == nil) {
 		t.Fatalf("exploration not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-// TestPipelineExplorerSmall always runs (including -short/-race): every
-// interleaving of a 2-core, 2+3-access run of the two-phase parallel
-// stepper is bit-identical to serial stepping and invariant-clean.
-func TestPipelineExplorerSmall(t *testing.T) {
-	rep, err := ExplorePipeline(PipelineOptions{Warmup: 2, Measure: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cex != nil {
-		t.Fatalf("counterexample:\n%s", rep.Cex)
-	}
-	if rep.Truncated || rep.Explored < 100 {
-		t.Fatalf("explored %d interleavings (truncated=%v), want the full 120", rep.Explored, rep.Truncated)
-	}
-}
-
-// TestPipelineExplorerDefaultGeometry exhausts the default 2-core,
-// 3+5-access tree (5040 interleavings).
-func TestPipelineExplorerDefaultGeometry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full default-geometry enumeration skipped with -short")
-	}
-	rep, err := ExplorePipeline(PipelineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cex != nil {
-		t.Fatalf("counterexample:\n%s", rep.Cex)
-	}
-	if rep.Truncated {
-		t.Fatalf("truncated at %d interleavings", rep.Explored)
-	}
-	t.Logf("%d interleavings", rep.Explored)
-}
-
-// TestPipelineExplorerThreeCores covers the >2-core commit ordering
-// (invalidation events from two other cores interleave in each victim's
-// log) on a small tree.
-func TestPipelineExplorerThreeCores(t *testing.T) {
-	rep, err := ExplorePipeline(PipelineOptions{Cores: 3, Warmup: 1, Measure: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cex != nil {
-		t.Fatalf("counterexample:\n%s", rep.Cex)
-	}
-	if rep.Truncated {
-		t.Fatalf("truncated at %d interleavings", rep.Explored)
-	}
-}
-
-// TestPipelineExplorerCatchesFault fault-injects a misordered commit —
-// each access's data-phase effects drained before its fetch-phase ones —
-// and proves the keyed logs detect it: the batch ends with pending
-// effects, the commit panics, and the explorer reports it with a
-// replayable seed.
-func TestPipelineExplorerCatchesFault(t *testing.T) {
-	opts := PipelineOptions{Warmup: 2, Measure: 3, Fault: sim.PipelineFaultMisorderedCommit}
-	rep, err := ExplorePipeline(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cex == nil {
-		t.Fatal("misordered commit went undetected")
-	}
-	if !strings.Contains(rep.Cex.Err.Error(), "uncommitted effects") {
-		t.Fatalf("fault tripped the wrong check: %v", rep.Cex.Err)
-	}
-	trace, rerr := ReplayPipeline(opts, rep.Cex.Seed)
-	if rerr == nil {
-		t.Fatal("replaying the counterexample seed passed")
-	}
-	if !reflect.DeepEqual(trace, rep.Cex.Trace) {
-		t.Fatalf("replay trace diverges:\n%v\nvs\n%v", trace, rep.Cex.Trace)
-	}
-	// The same interleaving without the fault passes: the defect is in the
-	// fault, not the stepper.
-	opts.Fault = ""
-	if _, rerr := ReplayPipeline(opts, rep.Cex.Seed); rerr != nil {
-		t.Fatalf("fault-free replay failed: %v", rerr)
-	}
-}
-
-func TestPipelineExplorerBudgetTruncates(t *testing.T) {
-	rep, err := ExplorePipeline(PipelineOptions{Budget: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Truncated || rep.Explored != 10 {
-		t.Fatalf("explored %d interleavings (truncated=%v), want cut at 10", rep.Explored, rep.Truncated)
 	}
 }

@@ -92,12 +92,6 @@ const (
 	LevelL2
 	// LevelMem means the access went to main memory.
 	LevelMem
-	// LevelPending marks an access whose shared-L2 effect was deferred by
-	// the parallel local phase (see Effects): the true serving level is
-	// resolved when the deferred operation replays at commit. It never
-	// appears in statistics or results — commit substitutes the real level
-	// before anything observes it.
-	LevelPending
 )
 
 func (l Level) String() string {
@@ -108,8 +102,6 @@ func (l Level) String() string {
 		return "L2"
 	case LevelMem:
 		return "mem"
-	case LevelPending:
-		return "pending"
 	}
 	return fmt.Sprintf("Level(%d)", uint8(l))
 }

@@ -187,13 +187,6 @@ type Hierarchy struct {
 	// (SMS uses them to end spatial-region generations).
 	evictHooks []func(addr Addr, cause EvictCause)
 
-	// fx, when a core's slot is non-nil, routes that core's shared-state
-	// operations (L2 requests, writebacks, directory updates) into its
-	// Effects log instead of executing them — the parallel local phase of
-	// sim.Config.CoreParallel. Per-core L1 state and per-core statistics
-	// stay live either way. Serial operation leaves every slot nil.
-	fx []*Effects
-
 	// pvDropHook observes PV lines whose dirty data is dropped at the L2
 	// edge under OnChipOnlyPV, so the PVTable backing store can forget them.
 	pvDropHook func(addr Addr)
@@ -220,7 +213,6 @@ func New(cfg Config) *Hierarchy {
 		l2:         NewCache(cfg.L2),
 		dir:        newDirectorySized(cfg.Cores * cfg.L1D.Sets() * cfg.L1D.Ways),
 		evictHooks: make([]func(Addr, EvictCause), cfg.Cores),
-		fx:         make([]*Effects, cfg.Cores),
 		lastIBlock: make([]Addr, cfg.Cores),
 	}
 	if cfg.L2Banks > 0 {
@@ -236,11 +228,7 @@ func New(cfg Config) *Hierarchy {
 		h.l1i[i] = NewCache(ic)
 		h.l1d[i] = NewCache(dc)
 		h.l1d[i].SetEvictHook(func(addr Addr, cause EvictCause) {
-			if fx := h.fx[i]; fx != nil {
-				fx.appendDirRemove(i, addr)
-			} else {
-				h.dir.remove(i, addr)
-			}
+			h.dir.remove(i, addr)
 			if hook := h.evictHooks[i]; hook != nil {
 				hook(addr, cause)
 			}
@@ -298,13 +286,6 @@ func (h *Hierarchy) SetL1DEvictHook(core int, fn func(addr Addr, cause EvictCaus
 // SetPVDropHook registers an observer for dirty PV lines dropped at the L2
 // edge under OnChipOnlyPV.
 func (h *Hierarchy) SetPVDropHook(fn func(addr Addr)) { h.pvDropHook = fn }
-
-// SetEffects installs (or, with nil, removes) a core's deferred-effects log.
-// While installed, the core's accesses log their shared-state operations
-// instead of executing them; the caller replays the logs in serial order
-// with Effects.Commit. The commit-time internals never consult the logs, so
-// committing with the logs still installed is safe.
-func (h *Hierarchy) SetEffects(core int, e *Effects) { h.fx[core] = e }
 
 // ClassOf classifies an address as application or PV-metadata.
 func (h *Hierarchy) ClassOf(a Addr) Class {
@@ -442,52 +423,14 @@ func (h *Hierarchy) invalidateSharers(core int, block Addr) {
 	}
 }
 
-// ApplyRemoteInvalidate applies, on the victim's side, the L1D invalidation
-// a remote core's store inflicts: the parallel local phase's counterpart of
-// one victim's share of invalidateSharers. The probe is unconditional —
-// Invalidate on an absent block is a silent no-op, and a present block
-// means the serial directory sweep would have invalidated it here (the
-// directory mirrors L1D residency exactly). Statistics land in the victim's
-// own per-core slot; shared-state operations (directory removal, the dirty
-// writeback) defer into the victim's Effects log in the same order the
-// serial sweep executes them.
-func (h *Hierarchy) ApplyRemoteInvalidate(victim int, block Addr) {
-	v := h.l1d[victim].Invalidate(block) // evict hook fires for valid lines
-	if !v.Valid {
-		return
-	}
-	h.Stats.Core[victim].Invalidations++
-	if fx := h.fx[victim]; fx != nil {
-		fx.appendDirRemove(victim, block)
-	} else {
-		h.dir.remove(victim, block)
-	}
-	if v.UnusedPrefetch {
-		h.Stats.Core[victim].PrefetchUnused++
-	}
-	if v.Dirty {
-		if fx := h.fx[victim]; fx != nil {
-			fx.appendL1WB(v.Addr)
-		} else {
-			h.writebackToL2(v.Addr)
-		}
-	}
-}
-
 // Data performs a demand load or store by the given core.
 func (h *Hierarchy) Data(core int, a Addr, write bool) Result {
 	cs := &h.Stats.Core[core]
 	l1 := h.l1d[core]
 	block := l1.BlockAddr(a)
-	fx := h.fx[core]
 	if write {
 		cs.L1DWrites++
-		// Deferred mode skips the writer-side invalidation sweep: each
-		// victim core applies the invalidation to its own L1D at the exact
-		// serial position via ApplyRemoteInvalidate.
-		if fx == nil {
-			h.invalidateSharers(core, block)
-		}
+		h.invalidateSharers(core, block)
 	} else {
 		cs.L1DReads++
 	}
@@ -510,11 +453,6 @@ func (h *Hierarchy) Data(core int, a Addr, write bool) Result {
 	if write {
 		kind = Store
 	}
-	if fx != nil {
-		fx.appendL2Req(block, kind, false)
-		h.fillL1D(core, block, write, false)
-		return Result{Level: LevelPending, Latency: h.cfg.L1Latency + 1}
-	}
 	lvl, lat := h.l2Access(block, kind, false)
 	h.fillL1D(core, block, write, false)
 	return Result{Level: lvl, Latency: h.cfg.L1Latency + lat}
@@ -522,23 +460,14 @@ func (h *Hierarchy) Data(core int, a Addr, write bool) Result {
 
 // fillL1D installs a block in the core's L1D, handling the victim.
 func (h *Hierarchy) fillL1D(core int, block Addr, dirty, prefetched bool) {
-	fx := h.fx[core]
 	v := h.l1d[core].Fill(block, dirty, prefetched)
-	if fx != nil {
-		fx.appendDirAdd(core, block)
-	} else {
-		h.dir.add(core, block)
-	}
+	h.dir.add(core, block)
 	if v.Valid {
 		if v.UnusedPrefetch {
 			h.Stats.Core[core].PrefetchUnused++
 		}
 		if v.Dirty {
-			if fx != nil {
-				fx.appendL1WB(v.Addr)
-			} else {
-				h.writebackToL2(v.Addr)
-			}
+			h.writebackToL2(v.Addr)
 		}
 	}
 }
@@ -551,17 +480,11 @@ func (h *Hierarchy) Fetch(core int, pc Addr) Result {
 	l1 := h.l1i[core]
 	block := l1.BlockAddr(pc)
 
-	fx := h.fx[core]
 	res := Result{Level: LevelL1, Latency: h.cfg.L1Latency}
 	if !l1.Lookup(pc, false).Hit {
 		cs.L1IMisses++
-		if fx != nil {
-			fx.appendL2Req(block, IFetch, false)
-			res = Result{Level: LevelPending, Latency: h.cfg.L1Latency + 1}
-		} else {
-			lvl, lat := h.l2Access(block, IFetch, false)
-			res = Result{Level: lvl, Latency: h.cfg.L1Latency + lat}
-		}
+		lvl, lat := h.l2Access(block, IFetch, false)
+		res = Result{Level: lvl, Latency: h.cfg.L1Latency + lat}
 		l1.Fill(block, false, false)
 	}
 
@@ -569,11 +492,7 @@ func (h *Hierarchy) Fetch(core int, pc Addr) Result {
 		h.lastIBlock[core] = block
 		next := block + Addr(h.cfg.L1I.BlockBytes)
 		if !l1.Contains(next) {
-			if fx != nil {
-				fx.appendL2Req(next, IPrefetch, false)
-			} else {
-				h.l2Access(next, IPrefetch, false)
-			}
+			h.l2Access(next, IPrefetch, false)
 			l1.Fill(next, false, true)
 		}
 	}
@@ -591,11 +510,6 @@ func (h *Hierarchy) Prefetch(core int, a Addr) (Result, bool) {
 		return Result{Level: LevelL1, Latency: 0}, false
 	}
 	h.Stats.Core[core].PrefetchIssued++
-	if fx := h.fx[core]; fx != nil {
-		fx.appendL2Req(block, DPrefetch, true)
-		h.fillL1D(core, block, false, true)
-		return Result{Level: LevelPending, Latency: 1}, true
-	}
 	lvl, lat := h.l2Access(block, DPrefetch, true)
 	h.fillL1D(core, block, false, true)
 	return Result{Level: lvl, Latency: lat}, true

@@ -256,7 +256,11 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			URL string `json:"url"`
 		}
-		dec := json.NewDecoder(r.Body)
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil || req.URL == "" {
 			httpError(w, http.StatusBadRequest, "want a JSON body like {\"url\": \"http://host:port\"}")

@@ -278,6 +278,27 @@ func TestWorkerJoin(t *testing.T) {
 	}
 }
 
+// TestShardBodyTooLarge pins the POST /shard body bound on a worker: a
+// body of exactly maxRequestBody bytes is decoded and validated (an
+// unknown spec: 400), one byte more answers 413. The coordinator's
+// POST /workers shares the bound.
+func TestShardBodyTooLarge(t *testing.T) {
+	_, ts := startShardWorker(t)
+	const prefix = `{"grid":{"specs":["no-such-spec"]},"shard":{"start":0,"end":1}`
+	if code, msg := postRaw(t, ts.URL+"/shard", paddedJSON(prefix, maxRequestBody)); code != http.StatusBadRequest {
+		t.Errorf("body at the limit: status %d (%q), want 400", code, msg)
+	}
+	code, msg := postRaw(t, ts.URL+"/shard", paddedJSON(prefix, maxRequestBody+1))
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "too large") {
+		t.Errorf("body one byte over the limit: status %d (%q), want 413 naming the limit", code, msg)
+	}
+
+	_, coord := newTestServer(t, Options{Engine: sweep.Options{Parallel: 1}})
+	if code, _ := postRaw(t, coord.URL+"/workers", paddedJSON(`{"url":"http://127.0.0.1:1"`, maxRequestBody+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /workers one byte over the limit: status %d, want 413", code)
+	}
+}
+
 // TestShardWorkerHandler pins the worker endpoint itself: liveness probe,
 // request validation, and a good dispatch answering the exact partial the
 // in-process engine produces.

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -103,7 +105,8 @@ type sweepRun struct {
 // Server is the sweep service behind `pvsim serve`.
 //
 //	POST   /sweeps              submit a grid (?priority=N) -> 202 queued,
-//	                            200 dedup/disk hit, 429 queue full
+//	                            200 dedup/disk hit, 429 queue full,
+//	                            413 body over maxRequestBody
 //	GET    /sweeps              list sweeps in submission (seq) order
 //	GET    /sweeps/{id}         status + progress + queue position
 //	DELETE /sweeps/{id}         cancel a queued or running sweep
@@ -437,7 +440,11 @@ func (s *Server) persistQueue(interrupted []Pending) error {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	g, err := sweep.DecodeGrid(r.Body)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	g, err := sweep.DecodeGrid(bytes.NewReader(body))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -728,4 +735,28 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// maxRequestBody bounds the body of POST /sweeps and POST /shard. A grid
+// or shard request is a few hundred bytes of JSON; a megabyte leaves room
+// for any grid a sweep could run while keeping a broken or hostile client
+// from making the server buffer unbounded input.
+const maxRequestBody = 1 << 20
+
+// readBody reads a request body of at most maxRequestBody bytes. On
+// failure it answers the request itself — 413 for an oversized body, 400
+// for a body that cannot be read — and reports false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body too large: limit is %d bytes", maxRequestBody))
+		return nil, false
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+		return nil, false
+	}
+	return b, true
 }

@@ -90,6 +90,28 @@ func pollStatus(t *testing.T, ts *httptest.Server, id string, want ...string) sw
 	}
 }
 
+// postRaw posts body to url and returns the status and the JSON error
+// message, if the response carries one.
+func postRaw(t *testing.T, url, body string) (status int, errMsg string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error
+}
+
+// paddedJSON closes the JSON object opened by prefix after enough
+// whitespace to make the whole body exactly n bytes long.
+func paddedJSON(prefix string, n int) string {
+	return prefix + strings.Repeat(" ", n-len(prefix)-1) + "}"
+}
+
 func smallGrid() sweep.Grid {
 	return sweep.Grid{Specs: []string{"16-11a", "PV-8"}, Workloads: []string{"Apache"}, Seeds: []uint64{42}, Scale: testScale}
 }
@@ -670,6 +692,11 @@ func TestServerErrors(t *testing.T) {
 	if code, _, _ := postGrid(t, ts, sweep.Grid{Specs: []string{"no-such-spec"}}, ""); code != http.StatusBadRequest {
 		t.Errorf("unknown spec: status %d, want 400", code)
 	}
+	// A field the grid format no longer has is an unknown field: 400,
+	// naming it.
+	if code, msg := postRaw(t, ts.URL+"/sweeps", `{"specs":["PV-8"],"core_parallel":true}`); code != http.StatusBadRequest || !strings.Contains(msg, "core_parallel") {
+		t.Errorf("removed grid field: status %d (%q), want 400 naming core_parallel", code, msg)
+	}
 	// Bad priority: 400.
 	if code, _, _ := postGrid(t, ts, smallGrid(), "?priority=banana"); code != http.StatusBadRequest {
 		t.Errorf("bad priority: status %d, want 400", code)
@@ -716,6 +743,21 @@ func TestServerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("cancel finished sweep: status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestSubmitBodyTooLarge pins the POST /sweeps body bound: a body of
+// exactly maxRequestBody bytes is read and judged as a grid (this one
+// names an unknown spec: 400), one byte more answers 413 without decoding.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 2}})
+	const prefix = `{"specs":["no-such-spec"]`
+	if code, msg := postRaw(t, ts.URL+"/sweeps", paddedJSON(prefix, maxRequestBody)); code != http.StatusBadRequest {
+		t.Errorf("body at the limit: status %d (%q), want 400", code, msg)
+	}
+	code, msg := postRaw(t, ts.URL+"/sweeps", paddedJSON(prefix, maxRequestBody+1))
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "too large") {
+		t.Errorf("body one byte over the limit: status %d (%q), want 413 naming the limit", code, msg)
 	}
 }
 

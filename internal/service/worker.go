@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,13 +58,17 @@ func (w *ShardWorker) logf(format string, args ...interface{}) {
 	}
 }
 
-// handleShard runs one shard. Bad requests (undecodable body, invalid
-// grid, out-of-range shard) answer 400; a cancelled dispatch (the
-// coordinator hung up or timed out) aborts the run via the request
-// context and answers nothing anyone reads; simulation failures answer
-// 500 so the dispatcher re-dispatches the range elsewhere.
+// handleShard runs one shard. An oversized body answers 413; bad requests
+// (undecodable body, invalid grid, out-of-range shard) answer 400; a
+// cancelled dispatch (the coordinator hung up or timed out) aborts the run
+// via the request context and answers nothing anyone reads; simulation
+// failures answer 500 so the dispatcher re-dispatches the range elsewhere.
 func (w *ShardWorker) handleShard(rw http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	body, ok := readBody(rw, r)
+	if !ok {
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req ShardRequest
 	if err := dec.Decode(&req); err != nil {

@@ -122,21 +122,6 @@ type Config struct {
 	// stream would not cover.
 	Compile bool
 
-	// CoreParallel opts the batched step pipeline into deterministic
-	// intra-run parallelism: each batch splits into a parallel per-core
-	// local phase (stream production, L1 lookups, predictor-local updates)
-	// and a serial commit phase that replays every deferred shared-state
-	// operation — L2 requests, directory updates, PVProxy traffic, the
-	// cost-model fold — in exact round-robin access order, so output is
-	// byte-identical to serial stepping with or without Compile
-	// (TestCoreParallelBitIdentical pins it). Like Compile it is a pure
-	// execution strategy: Signature deliberately excludes it, and it falls
-	// back to serial stepping automatically when the wiring needs
-	// cross-core work inside the local phase (Timing runs, shared
-	// predictor tables, on-chip-only PV, an inclusive L2, phase-flush edge
-	// hooks, single-core systems; see parallelEligible).
-	CoreParallel bool
-
 	// Cost enables the passive cycle-approximate cost model
 	// (internal/timing): a pure fold over the access/outcome stream that
 	// accumulates per-core cycle counts — including PVCache hit/miss and

@@ -52,11 +52,8 @@ func RunSMARTS(cfg Config, plan SMARTSConfig) Result {
 	cfg.Timing = true
 	// The SMARTS plan, not cfg.Measure, sets the run length, so a compiled
 	// stream of Warmup+Measure accesses would run dry mid-plan; sampling
-	// runs always drive live generators. CoreParallel is likewise cleared:
-	// sampling is a timing mode, which the parallel stepper does not
-	// cover, and the plan steps per-access (StepAll) anyway.
+	// runs always drive live generators.
 	cfg.Compile = false
-	cfg.CoreParallel = false
 	sys := NewSystem(cfg)
 
 	sys.SetDetail(false)

@@ -70,22 +70,6 @@ type System struct {
 	// reusable per-core decode buffers of the batched step loop.
 	compiled []*trace.CompiledReplayer
 	batch    [][]trace.Access
-
-	// coreParallel is the effective CoreParallel switch: the config asked
-	// for it and the wiring is eligible (parallelEligible); StepAllN then
-	// dispatches to the two-phase parallel stepper. backends holds each
-	// core's routed PVProxy backend (nil entries without a predictor), fx
-	// the per-core deferred-effect logs, and sched the reusable
-	// remote-invalidation schedule of the current batch.
-	coreParallel bool
-	backends     []*routedBackend
-	fx           []*memsys.Effects
-	sched        []writeEvent
-
-	// pipeSched/pipeFault are the model checker's hooks into the parallel
-	// stepper (SetPipelineSched); nil/empty in production runs.
-	pipeSched PipelineSched
-	pipeFault string
 }
 
 // prefetchSink routes one core's predictions into the hierarchy and the
@@ -141,7 +125,6 @@ func NewSystem(cfg Config) *System {
 		snapStart: make([]cpu.Snapshot, n),
 		snapPrev:  make([]cpu.Snapshot, n),
 		snapCur:   make([]cpu.Snapshot, n),
-		backends:  make([]*routedBackend, n),
 	}
 	if cfg.Cost.Enabled {
 		params := cfg.Cost.Params
@@ -191,11 +174,6 @@ func NewSystem(cfg Config) *System {
 			continue
 		}
 
-		// The routed backend is a plain passthrough to the hierarchy in
-		// serial operation; the parallel local phase points its fx at the
-		// core's effect log to defer PVProxy traffic (see parallel.go).
-		rb := &routedBackend{h: sys.Hier}
-		sys.backends[c] = rb
 		env := pv.Env{
 			Core:         c,
 			Cores:        n,
@@ -204,7 +182,7 @@ func NewSystem(cfg Config) *System {
 			L1BlockBytes: hcfg.L1D.BlockBytes,
 			L2BlockBytes: hcfg.L2.BlockBytes,
 			Start:        pv.TableStart(c),
-			Backend:      rb,
+			Backend:      pvcore.HierarchyBackend{H: sys.Hier},
 			Sink:         prefetchSink{sys: sys, core: c},
 			Shared:       shared,
 		}
@@ -219,11 +197,8 @@ func NewSystem(cfg Config) *System {
 			panic(err)
 		}
 		sys.preds[c] = inst
-		if v, ok := inst.(pv.Virtualizable); ok {
-			rb.stats = v.ProxyStats() // nil when dedicated
-			if sys.tm != nil {
-				sys.proxyLive[c] = v.ProxyStats()
-			}
+		if v, ok := inst.(pv.Virtualizable); ok && sys.tm != nil {
+			sys.proxyLive[c] = v.ProxyStats()
 		}
 		c := c
 		sys.Hier.SetL1DEvictHook(c, func(addr memsys.Addr, _ memsys.EvictCause) {
@@ -257,9 +232,6 @@ func NewSystem(cfg Config) *System {
 	}
 	if cfg.Compile {
 		sys.CompileStreams(cfg.Warmup + cfg.Measure)
-	}
-	if cfg.CoreParallel {
-		sys.SetCoreParallel(true)
 	}
 	return sys
 }
@@ -507,10 +479,6 @@ const batchLen = trace.DefaultChunkLen
 // per batch — so results are bit-identical to n StepAll calls on either
 // path (TestCompiledRunBitIdentical pins this).
 func (s *System) StepAllN(n int) {
-	if s.coreParallel {
-		s.stepAllNParallel(n)
-		return
-	}
 	if s.compiled == nil {
 		for i := 0; i < n; i++ {
 			s.StepAll()
@@ -525,7 +493,7 @@ func (s *System) StepAllN(n int) {
 		}
 		for c := 0; c < cores; c++ {
 			if got := s.compiled[c].ReadBatch(s.batch[c][:k]); got < k {
-				panic(dryStreamError(c, k, got))
+				panic(fmt.Sprintf("sim: compiled stream for core %d ran dry %d accesses short", c, k-got))
 			}
 		}
 		for i := 0; i < k; i++ {

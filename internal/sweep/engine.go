@@ -37,14 +37,6 @@ type Options struct {
 	// batches, bit-identically to the generator path — the sweep's
 	// p1==p8 byte-identity pins hold either way.
 	Compile bool
-	// CoreParallel opts every sweep job into the deterministic two-phase
-	// parallel stepper (see experiments.Options.CoreParallel): simulated
-	// cores run their local phases in parallel inside each job and commit
-	// shared-state effects in exact round-robin order. Byte-identical to
-	// serial stepping — the p1==p8 pins hold with it on — and composable
-	// with Compile; ineligible jobs (timing grids, phase-flush mixes, ...)
-	// fall back to serial stepping automatically.
-	CoreParallel bool
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
 	// Sched, when non-nil, replaces the goroutine worker pool with a
@@ -103,14 +95,13 @@ func New(opts Options) *Engine {
 	return &Engine{
 		opts: opts,
 		runner: experiments.NewRunner(experiments.Options{
-			Scale:        1.0, // unused: the engine builds every config itself
-			Parallel:     opts.Parallel,
-			KeepSystems:  true,
-			Compile:      opts.Compile,
-			CoreParallel: opts.CoreParallel,
-			MaxSystems:   bound(opts.MaxSystems, DefaultMaxSystems),
-			MaxResults:   bound(opts.MaxResults, DefaultMaxResults),
-			Log:          opts.Log,
+			Scale:       1.0, // unused: the engine builds every config itself
+			Parallel:    opts.Parallel,
+			KeepSystems: true,
+			Compile:     opts.Compile,
+			MaxSystems:  bound(opts.MaxSystems, DefaultMaxSystems),
+			MaxResults:  bound(opts.MaxResults, DefaultMaxResults),
+			Log:         opts.Log,
 		}),
 		running: map[string][]*runHandle{},
 	}

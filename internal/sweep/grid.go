@@ -57,15 +57,6 @@ type Grid struct {
 	// baseline. Unlike Timing it perturbs nothing: coverage columns are
 	// byte-identical with and without it.
 	Cost bool `json:"cost,omitempty"`
-	// CoreParallel runs every job (and matched baseline) on the
-	// deterministic two-phase parallel stepper (sim.Config.CoreParallel).
-	// A pure execution strategy: results are byte-identical with it on or
-	// off, it composes with the engine's Compile option, and ineligible
-	// jobs (Timing grids, phase-flush mixes, ...) fall back to serial
-	// stepping automatically. It is part of the grid's canonical JSON —
-	// and therefore its Hash — like any other field, but changes no output
-	// byte of the rows themselves.
-	CoreParallel bool `json:"core_parallel,omitempty"`
 }
 
 // Job is one expanded grid point: the exact sim.Config it runs plus the
@@ -295,7 +286,6 @@ func (g Grid) baselineConfig(sc scenario, seed uint64) (sim.Config, error) {
 	if g.Cost {
 		cfg.Cost = timing.Config{Enabled: true}
 	}
-	cfg.CoreParallel = g.CoreParallel
 	return cfg, nil
 }
 

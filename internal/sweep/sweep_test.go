@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +127,20 @@ func TestGridHash(t *testing.T) {
 	f.PhaseFlush = true
 	if e.Hash() == f.Hash() {
 		t.Error("PhaseFlush not part of the grid hash")
+	}
+	// Grid hashes key the service's dedup and its on-disk results, so a
+	// grid must keep its hash when Grid gains or loses an omitempty field
+	// it does not set: these were captured with one more such field.
+	for _, pin := range []struct {
+		g    Grid
+		want string
+	}{
+		{d, "956c1e460aff2327"},
+		{testGrid(), "38bfeeb6db6cc5fc"},
+	} {
+		if got := pin.g.Hash(); got != pin.want {
+			t.Errorf("grid %+v hashes to %s, want %s", pin.g, got, pin.want)
+		}
 	}
 }
 
@@ -467,37 +480,8 @@ func TestSweepRerunIdentical(t *testing.T) {
 // TestSweepCompileByteIdentical pins the compiled-trace pipeline at the
 // sweep level: the full test grid — workloads, mixes, a phased mix, every
 // spec — run under Options.Compile must render byte-identical JSON to the
-// generator-path run.
+// generator-path run at Parallel=1, at Parallel=2 and Parallel=8.
 func TestSweepCompileByteIdentical(t *testing.T) {
-	g := testGrid()
-	base, err := New(Options{Parallel: 2}).Run(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := New(Options{Parallel: 2, Compile: true}).Run(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := base.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cj, err := comp.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bj, cj) {
-		t.Fatalf("compiled sweep diverges from generator sweep:\n%d vs %d bytes", len(bj), len(cj))
-	}
-}
-
-// TestSweepCoreParallelByteIdentical pins the two-phase parallel stepper
-// at the sweep level: the full test grid — workloads, mixes, a phased mix
-// (which falls back to serial stepping), every spec — run under
-// Options.CoreParallel must render byte-identical JSON to the serial-step
-// run, at Parallel=1 and Parallel=8, with and without Options.Compile
-// underneath.
-func TestSweepCoreParallelByteIdentical(t *testing.T) {
 	g := testGrid()
 	run := func(o Options) []byte {
 		t.Helper()
@@ -511,34 +495,13 @@ func TestSweepCoreParallelByteIdentical(t *testing.T) {
 		}
 		return b
 	}
-	want := run(Options{Parallel: 2})
+	want := run(Options{Parallel: 1})
 	for _, o := range []Options{
-		{Parallel: 1, CoreParallel: true},
-		{Parallel: 8, CoreParallel: true},
-		{Parallel: 2, CoreParallel: true, Compile: true},
+		{Parallel: 2, Compile: true},
+		{Parallel: 8, Compile: true},
 	} {
 		if got := run(o); !bytes.Equal(want, got) {
-			t.Fatalf("core-parallel sweep (%+v) diverges from serial sweep:\n--- want ---\n%s\n--- got ---\n%s", o, want, got)
+			t.Fatalf("compiled sweep (%+v) diverges from generator sweep:\n%d vs %d bytes", o, len(want), len(got))
 		}
-	}
-
-	// The grid-level switch must behave exactly like the engine option: the
-	// rows are identical (the grids themselves differ by the declared
-	// core_parallel field, which is part of the grid hash but of no row).
-	cg := g
-	cg.CoreParallel = true
-	base, err := New(Options{Parallel: 2}).Run(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := New(Options{Parallel: 2}).Run(context.Background(), cg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Rows, cres.Rows) {
-		t.Fatalf("Grid.CoreParallel rows diverge from serial rows:\n%+v\nvs\n%+v", base.Rows, cres.Rows)
-	}
-	if base.Grid.Hash() == cres.Grid.Hash() {
-		t.Fatal("Grid.CoreParallel not part of the grid hash")
 	}
 }

@@ -31,8 +31,8 @@ import (
 // mmap/seek-friendly: a consumer can jump to record i by starting at chunk
 // i/chunkLen and decoding forward at most chunkLen-1 records.
 //
-// Records use a length-tagged group encoding rather than PVA1's varints,
-// chosen for decode speed: one tag byte carries the write flag (bit 7) and
+// Records use a length-tagged group encoding rather than varints, chosen
+// for decode speed: one tag byte carries the write flag (bit 7) and
 // the byte lengths of both fields (bits 5-3: len(pc)-1, bits 2-0:
 // len(addr)-1), followed by the two fields as minimal little-endian byte
 // strings. The decoder learns both field lengths from a single byte and
@@ -89,7 +89,8 @@ func (t *Compiled) chunkRecords(i int) uint64 {
 // Compile materializes n accesses from s into the PVA2 block format.
 // chunkLen is the sync-point period (0 = DefaultChunkLen); meta is a
 // free-form provenance string stored alongside the data. A negative n is an
-// error, mirroring Record.
+// error: the count header is unsigned, so letting it through would promise
+// ~2^64 records to every reader of the file.
 func Compile(s Stream, n int, chunkLen int, meta string) (*Compiled, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("trace: compile: negative access count %d", n)
@@ -118,6 +119,11 @@ func Compile(s Stream, n int, chunkLen int, meta string) (*Compiled, error) {
 	}
 	return t, nil
 }
+
+// zigzag maps a signed delta onto an unsigned value so that small deltas of
+// either sign encode in few bytes; unzigzag inverts it.
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendGroup appends one length-tagged record: the tag byte (write flag in
 // bit 7, len(a)-1 in bits 5-3, len(b)-1 in bits 2-0) followed by a and b as
@@ -324,8 +330,8 @@ func (t *Compiled) Replayer() *CompiledReplayer {
 // implements Source (Next/Reset), so sim.System drives it exactly like a
 // live Generator, and BatchReader, so the batched step pipeline decodes a
 // chunk's worth of accesses at a time. Next panics past the end of the
-// trace (the length is known up front via Len); ReadBatch and ReadNext
-// return short counts / errors instead.
+// trace (the length is known up front via Len); ReadBatch returns a short
+// count instead.
 type CompiledReplayer struct {
 	t        *Compiled
 	pos      int    // byte position in t.data
@@ -373,14 +379,6 @@ func (p *CompiledReplayer) Next() Access {
 		panic(fmt.Sprintf("trace: compiled replay past end (%d accesses)", p.t.count))
 	}
 	return p.decode()
-}
-
-// ReadNext returns the next access, or an error at end of trace.
-func (p *CompiledReplayer) ReadNext() (Access, error) {
-	if p.consumed >= p.t.count {
-		return Access{}, fmt.Errorf("trace: compiled replay past end (%d accesses)", p.t.count)
-	}
-	return p.decode(), nil
 }
 
 // ReadBatch decodes up to len(dst) accesses into dst and returns how many

@@ -3,13 +3,9 @@
 #
 # Two kinds of checks:
 #
-#   1. Ratio invariants (machine-independent, always enforced):
-#      - compiled batch replay must stay >= MIN_SPEEDUP x faster per access
-#        than the live generator path (BenchmarkHeadlineStreamReplay pair);
-#      - the core-parallel stepper (BenchmarkSystemStepParallel pair) must
-#        beat serial round-robin by >= MIN_PAR_SPEEDUP on hosts with >= 4
-#        CPUs (>= MIN_PAR_SPEEDUP_2CPU on 2-3), and on a 1-CPU host — where
-#        it cannot win — its overhead must stay <= MAX_PAR_OVERHEAD_PCT.
+#   1. Ratio invariant (machine-independent, always enforced): compiled
+#      batch replay must stay >= MIN_SPEEDUP x faster per access than the
+#      live generator path (BenchmarkHeadlineStreamReplay pair).
 #
 #   2. Absolute regressions (same-machine only): when a baseline file is
 #      given, each guarded benchmark's best ns/op must not exceed the
@@ -18,7 +14,7 @@
 #      with -record and the guard catches >15% regressions on your box.
 #
 # Usage:
-#   scripts/bench_guard.sh                      # ratio invariants only
+#   scripts/bench_guard.sh                      # ratio invariant only
 #   scripts/bench_guard.sh -record baseline.txt # record a baseline
 #   scripts/bench_guard.sh -baseline baseline.txt
 set -euo pipefail
@@ -26,11 +22,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MIN_SPEEDUP="${MIN_SPEEDUP:-2.0}"
-MIN_PAR_SPEEDUP="${MIN_PAR_SPEEDUP:-1.5}"
-MIN_PAR_SPEEDUP_2CPU="${MIN_PAR_SPEEDUP_2CPU:-1.15}"
-MAX_PAR_OVERHEAD_PCT="${MAX_PAR_OVERHEAD_PCT:-15}"
 TOLERANCE_PCT="${TOLERANCE_PCT:-15}"
-BENCHES='BenchmarkHeadlineStreamReplay|BenchmarkSystemStep$|BenchmarkSystemStepCompiled$|BenchmarkSystemStepParallel'
+BENCHES='BenchmarkHeadlineStreamReplay|BenchmarkSystemStep$|BenchmarkSystemStepCompiled$'
 COUNT="${COUNT:-3}"
 BENCHTIME="${BENCHTIME:-1s}"
 
@@ -76,45 +69,13 @@ if awk -v s="$SPEEDUP" -v m="$MIN_SPEEDUP" 'BEGIN { exit !(s + 0 < m + 0) }'; th
     exit 1
 fi
 
-# Core-parallel stepper: the serial/parallel ratio floor depends on how
-# many CPUs this host actually has — with one CPU the parallel local phase
-# runs serially and the pair measures pure coordination overhead instead.
-SERIAL="$(best 'BenchmarkSystemStepParallel/serial')"
-PARALLEL="$(best 'BenchmarkSystemStepParallel/parallel')"
-if [ -z "$SERIAL" ] || [ -z "$PARALLEL" ]; then
-    echo "bench_guard: core-parallel pair missing from benchmark output" >&2
-    exit 1
-fi
-CPUS="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-PAR_SPEEDUP="$(awk -v s="$SERIAL" -v p="$PARALLEL" 'BEGIN { printf "%.2f", s / p }')"
-echo "core-parallel step: serial ${SERIAL} ns/access, parallel ${PARALLEL} ns/access — ${PAR_SPEEDUP}x on ${CPUS} CPU(s)"
-if [ "$CPUS" -ge 4 ]; then
-    if awk -v s="$PAR_SPEEDUP" -v m="$MIN_PAR_SPEEDUP" 'BEGIN { exit !(s + 0 < m + 0) }'; then
-        echo "bench_guard: FAIL — core-parallel stepper is ${PAR_SPEEDUP}x serial on ${CPUS} CPUs, floor is ${MIN_PAR_SPEEDUP}x" >&2
-        exit 1
-    fi
-elif [ "$CPUS" -ge 2 ]; then
-    if awk -v s="$PAR_SPEEDUP" -v m="$MIN_PAR_SPEEDUP_2CPU" 'BEGIN { exit !(s + 0 < m + 0) }'; then
-        echo "bench_guard: FAIL — core-parallel stepper is ${PAR_SPEEDUP}x serial on ${CPUS} CPUs, floor is ${MIN_PAR_SPEEDUP_2CPU}x" >&2
-        exit 1
-    fi
-else
-    if awk -v p="$PARALLEL" -v s="$SERIAL" -v t="$MAX_PAR_OVERHEAD_PCT" \
-        'BEGIN { exit !(p + 0 > s * (1 + t / 100)) }'; then
-        echo "bench_guard: FAIL — core-parallel overhead on a 1-CPU host: ${PARALLEL} vs ${SERIAL} ns/access (> ${MAX_PAR_OVERHEAD_PCT}%)" >&2
-        exit 1
-    fi
-fi
-
 if [ "$MODE" = "record" ]; then
     {
         echo "# bench_guard baseline — best ns/op per benchmark"
         echo "# host: $(uname -sm), recorded: $(date -u +%Y-%m-%dT%H:%M:%SZ)"
         for b in 'BenchmarkHeadlineStreamReplay/generator' \
             'BenchmarkHeadlineStreamReplay/compiled' \
-            'BenchmarkSystemStep' 'BenchmarkSystemStepCompiled' \
-            'BenchmarkSystemStepParallel/serial' \
-            'BenchmarkSystemStepParallel/parallel'; do
+            'BenchmarkSystemStep' 'BenchmarkSystemStepCompiled'; do
             echo "$b $(best "$b")"
         done
     } >"$FILE"
@@ -143,4 +104,4 @@ if [ "$MODE" = "baseline" ]; then
     exit "$FAILED"
 fi
 
-echo "bench_guard: ratio invariants hold"
+echo "bench_guard: ratio invariant holds"
