@@ -288,6 +288,20 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheLookupL2 is the miss scan: a full Table 1 L2 (8 MB,
+// 16-way) probed by a hashed block stream that misses ~99% of the time, so
+// nearly every lookup compares all 16 ways of a full set.
+func BenchmarkCacheLookupL2(b *testing.B) {
+	c := memsys.NewCache(memsys.DefaultConfig().L2)
+	for i := 0; i < c.Config().Sets()*c.Config().Ways; i++ {
+		c.Fill(memsys.Addr(i)<<6, false, false)
+	}
+	for i := 0; b.Loop(); i++ {
+		block := uint64(i) * 0x9E3779B97F4A7C15 >> 40
+		c.Lookup(memsys.Addr(block)<<6, false)
+	}
+}
+
 func BenchmarkHierarchyData(b *testing.B) {
 	h := memsys.New(memsys.DefaultConfig())
 	b.ResetTimer()

@@ -4,9 +4,9 @@ import "math/bits"
 
 // AddrTable is an allocation-free hash table from addresses, or any other
 // uint64-shaped key, to values of type V. It is the simulator's one
-// structure for per-access address lookups: the coherence directory, the
-// in-flight prefetch records of the timing model and the SMS AGT indices
-// all use it in place of Go maps, whose hashing dominated those paths.
+// structure for per-access address lookups: the in-flight prefetch records
+// of the timing model and the SMS AGT indices use it in place of Go maps,
+// whose hashing dominated those paths.
 //
 // Cells are open-addressed: Fibonacci hashing picks a key's home cell,
 // collisions probe linearly, and deletion shifts the rest of the probe

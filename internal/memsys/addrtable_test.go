@@ -204,11 +204,11 @@ func TestAddrTableAllocFree(t *testing.T) {
 
 var sinkU32 uint32
 
-// BenchmarkDirectoryTable compares the shared table with the Go map it
-// replaced on the directory's access pattern: for each fill, look the
-// block up, add a sharer, and remove the block a window of fills later.
-func BenchmarkDirectoryTable(b *testing.B) {
-	const window = 4096 // a 4-core, 64 KB-L1D directory's population
+// BenchmarkAddrTableWindow compares the shared table with a Go map on a
+// sliding window of live blocks: for each new block, look it up, update
+// it, and delete the block added a window earlier.
+func BenchmarkAddrTableWindow(b *testing.B) {
+	const window = 4096 // the blocks four 64 KB L1Ds hold
 	blocks := make([]Addr, 1<<16)
 	rng := rand.New(rand.NewPCG(1, 1))
 	for i := range blocks {

@@ -34,6 +34,11 @@ func (c CacheConfig) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d is not a power of two", c.Name, sets)
 	}
+	if sets == 1 && c.BlockBytes == 1 {
+		// A tag would use all 64 address bits, leaving none for the
+		// valid bit of its tag word.
+		return fmt.Errorf("cache %s: one set of 1-byte blocks", c.Name)
+	}
 	return nil
 }
 
@@ -62,16 +67,13 @@ type Victim struct {
 	UnusedPrefetch bool // line was prefetched and never demand-referenced
 }
 
-// line is one cache line's bookkeeping state; data contents are not modeled
-// (the simulator is trace-driven), except for PV metadata whose contents live
-// in the PVTable backing store.
-type line struct {
-	tag        uint64
-	lastUse    uint64
-	valid      bool
-	dirty      bool
-	prefetched bool // filled by a prefetch and not yet demand-referenced
-}
+// Line flag bits. Data contents are not modeled (the simulator is
+// trace-driven), except for PV metadata whose contents live in the PVTable
+// backing store.
+const (
+	flagDirty      uint8 = 1 << iota
+	flagPrefetched       // filled by a prefetch and not yet demand-referenced
+)
 
 // CacheStats counts events local to one cache.
 type CacheStats struct {
@@ -92,13 +94,21 @@ type CacheStats struct {
 // replacement. It tracks dirty bits and a per-line "prefetched, not yet
 // used" bit so the harness can account overpredictions exactly as Figure 4
 // does.
+//
+// Line state is split by how often it is read. tags holds each way's
+// tag<<1|1 (0 for an empty way) and is the only array a lookup scans;
+// lastUse holds the LRU stamps and flags the dirty/prefetched bits, both
+// touched only on a hit, fill or invalidation. All three are sets*ways
+// long, set-major.
 type Cache struct {
 	cfg       CacheConfig
 	blockBits uint
 	setBits   uint
 	setMask   uint64
 	ways      int
-	lines     []line // sets*ways, set-major
+	tags      []uint64
+	lastUse   []uint64
+	flags     []uint8
 	tick      uint64
 
 	// onEvict, when set, fires for every valid line that leaves the cache
@@ -115,13 +125,16 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
+	n := sets * cfg.Ways
 	return &Cache{
 		cfg:       cfg,
 		blockBits: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		setBits:   uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 		ways:      cfg.Ways,
-		lines:     make([]line, sets*cfg.Ways),
+		tags:      make([]uint64, n),
+		lastUse:   make([]uint64, n),
+		flags:     make([]uint8, n),
 	}
 }
 
@@ -137,18 +150,35 @@ func (c *Cache) BlockAddr(a Addr) Addr {
 	return a &^ Addr(c.cfg.BlockBytes-1)
 }
 
-func (c *Cache) decompose(a Addr) (set int, tag uint64) {
+// locate returns the index of a's set's first way and the tag word a's
+// block would be stored under.
+func (c *Cache) locate(a Addr) (base int, key uint64) {
 	block := uint64(a) >> c.blockBits
-	return int(block & c.setMask), block >> c.setBits
+	return int(block&c.setMask) * c.ways, block>>c.setBits<<1 | 1
 }
 
-func (c *Cache) compose(set int, tag uint64) Addr {
-	block := tag<<c.setBits | uint64(set)
-	return Addr(block << c.blockBits)
+// find returns the index of the way holding key in the set starting at
+// base, or -1 when the block is absent.
+func (c *Cache) find(base int, key uint64) int {
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			return base + i
+		}
+	}
+	return -1
 }
 
-func (c *Cache) setSlice(set int) []line {
-	return c.lines[set*c.ways : (set+1)*c.ways]
+// victimAt describes the valid line at index i as a Victim, rebuilding
+// its block-aligned address from the tag word and the set index.
+func (c *Cache) victimAt(i int) Victim {
+	block := c.tags[i]>>1<<c.setBits | uint64(i/c.ways)
+	f := c.flags[i]
+	return Victim{
+		Addr:           Addr(block << c.blockBits),
+		Valid:          true,
+		Dirty:          f&flagDirty != 0,
+		UnusedPrefetch: f&flagPrefetched != 0,
+	}
 }
 
 // LookupResult reports the outcome of a demand lookup.
@@ -161,55 +191,45 @@ type LookupResult struct {
 // the dirty bit is set for writes, and the prefetched bit is consumed.
 func (c *Cache) Lookup(a Addr, write bool) LookupResult {
 	c.tick++
-	set, tag := c.decompose(a)
-	for i, ln := range c.setSlice(set) {
-		if ln.valid && ln.tag == tag {
-			s := c.setSlice(set)
-			s[i].lastUse = c.tick
-			first := s[i].prefetched
-			if first {
-				s[i].prefetched = false
-				c.Stats.PrefetchDemand++
-			}
-			if write {
-				s[i].dirty = true
-				c.Stats.WriteHits++
-			}
-			c.Stats.Hits++
-			return LookupResult{Hit: true, FirstUseOfPF: first}
+	i := c.find(c.locate(a))
+	if i < 0 {
+		c.Stats.Misses++
+		if write {
+			c.Stats.WriteMisses++
 		}
+		return LookupResult{}
 	}
-	c.Stats.Misses++
+	c.lastUse[i] = c.tick
+	f := c.flags[i]
+	first := f&flagPrefetched != 0
+	if first {
+		f &^= flagPrefetched
+		c.Stats.PrefetchDemand++
+	}
 	if write {
-		c.Stats.WriteMisses++
+		f |= flagDirty
+		c.Stats.WriteHits++
 	}
-	return LookupResult{}
+	c.flags[i] = f
+	c.Stats.Hits++
+	return LookupResult{Hit: true, FirstUseOfPF: first}
 }
 
 // Contains reports presence without disturbing LRU or prefetch state.
 func (c *Cache) Contains(a Addr) bool {
-	set, tag := c.decompose(a)
-	for _, ln := range c.setSlice(set) {
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.locate(a)) >= 0
 }
 
 // Touch updates LRU state for a resident block without other side effects.
 // It reports whether the block was present.
 func (c *Cache) Touch(a Addr) bool {
-	set, tag := c.decompose(a)
-	s := c.setSlice(set)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			c.tick++
-			s[i].lastUse = c.tick
-			return true
-		}
+	i := c.find(c.locate(a))
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tick++
+	c.lastUse[i] = c.tick
+	return true
 }
 
 // Fill installs the block containing a. If the block is already resident the
@@ -217,95 +237,79 @@ func (c *Cache) Touch(a Addr) bool {
 // LRU way is displaced and returned as the victim.
 func (c *Cache) Fill(a Addr, dirty, prefetch bool) Victim {
 	c.tick++
-	set, tag := c.decompose(a)
-	s := c.setSlice(set)
+	base, key := c.locate(a)
 
 	// Merge into an existing line if present (e.g. a writeback arriving for
 	// a block that is still resident).
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			if dirty {
-				s[i].dirty = true
-			}
-			s[i].lastUse = c.tick
-			return Victim{}
+	if i := c.find(base, key); i >= 0 {
+		if dirty {
+			c.flags[i] |= flagDirty
 		}
+		c.lastUse[i] = c.tick
+		return Victim{}
 	}
 
-	victimWay := -1
-	for i := range s {
-		if !s[i].valid {
-			victimWay = i
-			break
-		}
-	}
+	// The first empty way, else the least recently used one (lowest way on
+	// a tie).
+	w := c.find(base, 0)
 	var v Victim
-	if victimWay < 0 {
-		victimWay = 0
-		for i := 1; i < len(s); i++ {
-			if s[i].lastUse < s[victimWay].lastUse {
-				victimWay = i
+	if w < 0 {
+		w = base
+		for i := base + 1; i < base+c.ways; i++ {
+			if c.lastUse[i] < c.lastUse[w] {
+				w = i
 			}
 		}
-		old := s[victimWay]
-		v = Victim{
-			Addr:           c.compose(set, old.tag),
-			Valid:          true,
-			Dirty:          old.dirty,
-			UnusedPrefetch: old.prefetched,
-		}
+		v = c.victimAt(w)
 		c.Stats.Evictions++
-		if old.dirty {
+		if v.Dirty {
 			c.Stats.DirtyEvictions++
 		}
-		if old.prefetched {
+		if v.UnusedPrefetch {
 			c.Stats.PrefetchUnused++
 		}
 		if c.onEvict != nil {
 			c.onEvict(v.Addr, CauseReplacement)
 		}
 	}
-	s[victimWay] = line{tag: tag, lastUse: c.tick, valid: true, dirty: dirty, prefetched: prefetch}
-	c.Stats.Fills++
+	var f uint8
+	if dirty {
+		f |= flagDirty
+	}
 	if prefetch {
+		f |= flagPrefetched
 		c.Stats.PrefetchFills++
 	}
+	c.tags[w], c.lastUse[w], c.flags[w] = key, c.tick, f
+	c.Stats.Fills++
 	return v
 }
 
 // Invalidate removes the block containing a, if present, and returns its
 // state as a victim (Valid=false when the block was absent).
 func (c *Cache) Invalidate(a Addr) Victim {
-	set, tag := c.decompose(a)
-	s := c.setSlice(set)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			v := Victim{
-				Addr:           c.compose(set, s[i].tag),
-				Valid:          true,
-				Dirty:          s[i].dirty,
-				UnusedPrefetch: s[i].prefetched,
-			}
-			c.Stats.Invalidations++
-			if s[i].prefetched {
-				c.Stats.PrefetchUnused++
-			}
-			if c.onEvict != nil {
-				c.onEvict(v.Addr, CauseInvalidation)
-			}
-			s[i] = line{}
-			return v
-		}
+	i := c.find(c.locate(a))
+	if i < 0 {
+		return Victim{}
 	}
-	return Victim{}
+	v := c.victimAt(i)
+	c.Stats.Invalidations++
+	if v.UnusedPrefetch {
+		c.Stats.PrefetchUnused++
+	}
+	if c.onEvict != nil {
+		c.onEvict(v.Addr, CauseInvalidation)
+	}
+	c.tags[i], c.lastUse[i], c.flags[i] = 0, 0, 0
+	return v
 }
 
 // Reset clears every line and all statistics in place, returning the cache
-// to its post-construction state without reallocating the line array.
+// to its post-construction state without reallocating the line arrays.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.tags)
+	clear(c.lastUse)
+	clear(c.flags)
 	c.tick = 0
 	c.Stats = CacheStats{}
 }
@@ -313,8 +317,8 @@ func (c *Cache) Reset() {
 // ResidentBlocks returns the number of valid lines; useful for tests.
 func (c *Cache) ResidentBlocks() int {
 	n := 0
-	for _, ln := range c.lines {
-		if ln.valid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}
@@ -322,22 +326,23 @@ func (c *Cache) ResidentBlocks() int {
 }
 
 // CheckInvariants verifies internal consistency: no duplicate tags within a
-// set and no prefetched-but-invalid lines. It is used by property tests.
+// set and no flags on empty ways. It is used by property tests.
 func (c *Cache) CheckInvariants() error {
-	sets := c.cfg.Sets()
-	for set := 0; set < sets; set++ {
+	for base := 0; base < len(c.tags); base += c.ways {
+		set := base / c.ways
 		seen := make(map[uint64]bool, c.ways)
-		for _, ln := range c.setSlice(set) {
-			if !ln.valid {
-				if ln.prefetched {
-					return fmt.Errorf("cache %s set %d: invalid line with prefetched bit", c.cfg.Name, set)
+		for i := base; i < base+c.ways; i++ {
+			t := c.tags[i]
+			if t == 0 {
+				if c.flags[i] != 0 {
+					return fmt.Errorf("cache %s set %d: empty way with flags %#x", c.cfg.Name, set, c.flags[i])
 				}
 				continue
 			}
-			if seen[ln.tag] {
-				return fmt.Errorf("cache %s set %d: duplicate tag %#x", c.cfg.Name, set, ln.tag)
+			if seen[t] {
+				return fmt.Errorf("cache %s set %d: duplicate tag %#x", c.cfg.Name, set, t>>1)
 			}
-			seen[ln.tag] = true
+			seen[t] = true
 		}
 	}
 	return nil

@@ -1,7 +1,10 @@
 package memsys
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +28,8 @@ func TestCacheConfigValidate(t *testing.T) {
 		{"non-pow2 block", testCacheConfig(64<<10, 4, 48), false},
 		{"non-divisible", testCacheConfig(1000, 3, 64), false},
 		{"non-pow2 sets", testCacheConfig(3*64*4, 4, 64), false},
+		{"one set of 1-byte blocks", testCacheConfig(4, 4, 1), false},
+		{"1-byte blocks", testCacheConfig(8, 4, 1), true},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -253,4 +258,287 @@ func TestNewCachePanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	NewCache(testCacheConfig(100, 3, 48))
+}
+
+// refCache is the line-struct cache the packed-tag Cache replaced, kept as
+// a reference model: the differential tests below drive both with the same
+// operations and require identical results, victims, hook events and
+// statistics.
+type refCache struct {
+	blockBits, setBits uint
+	setMask            uint64
+	ways               int
+	lines              []refLine
+	tick               uint64
+	onEvict            func(addr Addr, cause EvictCause)
+	Stats              CacheStats
+}
+
+type refLine struct {
+	tag, lastUse             uint64
+	valid, dirty, prefetched bool
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	c := NewCache(cfg) // validates and derives the shifts
+	return &refCache{blockBits: c.blockBits, setBits: c.setBits, setMask: c.setMask,
+		ways: cfg.Ways, lines: make([]refLine, cfg.Sets()*cfg.Ways)}
+}
+
+func (c *refCache) decompose(a Addr) (set int, tag uint64) {
+	block := uint64(a) >> c.blockBits
+	return int(block & c.setMask), block >> c.setBits
+}
+
+func (c *refCache) compose(set int, tag uint64) Addr {
+	return Addr((tag<<c.setBits | uint64(set)) << c.blockBits)
+}
+
+func (c *refCache) setLines(set int) []refLine { return c.lines[set*c.ways : (set+1)*c.ways] }
+
+func (c *refCache) Lookup(a Addr, write bool) LookupResult {
+	c.tick++
+	set, tag := c.decompose(a)
+	s := c.setLines(set)
+	for i := range s {
+		if s[i].valid && s[i].tag == tag {
+			s[i].lastUse = c.tick
+			first := s[i].prefetched
+			if first {
+				s[i].prefetched = false
+				c.Stats.PrefetchDemand++
+			}
+			if write {
+				s[i].dirty = true
+				c.Stats.WriteHits++
+			}
+			c.Stats.Hits++
+			return LookupResult{Hit: true, FirstUseOfPF: first}
+		}
+	}
+	c.Stats.Misses++
+	if write {
+		c.Stats.WriteMisses++
+	}
+	return LookupResult{}
+}
+
+func (c *refCache) Contains(a Addr) bool {
+	set, tag := c.decompose(a)
+	for _, ln := range c.setLines(set) {
+		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Touch(a Addr) bool {
+	set, tag := c.decompose(a)
+	s := c.setLines(set)
+	for i := range s {
+		if s[i].valid && s[i].tag == tag {
+			c.tick++
+			s[i].lastUse = c.tick
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Fill(a Addr, dirty, prefetch bool) Victim {
+	c.tick++
+	set, tag := c.decompose(a)
+	s := c.setLines(set)
+	for i := range s {
+		if s[i].valid && s[i].tag == tag {
+			if dirty {
+				s[i].dirty = true
+			}
+			s[i].lastUse = c.tick
+			return Victim{}
+		}
+	}
+	w := -1
+	for i := range s {
+		if !s[i].valid {
+			w = i
+			break
+		}
+	}
+	var v Victim
+	if w < 0 {
+		w = 0
+		for i := 1; i < len(s); i++ {
+			if s[i].lastUse < s[w].lastUse {
+				w = i
+			}
+		}
+		old := s[w]
+		v = Victim{Addr: c.compose(set, old.tag), Valid: true, Dirty: old.dirty, UnusedPrefetch: old.prefetched}
+		c.Stats.Evictions++
+		if old.dirty {
+			c.Stats.DirtyEvictions++
+		}
+		if old.prefetched {
+			c.Stats.PrefetchUnused++
+		}
+		if c.onEvict != nil {
+			c.onEvict(v.Addr, CauseReplacement)
+		}
+	}
+	s[w] = refLine{tag: tag, lastUse: c.tick, valid: true, dirty: dirty, prefetched: prefetch}
+	c.Stats.Fills++
+	if prefetch {
+		c.Stats.PrefetchFills++
+	}
+	return v
+}
+
+func (c *refCache) Invalidate(a Addr) Victim {
+	set, tag := c.decompose(a)
+	s := c.setLines(set)
+	for i := range s {
+		if s[i].valid && s[i].tag == tag {
+			v := Victim{Addr: c.compose(set, tag), Valid: true, Dirty: s[i].dirty, UnusedPrefetch: s[i].prefetched}
+			c.Stats.Invalidations++
+			if s[i].prefetched {
+				c.Stats.PrefetchUnused++
+			}
+			if c.onEvict != nil {
+				c.onEvict(v.Addr, CauseInvalidation)
+			}
+			s[i] = refLine{}
+			return v
+		}
+	}
+	return Victim{}
+}
+
+func (c *refCache) Reset() {
+	clear(c.lines)
+	c.tick = 0
+	c.Stats = CacheStats{}
+}
+
+func (c *refCache) ResidentBlocks() int {
+	n := 0
+	for _, ln := range c.lines {
+		if ln.valid {
+			n++
+		}
+	}
+	return n
+}
+
+type evictEvent struct {
+	addr  Addr
+	cause EvictCause
+}
+
+// cachePair runs one operation stream on a Cache and a refCache side by
+// side, recording each one's evict-hook events.
+type cachePair struct {
+	got            *Cache
+	want           *refCache
+	gotEv, wantEv  []evictEvent
+	blocks, offset uint64 // address-space shape: block-number range, block size
+}
+
+func newCachePair(cfg CacheConfig) *cachePair {
+	p := &cachePair{got: NewCache(cfg), want: newRefCache(cfg),
+		blocks: uint64(4 * cfg.Sets() * cfg.Ways), offset: uint64(cfg.BlockBytes)}
+	p.got.SetEvictHook(func(a Addr, c EvictCause) { p.gotEv = append(p.gotEv, evictEvent{a, c}) })
+	p.want.onEvict = func(a Addr, c EvictCause) { p.wantEv = append(p.wantEv, evictEvent{a, c}) }
+	return p
+}
+
+// addr maps a random word onto a small set of blocks, so sets conflict,
+// with a random offset inside the block and, for some words, high address
+// bits that exercise the top of the tag.
+func (p *cachePair) addr(r uint64) Addr {
+	a := r%p.blocks*p.offset + r>>32%p.offset
+	if r>>48&3 == 0 {
+		a |= 0xFFFF_0000_0000_0000
+	}
+	return Addr(a)
+}
+
+// step applies the operation that op selects to both caches and reports
+// the first divergence.
+func (p *cachePair) step(op uint8, r uint64) error {
+	a := p.addr(r)
+	write, prefetch := r>>56&1 != 0, r>>57&1 != 0
+	var got, want any
+	switch op % 16 {
+	case 0, 1, 2, 3, 4:
+		got, want = p.got.Lookup(a, write), p.want.Lookup(a, write)
+	case 5, 6, 7, 8, 9:
+		got, want = p.got.Fill(a, write, prefetch), p.want.Fill(a, write, prefetch)
+	case 10:
+		got, want = p.got.Contains(a), p.want.Contains(a)
+	case 11:
+		got, want = p.got.Touch(a), p.want.Touch(a)
+	case 12, 13, 14:
+		got, want = p.got.Invalidate(a), p.want.Invalidate(a)
+	case 15:
+		p.got.Reset()
+		p.want.Reset()
+	}
+	if got != want {
+		return fmt.Errorf("op %d on %#x: got %+v, reference %+v", op%16, uint64(a), got, want)
+	}
+	if !slices.Equal(p.gotEv, p.wantEv) {
+		return fmt.Errorf("op %d on %#x: evict events %v, reference %v", op%16, uint64(a), p.gotEv, p.wantEv)
+	}
+	p.gotEv, p.wantEv = p.gotEv[:0], p.wantEv[:0]
+	if p.got.Stats != p.want.Stats {
+		return fmt.Errorf("op %d on %#x: stats %+v, reference %+v", op%16, uint64(a), p.got.Stats, p.want.Stats)
+	}
+	if g, w := p.got.ResidentBlocks(), p.want.ResidentBlocks(); g != w {
+		return fmt.Errorf("op %d on %#x: %d resident blocks, reference %d", op%16, uint64(a), g, w)
+	}
+	return p.got.CheckInvariants()
+}
+
+var diffGeometries = []CacheConfig{
+	testCacheConfig(256, 1, 64),   // 4 sets x 1 way
+	testCacheConfig(1024, 4, 64),  // 4 sets x 4 ways
+	testCacheConfig(4096, 16, 64), // 4 sets x 16 ways
+}
+
+// TestCacheMatchesReference drives seeded random operation sequences on
+// 1-, 4- and 16-way geometries and checks the Cache against the reference
+// model after every operation.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, cfg := range diffGeometries {
+		for seed := int64(1); seed <= 4; seed++ {
+			p := newCachePair(cfg)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				if err := p.step(uint8(rng.Intn(16)), rng.Uint64()); err != nil {
+					t.Fatalf("%d-way seed %d step %d: %v", cfg.Ways, seed, i, err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCacheOps is TestCacheMatchesReference with the operation stream
+// decoded from the fuzz input: the first byte picks the geometry, then
+// each 9-byte record is one operation byte and one 64-bit operand.
+func FuzzCacheOps(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 9, 7, 0, 0, 0, 0, 0, 0, 3, 12, 7, 0, 0, 0, 0, 0, 0, 0, 15, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		p := newCachePair(diffGeometries[int(data[0])%len(diffGeometries)])
+		for data = data[1:]; len(data) >= 9; data = data[9:] {
+			if err := p.step(data[0], binary.LittleEndian.Uint64(data[1:9])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

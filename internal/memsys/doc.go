@@ -23,12 +23,14 @@
 // # Components
 //
 //   - Cache (cache.go): one set-associative write-back LRU cache with
-//     per-line dirty and "prefetched, unused" bits.
-//   - Hierarchy (hierarchy.go): wires L1s, the banked L2, main-memory
-//     latency and the coherence directory; exposes demand (Data/Fetch),
-//     prefetch, and PV entry points.
-//   - directory (directory.go): a full-map invalidation directory; remote
-//     stores invalidate sharers, which is what ends SMS generations.
+//     per-line dirty and "prefetched, unused" bits, its line state split
+//     into a scanned tag array and separate LRU and flag arrays.
+//   - Hierarchy (hierarchy.go): wires L1s, the banked L2 and main-memory
+//     latency; exposes demand (Data/Fetch), prefetch, and PV entry points.
+//     A store invalidates the block in every other core's L1D: the L1D
+//     tags are the sharer set, so there is no separate directory.
+//   - AddrTable (addrtable.go): the open-addressed address-keyed table
+//     the simulator's per-access lookups use instead of Go maps.
 //   - Addr/AddrRange/AccessKind/Class (addr.go): address and traffic
 //     taxonomy.
 //

@@ -174,14 +174,14 @@ type Result struct {
 	CoveredMiss bool
 }
 
-// Hierarchy wires per-core L1s, the shared L2, the coherence directory and
-// main memory together.
+// Hierarchy wires per-core L1s, the shared L2 and main memory together.
+// Coherence needs no directory: a block's sharers are exactly the L1Ds
+// whose tags hold it, so a store probes the other cores' L1Ds.
 type Hierarchy struct {
 	cfg Config
 	l1i []*Cache
 	l1d []*Cache
 	l2  *Cache
-	dir *directory
 
 	// evictHooks are caller-registered per-core L1D eviction observers
 	// (SMS uses them to end spatial-region generations).
@@ -211,7 +211,6 @@ func New(cfg Config) *Hierarchy {
 		l1i:        make([]*Cache, cfg.Cores),
 		l1d:        make([]*Cache, cfg.Cores),
 		l2:         NewCache(cfg.L2),
-		dir:        newDirectorySized(cfg.Cores * cfg.L1D.Sets() * cfg.L1D.Ways),
 		evictHooks: make([]func(Addr, EvictCause), cfg.Cores),
 		lastIBlock: make([]Addr, cfg.Cores),
 	}
@@ -220,7 +219,6 @@ func New(cfg Config) *Hierarchy {
 	}
 	h.Stats.Core = make([]CoreStats, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		i := i
 		ic := cfg.L1I
 		ic.Name = fmt.Sprintf("L1I.%d", i)
 		dc := cfg.L1D
@@ -228,7 +226,6 @@ func New(cfg Config) *Hierarchy {
 		h.l1i[i] = NewCache(ic)
 		h.l1d[i] = NewCache(dc)
 		h.l1d[i].SetEvictHook(func(addr Addr, cause EvictCause) {
-			h.dir.remove(i, addr)
 			if hook := h.evictHooks[i]; hook != nil {
 				hook(addr, cause)
 			}
@@ -251,8 +248,8 @@ func (h *Hierarchy) ResetStats() {
 }
 
 // Reset returns the hierarchy to its post-construction state in place:
-// caches emptied, directory cleared, bank arbitration and the clock rewound,
-// statistics zeroed. Registered hooks are kept.
+// caches emptied, bank arbitration and the clock rewound, statistics
+// zeroed. Registered hooks are kept.
 func (h *Hierarchy) Reset() {
 	for i := 0; i < h.cfg.Cores; i++ {
 		h.l1i[i].Reset()
@@ -260,7 +257,6 @@ func (h *Hierarchy) Reset() {
 		h.lastIBlock[i] = 0
 	}
 	h.l2.Reset()
-	h.dir.reset()
 	h.now = 0
 	for i := range h.bankFree {
 		h.bankFree[i] = 0
@@ -386,7 +382,6 @@ func (h *Hierarchy) writebackToL2(a Addr) {
 func (h *Hierarchy) backInvalidate(block Addr) {
 	for c := 0; c < h.cfg.Cores; c++ {
 		if v := h.l1d[c].Invalidate(block); v.Valid {
-			h.dir.remove(c, block)
 			h.Stats.Core[c].Invalidations++
 			if v.UnusedPrefetch {
 				h.Stats.Core[c].PrefetchUnused++
@@ -399,20 +394,16 @@ func (h *Hierarchy) backInvalidate(block Addr) {
 	}
 }
 
-// invalidateSharers removes the block from every other core's L1D, firing
-// their eviction hooks (which end SMS generations).
+// invalidateSharers removes the block from every other core's L1D in
+// ascending core order, firing their eviction hooks (which end SMS
+// generations).
 func (h *Hierarchy) invalidateSharers(core int, block Addr) {
-	mask := h.dir.others(core, block)
-	for other := 0; mask != 0; other++ {
-		bit := uint32(1) << uint(other)
-		if mask&bit == 0 {
+	for other, l1 := range h.l1d {
+		if other == core {
 			continue
 		}
-		mask &^= bit
-		v := h.l1d[other].Invalidate(block)
-		if v.Valid {
+		if v := l1.Invalidate(block); v.Valid {
 			h.Stats.Core[other].Invalidations++
-			h.dir.remove(other, block)
 			if v.UnusedPrefetch {
 				h.Stats.Core[other].PrefetchUnused++
 			}
@@ -461,7 +452,6 @@ func (h *Hierarchy) Data(core int, a Addr, write bool) Result {
 // fillL1D installs a block in the core's L1D, handling the victim.
 func (h *Hierarchy) fillL1D(core int, block Addr, dirty, prefetched bool) {
 	v := h.l1d[core].Fill(block, dirty, prefetched)
-	h.dir.add(core, block)
 	if v.Valid {
 		if v.UnusedPrefetch {
 			h.Stats.Core[core].PrefetchUnused++
@@ -534,7 +524,3 @@ func (h *Hierarchy) PVWriteback(a Addr) Result {
 	h.fillL2(a, true, false)
 	return Result{Level: LevelL2, Latency: h.cfg.L2.DataLatency}
 }
-
-// DirectorySize reports the number of blocks tracked by the coherence
-// directory (tests use it).
-func (h *Hierarchy) DirectorySize() int { return h.dir.len() }

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -227,15 +228,53 @@ func TestOnChipOnlyPVDropsDirtyVictims(t *testing.T) {
 	}
 }
 
-func TestDirectoryStaysBounded(t *testing.T) {
-	h := New(smallConfig())
-	for i := 0; i < 10000; i++ {
-		h.Data(0, Addr(i)<<6, false)
+func TestStoreInvalidatesSharersAbove32Cores(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Cores = 40
+	h := New(cfg)
+	h.Data(33, 0x2000, false)
+	h.Data(0, 0x2000, true)
+	if h.L1D(33).Contains(0x2000) {
+		t.Fatal("store by core 0 left core 33's copy in place")
 	}
-	// L1D has 64 lines; directory must track at most that many blocks for
-	// a single-core workload.
-	if n := h.DirectorySize(); n > 64 {
-		t.Errorf("directory tracks %d blocks, want <= 64", n)
+	if h.Stats.Core[33].Invalidations != 1 {
+		t.Errorf("core 33 invalidations = %d, want 1", h.Stats.Core[33].Invalidations)
+	}
+}
+
+// TestStoreLeavesWriterSoleSharer drives random multi-core demand,
+// prefetch and PV writeback streams and checks, after every store, that
+// the writer's L1D is the only one holding the stored block.
+func TestStoreLeavesWriterSoleSharer(t *testing.T) {
+	for _, inclusive := range []bool{false, true} {
+		for _, cores := range []int{4, 36} {
+			cfg := smallConfig()
+			cfg.Cores = cores
+			cfg.L2 = CacheConfig{Name: "L2", SizeBytes: 8 << 10, Ways: 2, BlockBytes: 64, TagLatency: 6, DataLatency: 12}
+			cfg.InclusiveL2 = inclusive
+			h := New(cfg)
+			rng := rand.New(rand.NewSource(int64(cores)))
+			for i := 0; i < 20000; i++ {
+				core := rng.Intn(cores)
+				block := Addr(rng.Intn(512)) << 6
+				switch rng.Intn(4) {
+				case 0:
+					h.Data(core, block, false)
+				case 1:
+					h.Prefetch(core, block)
+				case 2:
+					h.PVWriteback(block)
+				case 3:
+					h.Data(core, block, true)
+					for c := 0; c < cores; c++ {
+						if got := h.L1D(c).Contains(block); got != (c == core) {
+							t.Fatalf("inclusive=%v cores=%d op %d: after core %d stored %#x, core %d holds it = %v",
+								inclusive, cores, i, core, uint64(block), c, got)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

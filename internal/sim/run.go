@@ -158,7 +158,7 @@ func (sys *System) run() Result {
 	sys.StepAllN(cfg.Warmup)
 	sys.ResetStats()
 
-	n := sys.Hier.Config().Cores
+	n := len(sys.gens)
 	windows := cfg.Windows
 	if windows <= 0 {
 		windows = 1
@@ -222,7 +222,7 @@ func collectStats(sys *System, res *Result) {
 	if !sys.cfg.Prefetch.Enabled() {
 		return
 	}
-	n := sys.Hier.Config().Cores
+	n := len(sys.gens)
 	res.Predictors = make([]pv.Stats, n)
 	for c := 0; c < n; c++ {
 		res.Predictors[c] = sys.preds[c].Stats()

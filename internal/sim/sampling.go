@@ -62,7 +62,7 @@ func RunSMARTS(cfg Config, plan SMARTSConfig) Result {
 	}
 	sys.ResetStats()
 
-	n := sys.Hier.Config().Cores
+	n := len(sys.gens)
 	var windowIPC []float64
 	var totalInstr, maxCycles float64
 	for s := 0; s < plan.Samples; s++ {

@@ -435,7 +435,9 @@ func (s *System) stepAccess(c int, acc trace.Access) {
 		// fold exactly conserving against the proxy counters even under
 		// SMARTS fast-forward (internal/simtest pins the equality).
 		s.tm.OnAccess(c, fres.Level, res.Level)
-		if live := s.proxyLive[c]; live != nil {
+		// Most steps move no proxy counter; an unchanged snapshot folds a
+		// zero delta, so it is skipped.
+		if live := s.proxyLive[c]; live != nil && *live != s.prevProxy[c] {
 			cur := *live
 			s.tm.OnPV(c, timing.PVDelta(s.prevProxy[c], cur))
 			s.prevProxy[c] = cur
@@ -463,7 +465,7 @@ func (s *System) pruneInflight(c int) {
 // StepAll advances every core one access, round-robin. Cores interleave at
 // access granularity, approximating concurrent execution on the shared L2.
 func (s *System) StepAll() {
-	for c := 0; c < s.Hier.Config().Cores; c++ {
+	for c := range s.gens {
 		s.Step(c)
 	}
 }
@@ -485,7 +487,7 @@ func (s *System) StepAllN(n int) {
 		}
 		return
 	}
-	cores := s.Hier.Config().Cores
+	cores := len(s.gens)
 	for n > 0 {
 		k := n
 		if k > batchLen {
@@ -529,7 +531,7 @@ func (s *System) ResetStats() {
 // freshly built one.
 func (s *System) Reset() {
 	s.Hier.Reset()
-	for c := 0; c < s.Hier.Config().Cores; c++ {
+	for c := range s.gens {
 		s.gens[c].Reset()
 		s.cores[c].Reset()
 		s.clock[c] = 0
