@@ -20,10 +20,12 @@ import (
 const DefaultShardTimeout = 10 * time.Minute
 
 // shardWorker is one registered worker process. healthy flips false on
-// the first failed dispatch and back true if the worker re-joins.
+// the first failed dispatch and back true if the worker re-joins;
+// inflight counts the dispatches sent to it and not yet answered.
 type shardWorker struct {
-	url     string
-	healthy bool
+	url      string
+	healthy  bool
+	inflight int
 }
 
 // WorkerStatus is one registry entry as GET /workers reports it.
@@ -35,9 +37,10 @@ type WorkerStatus struct {
 // dispatcher is the coordinator side of the shard protocol: a registry
 // of shard workers (configured at boot via Options.ShardWorkers or
 // joined at runtime via POST /workers) plus the per-shard dispatch — one
-// HTTP round trip per shard with a timeout, dead workers marked
-// unhealthy and their ranges re-dispatched to healthy ones, the local
-// engine as the fallback of last resort.
+// HTTP round trip per shard with a timeout, sent to the least-loaded
+// healthy worker, dead workers marked unhealthy and their ranges
+// re-dispatched to healthy ones, the local engine as the fallback of last
+// resort.
 type dispatcher struct {
 	mu      sync.Mutex
 	workers []*shardWorker
@@ -74,17 +77,17 @@ func (d *dispatcher) add(url string) bool {
 	return true
 }
 
-// healthyWorkers snapshots the live workers, in registration order.
-func (d *dispatcher) healthyWorkers() []*shardWorker {
+// healthy counts the live workers.
+func (d *dispatcher) healthy() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var out []*shardWorker
+	n := 0
 	for _, w := range d.workers {
 		if w.healthy {
-			out = append(out, w)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // markDead records a failed dispatch; the worker receives no further
@@ -95,17 +98,31 @@ func (d *dispatcher) markDead(w *shardWorker) {
 	d.mu.Unlock()
 }
 
-// pickHealthy returns the first healthy worker not yet tried for the
-// current shard, or nil.
-func (d *dispatcher) pickHealthy(tried map[*shardWorker]bool) *shardWorker {
+// acquire picks the healthy worker not yet tried for the current shard
+// with the fewest in-flight dispatches — ties to registration order — and
+// counts one more dispatch against it. It returns nil when no such worker
+// is left. Every worker it returns must be handed back through release.
+func (d *dispatcher) acquire(tried map[*shardWorker]bool) *shardWorker {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var best *shardWorker
 	for _, w := range d.workers {
-		if w.healthy && !tried[w] {
-			return w
+		if w.healthy && !tried[w] && (best == nil || w.inflight < best.inflight) {
+			best = w
 		}
 	}
-	return nil
+	if best != nil {
+		best.inflight++
+	}
+	return best
+}
+
+// release ends one dispatch acquire counted against w, whatever its
+// outcome.
+func (d *dispatcher) release(w *shardWorker) {
+	d.mu.Lock()
+	w.inflight--
+	d.mu.Unlock()
 }
 
 // status snapshots the registry for GET /workers.
@@ -120,10 +137,11 @@ func (d *dispatcher) status() []WorkerStatus {
 }
 
 // dispatch runs one shard on one worker: POST /shard, bounded by the
-// dispatch timeout, the partial checked against the range it was asked
-// for (a worker answering the wrong range is as dead as one answering
+// dispatch timeout, the partial checked against the coordinator's own
+// expansion — the range asked for, and every row's job index and config
+// hash (a worker answering the wrong rows is as dead as one answering
 // nothing).
-func (d *dispatcher) dispatch(ctx context.Context, w *shardWorker, g sweep.Grid, sh sweep.Shard) (*sweep.Partial, error) {
+func (d *dispatcher) dispatch(ctx context.Context, w *shardWorker, g sweep.Grid, jobs []sweep.Job, sh sweep.Shard) (*sweep.Partial, error) {
 	body, err := json.Marshal(ShardRequest{Grid: g, Shard: sh})
 	if err != nil {
 		return nil, err
@@ -152,20 +170,33 @@ func (d *dispatcher) dispatch(ctx context.Context, w *shardWorker, g sweep.Grid,
 		return nil, fmt.Errorf("worker %s: answered range [%d,%d) with %d rows, asked [%d,%d)",
 			w.url, p.Start, p.End, len(p.Rows), sh.Start, sh.End)
 	}
+	for i, r := range p.Rows {
+		j := jobs[sh.Start+i]
+		if want := j.Config.Hash(); r.Job != j.Index || r.Config != want {
+			return nil, fmt.Errorf("worker %s: row %d is job %d config %s, want job %d config %s",
+				w.url, i, r.Job, r.Config, j.Index, want)
+		}
+	}
 	return &p, nil
 }
 
-// runSharded executes one sweep by sharding its jobs across the healthy
-// workers: one contiguous expansion-order range per worker, dispatched
-// concurrently, partials released to the row feed in shard order (so the
-// stream carries rows in expansion order exactly like an unsharded run)
-// and merged into a Result byte-identical to the unsharded one. A failed
-// dispatch marks the worker dead and re-dispatches its range to the next
-// healthy worker; with none left the range runs on the local engine. The
-// progress callback counts whole-shard completions against the sharded
-// run's true simulation total (each shard's jobs plus its baselines).
-func (s *Server) runSharded(ctx context.Context, grid sweep.Grid, workers []*shardWorker, progress sweep.Progress, sink sweep.RowSink) (*sweep.Result, error) {
-	shards, err := grid.Shards(len(workers))
+// runSharded executes one sweep by sharding its jobs across n healthy
+// workers: at most n cell-aligned expansion-order ranges (a grid with
+// fewer baseline cells than workers uses fewer workers), dispatched
+// concurrently, each to the least-loaded healthy worker, partials released
+// to the row feed in shard order (so the stream carries rows in expansion
+// order exactly like an unsharded run) and merged into a Result
+// byte-identical to the unsharded one. A failed dispatch marks the worker
+// dead and re-dispatches its range to another healthy worker; with none
+// left the range runs on the local engine. The progress callback counts
+// whole-shard completions against the shards' simulation total, which is
+// the grid's TotalSims: no baseline cell spans two shards.
+func (s *Server) runSharded(ctx context.Context, grid sweep.Grid, n int, progress sweep.Progress, sink sweep.RowSink) (*sweep.Result, error) {
+	jobs, err := grid.Jobs()
+	if err != nil {
+		return nil, err
+	}
+	shards, err := sweep.PlanShards(jobs, n)
 	if err != nil {
 		return nil, err
 	}
@@ -202,15 +233,15 @@ func (s *Server) runSharded(ctx context.Context, grid sweep.Grid, workers []*sha
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		wg.Add(1)
-		go func(i int, sh sweep.Shard, preferred *shardWorker) {
+		go func(i int, sh sweep.Shard) {
 			defer wg.Done()
-			p, err := s.runOneShard(ctx, grid, sh, preferred)
+			p, err := s.runOneShard(ctx, grid, jobs, sh)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			release(i, p)
-		}(i, sh, workers[i%len(workers)])
+		}(i, sh)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -228,13 +259,15 @@ func (s *Server) runSharded(ctx context.Context, grid sweep.Grid, workers []*sha
 	return grid.MergePartials(collected)
 }
 
-// runOneShard pushes one shard through the retry ladder: the preferred
-// worker, then every other healthy worker once, then the local engine.
-func (s *Server) runOneShard(ctx context.Context, grid sweep.Grid, sh sweep.Shard, preferred *shardWorker) (*sweep.Partial, error) {
+// runOneShard pushes one shard through the retry ladder: the
+// least-loaded healthy worker, then every other healthy worker once, then
+// the local engine.
+func (s *Server) runOneShard(ctx context.Context, grid sweep.Grid, jobs []sweep.Job, sh sweep.Shard) (*sweep.Partial, error) {
 	tried := map[*shardWorker]bool{}
-	for w := preferred; w != nil; w = s.dispatcher.pickHealthy(tried) {
+	for w := s.dispatcher.acquire(tried); w != nil; w = s.dispatcher.acquire(tried) {
 		tried[w] = true
-		p, err := s.dispatcher.dispatch(ctx, w, grid, sh)
+		p, err := s.dispatcher.dispatch(ctx, w, grid, jobs, sh)
+		s.dispatcher.release(w)
 		if err == nil {
 			return p, nil
 		}

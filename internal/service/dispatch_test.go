@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pvsim/internal/sweep"
 )
@@ -353,5 +355,242 @@ func TestShardWorkerHandler(t *testing.T) {
 	}
 	if p.Hash != g.Hash() || p.Start != 0 || p.End != shards[0].End || len(p.Rows) != shards[0].End {
 		t.Errorf("partial = {Hash:%s Start:%d End:%d rows:%d}, want the full range of %s", p.Hash, p.Start, p.End, len(p.Rows), g.Hash())
+	}
+}
+
+// inflight sums the dispatcher's in-flight dispatch counts.
+func inflight(d *dispatcher) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, w := range d.workers {
+		n += w.inflight
+	}
+	return n
+}
+
+// TestDispatcherAcquireLeastLoaded pins the worker choice: the healthy,
+// untried worker with the fewest in-flight dispatches wins, ties go to
+// registration order, and release hands the slot back.
+func TestDispatcherAcquireLeastLoaded(t *testing.T) {
+	d := newDispatcher([]string{"a", "b", "c"}, 0, nil)
+	url := func(w *shardWorker) string {
+		if w == nil {
+			return "<nil>"
+		}
+		return w.url
+	}
+	none := map[*shardWorker]bool{}
+	var got []*shardWorker
+	for i := 0; i < 4; i++ {
+		got = append(got, d.acquire(none))
+	}
+	if s := url(got[0]) + url(got[1]) + url(got[2]) + url(got[3]); s != "abca" {
+		t.Errorf("four acquires picked %s, want abca", s)
+	}
+	d.release(got[1]) // b drops back to 0 in flight
+	if w := d.acquire(none); url(w) != "b" {
+		t.Errorf("after releasing b, acquire picked %s, want b", url(w))
+	}
+	d.markDead(got[1])
+	if w := d.acquire(map[*shardWorker]bool{got[0]: true}); url(w) != "c" {
+		t.Errorf("with a tried and b dead, acquire picked %s, want c", url(w))
+	}
+	if w := d.acquire(map[*shardWorker]bool{got[0]: true, got[2]: true}); w != nil {
+		t.Errorf("with every live worker tried, acquire picked %s, want none", url(w))
+	}
+	for _, w := range []*shardWorker{got[0], got[3], got[1], got[2], got[2]} {
+		d.release(w)
+	}
+	if n := inflight(d); n != 0 {
+		t.Errorf("%d dispatches still in flight after releasing all", n)
+	}
+}
+
+// TestShardedConcurrentSweepsSpread submits two single-cell sweeps at once
+// against two workers. Each grid plans one shard; least-loaded dispatch
+// must send them to different workers (registration-order choice alone
+// would send both to the first). The workers hold each shard until both
+// have arrived, so the two dispatches are in flight together.
+func TestShardedConcurrentSweepsSpread(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	allIn := make(chan struct{})
+	go func() { arrived.Wait(); close(allIn) }()
+	var hits atomic.Int32
+	gate := func(inner http.Handler) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard" && hits.Add(1) <= 2 {
+				arrived.Done()
+				select {
+				case <-allIn:
+				case <-time.After(20 * time.Second):
+				}
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	w0 := NewShardWorker(sweep.Options{Parallel: 2}, nil)
+	w1 := NewShardWorker(sweep.Options{Parallel: 2}, nil)
+	ts0, ts1 := gate(w0), gate(w1)
+
+	svc, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 2}, Workers: 2, ShardWorkers: []string{ts0.URL, ts1.URL}})
+	g1 := smallGrid()
+	g2 := smallGrid()
+	g2.Workloads = []string{"Qry1"}
+	var ids []string
+	for _, g := range []sweep.Grid{g1, g2} {
+		code, run, _ := postGrid(t, ts, g, "")
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status %d, want 202", code)
+		}
+		ids = append(ids, run.ID)
+	}
+	for _, id := range ids {
+		pollStatus(t, ts, id, "done")
+	}
+	if w0.Engine().RetainedSystems() == 0 || w1.Engine().RetainedSystems() == 0 {
+		t.Errorf("worker engines retain %d and %d systems; want both sweeps' shards spread over both workers",
+			w0.Engine().RetainedSystems(), w1.Engine().RetainedSystems())
+	}
+	if got := svc.Engine().RetainedSystems(); got != 0 {
+		t.Errorf("coordinator engine retains %d systems; every shard was meant to run remotely", got)
+	}
+	if n := inflight(svc.dispatcher); n != 0 {
+		t.Errorf("%d dispatches still counted in flight after both sweeps finished", n)
+	}
+}
+
+// TestShardedInflightReleased pins the in-flight bookkeeping on the two
+// non-success outcomes: a failed dispatch (a dead worker, its shard
+// re-dispatched) and a cancelled sweep (a worker that never answers) both
+// leave every count back at zero.
+func TestShardedInflightReleased(t *testing.T) {
+	t.Run("failed", func(t *testing.T) {
+		_, liveTS := startShardWorker(t)
+		svc, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 2}, ShardWorkers: []string{deadURL(t), liveTS.URL}})
+		runAndFetch(t, ts, shardGrid())
+		if n := inflight(svc.dispatcher); n != 0 {
+			t.Errorf("%d dispatches still counted in flight after a failed dispatch", n)
+		}
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		arrived := make(chan struct{}, 1)
+		hangTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// The server notices a client hang-up only once the body is read.
+			io.Copy(io.Discard, r.Body)
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+			<-r.Context().Done()
+		}))
+		t.Cleanup(hangTS.Close)
+		svc, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 2}, ShardWorkers: []string{hangTS.URL}})
+		_, run, _ := postGrid(t, ts, smallGrid(), "")
+		select {
+		case <-arrived:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the shard never reached the worker")
+		}
+		if n := inflight(svc.dispatcher); n != 1 {
+			t.Errorf("%d dispatches counted in flight while the shard hangs, want 1", n)
+		}
+		req, _ := http.NewRequest("DELETE", ts.URL+"/sweeps/"+run.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		pollStatus(t, ts, run.ID, "cancelled")
+		if n := inflight(svc.dispatcher); n != 0 {
+			t.Errorf("%d dispatches still counted in flight after cancellation", n)
+		}
+	})
+}
+
+// TestShardedWrongConfigRedispatch fronts a real worker with a proxy that
+// rewrites one row's config hash: the partial is well-formed and answers
+// the right range with the right job numbers, but its rows are not the
+// coordinator's jobs. The dispatcher must reject it, mark the worker dead,
+// re-dispatch the range, and still serve byte-identical output.
+func TestShardedWrongConfigRedispatch(t *testing.T) {
+	g := shardGrid()
+	_, serialTS := newTestServer(t, Options{Engine: sweep.Options{Parallel: 4}})
+	wantResult, wantStream := runAndFetch(t, serialTS, g)
+
+	inner := NewShardWorker(sweep.Options{Parallel: 2}, nil)
+	var lied atomic.Int32
+	liarTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/shard" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var p sweep.Partial
+		if err := jsonDecode(rec.Body.Bytes(), &p); err != nil || len(p.Rows) == 0 {
+			http.Error(w, "proxy: undecodable partial", http.StatusBadGateway)
+			return
+		}
+		p.Rows[len(p.Rows)-1].Config = "0123456789abcdef"
+		lied.Add(1)
+		writeJSON(w, http.StatusOK, p)
+	}))
+	t.Cleanup(liarTS.Close)
+	_, steadyTS := startShardWorker(t)
+
+	_, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 4}, ShardWorkers: []string{liarTS.URL, steadyTS.URL}})
+	gotResult, gotStream := runAndFetch(t, ts, g)
+	if lied.Load() == 0 {
+		t.Fatal("the proxy never answered a shard; the test exercised nothing")
+	}
+	if !bytes.Equal(gotResult, wantResult) {
+		t.Error("result after a wrong-config partial differs from serial run")
+	}
+	if !bytes.Equal(gotStream, wantStream) {
+		t.Error("stream after a wrong-config partial differs from serial run")
+	}
+	var status struct {
+		Workers []WorkerStatus `json:"workers"`
+	}
+	if err := jsonDecode(httpGetBody(t, ts.URL+"/workers"), &status); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range status.Workers {
+		if w.URL == liarTS.URL && w.Healthy {
+			t.Errorf("worker %s answered a wrong config and is still reported healthy", w.URL)
+		}
+	}
+}
+
+// TestShardedTotalMatchesUnsharded pins one Total definition: the same
+// grid reports the same Total on a sharded server as on an unsharded one,
+// from admission to completion, and both finish at Done == Total ==
+// Plan.TotalSims. The grid's three cells over two workers split 2+1, so a
+// plan cutting through a cell would count its baseline twice.
+func TestShardedTotalMatchesUnsharded(t *testing.T) {
+	g := sweep.Grid{Specs: []string{"none", "16-11a"}, Workloads: []string{"Apache", "Qry1", "DB2"}, Seeds: []uint64{42}, Scale: testScale}
+	plan, err := g.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, w1 := startShardWorker(t)
+	_, w2 := startShardWorker(t)
+	for _, workers := range [][]string{nil, {w1.URL, w2.URL}} {
+		_, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 2}, ShardWorkers: workers})
+		code, run, _ := postGrid(t, ts, g, "")
+		if code != http.StatusAccepted {
+			t.Fatalf("%d workers: submit status %d, want 202", len(workers), code)
+		}
+		if run.Total != plan.TotalSims {
+			t.Errorf("%d workers: admitted with Total %d, want %d", len(workers), run.Total, plan.TotalSims)
+		}
+		final := pollStatus(t, ts, run.ID, "done")
+		if final.Done != plan.TotalSims || final.Total != plan.TotalSims {
+			t.Errorf("%d workers: finished at %d/%d, want %d/%d", len(workers), final.Done, final.Total, plan.TotalSims, plan.TotalSims)
+		}
 	}
 }

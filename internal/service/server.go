@@ -332,14 +332,12 @@ func (s *Server) execute(p Pending) {
 	var res *sweep.Result
 	var err error
 	// Sharded when any worker is registered and healthy; in-process
-	// otherwise. Both paths produce byte-identical results and feed the
-	// stream in expansion order — sharding only changes where the
-	// simulations run. (A sharded run's Total counts each shard's jobs
-	// plus its own baselines, which exceeds the unsharded total when a
-	// baseline cell spans shards.)
-	if workers := s.dispatcher.healthyWorkers(); len(workers) > 0 {
-		s.logf("serve: sweep %s sharding across %d workers", p.ID, len(workers))
-		res, err = s.runSharded(ctx, grid, workers, progress, sink)
+	// otherwise. Both paths produce byte-identical results, feed the
+	// stream in expansion order and count progress against the same
+	// Total — sharding only changes where the simulations run.
+	if n := s.dispatcher.healthy(); n > 0 {
+		s.logf("serve: sweep %s sharding across up to %d workers", p.ID, n)
+		res, err = s.runSharded(ctx, grid, n, progress, sink)
 	} else {
 		res, err = s.engine.RunRows(ctx, grid, progress, sink)
 	}

@@ -101,3 +101,87 @@ func FuzzDecodeGrid(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPartialMerge pins the shard protocol's merge against adversarial
+// partials — the bytes a coordinator decodes from a worker:
+//
+//  1. Decoding and MergePartials never panic, whatever bytes arrive.
+//  2. Anything MergePartials accepts tiles the grid exactly: the partials
+//     carry no foreign grid hash, their ranges cover every job once, the
+//     result carries one row per job in expansion order under the grid's
+//     hash, and each row is the one its partial sent for that slot.
+func FuzzPartialMerge(f *testing.F) {
+	g := Grid{Specs: []string{"none", "PV-8"}, Workloads: []string{"Apache", "Qry1"}, Scale: testScale}
+	jobs, err := g.Jobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	hash := g.Hash()
+	partial := func(start, end int) Partial {
+		p := Partial{Hash: hash, Start: start, End: end}
+		for i := start; i < end; i++ {
+			p.Rows = append(p.Rows, Row{Job: i, Workload: jobs[i].Scenario, Spec: jobs[i].SpecName})
+		}
+		return p
+	}
+	n := len(jobs)
+	foreign := partial(0, n)
+	foreign.Hash = "feedfacefeedface"
+	for _, parts := range [][]Partial{
+		{foreign},
+		{partial(0, n)},
+		{partial(0, n/2), partial(n/2, n)},
+		{partial(n/2, n), partial(0, n/2)},
+		{partial(0, 1), partial(1, n)},
+		{partial(0, n/2)},
+		{partial(0, n/2), partial(0, n/2), partial(n/2, n)},
+		{partial(0, n/2), partial(n/2-1, n)},
+		{},
+	} {
+		b, err := json.Marshal(parts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`[{"start":0,"end":-1,"rows":[]}]`))
+	f.Add([]byte(`[null,{"start":2,"end":0}]`))
+	f.Add([]byte(`not json`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var parts []Partial
+		if err := json.Unmarshal(data, &parts); err != nil {
+			return
+		}
+		res, err := g.MergePartials(parts)
+		if err != nil {
+			return // rejected is fine; rejecting by panic is not
+		}
+		if res.Hash != hash || res.Jobs != n || len(res.Rows) != n {
+			t.Fatalf("merge accepted: hash %s jobs %d rows %d, want %s %d %d", res.Hash, res.Jobs, len(res.Rows), hash, n, n)
+		}
+		for i, r := range res.Rows {
+			if r.Job != i {
+				t.Fatalf("merged row %d carries job %d", i, r.Job)
+			}
+		}
+		covered := 0
+		for _, p := range parts {
+			if p.Hash != "" && p.Hash != hash {
+				t.Fatalf("merge accepted a partial for grid %s", p.Hash)
+			}
+			if p.Start < 0 || p.End > n || p.End-p.Start != len(p.Rows) {
+				t.Fatalf("merge accepted partial [%d,%d) with %d rows over %d jobs", p.Start, p.End, len(p.Rows), n)
+			}
+			for i, r := range p.Rows {
+				if res.Rows[p.Start+i] != r {
+					t.Fatalf("merged row %d differs from the one partial [%d,%d) sent", p.Start+i, p.Start, p.End)
+				}
+			}
+			covered += len(p.Rows)
+		}
+		if covered != n {
+			t.Fatalf("merge accepted partials covering %d rows of %d jobs", covered, n)
+		}
+	})
+}

@@ -10,18 +10,20 @@ import (
 )
 
 // Horizontal sharding: a grid's jobs split into contiguous expansion-order
-// ranges, each range runnable by an independent worker process, the
-// partial results merged back in expansion order. The merged Result is
-// byte-identical to an unsharded Run — rows are pure functions of the
-// job's config and its matched baseline, both of which a shard recomputes
-// from the grid itself — so sharding extends the engine's p1==p8 and
-// streamed==serial determinism pins across process boundaries.
+// ranges that cut only between baseline cells, each range runnable by an
+// independent worker process, the partial results merged back in
+// expansion order. The merged Result is byte-identical to an unsharded
+// Run — rows are pure functions of the job's config and its matched
+// baseline, both of which a shard recomputes from the grid itself — so
+// sharding extends the engine's p1==p8 and streamed==serial determinism
+// pins across process boundaries.
 
 // Shard is one contiguous expansion-order slice of a grid's jobs: the
 // unit the service dispatches to a worker process. Baselines lists the
 // matched (seed, scenario) baseline cells the shard's jobs need; a shard
-// runs those itself, making shards self-contained at the cost of
-// re-simulating a baseline whose cell spans a shard boundary.
+// runs those itself, so shards are self-contained. A planned shard owns
+// its cells outright — no other shard of the plan has a job in them — so
+// each baseline is simulated once across the whole plan.
 type Shard struct {
 	Index int `json:"index"`
 	// Start and End bound the shard's job range [Start, End) in grid
@@ -41,36 +43,60 @@ type BaselineRef struct {
 }
 
 // Sims reports how many simulations the shard runs: its jobs plus its
-// baseline cells. The sum across a plan's shards is the sharded run's
-// true simulation count (>= the unsharded TotalSims when a baseline cell
-// spans shards).
+// baseline cells. Across a plan from Shards the sum is the grid's
+// TotalSims, since no baseline cell spans two shards.
 func (s Shard) Sims() int { return s.End - s.Start + len(s.Baselines) }
 
-// Shards plans a sharded run: n contiguous expansion-order job ranges of
-// near-equal size (the first len(jobs)%n ranges carry one extra job),
-// each with the baseline cells it needs. n is clamped to the job count,
-// so every planned shard is non-empty. The plan is a pure function of
-// (grid, n) — coordinator and workers can both derive it.
+// Shards plans a sharded run over the grid's jobs; see PlanShards. The
+// plan is a pure function of (grid, n) — coordinator and workers can both
+// derive it.
 func (g Grid) Shards(n int) ([]Shard, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("sweep: shard count %d (want >= 1)", n)
-	}
-	g = g.normalized()
 	jobs, err := g.Jobs()
 	if err != nil {
 		return nil, err
 	}
-	if n > len(jobs) {
-		n = len(jobs)
+	return PlanShards(jobs, n)
+}
+
+// PlanShards cuts expansion-ordered jobs into min(n, cells) contiguous
+// ranges, cutting only where no baseline cell has jobs on both sides, and
+// lists each range's baseline cells. A cell's jobs are contiguous in
+// expansion order, so every cell boundary is a cut point; ranges are
+// balanced by cell count (the first cells%n ranges carry one extra cell).
+// A grid that repeats an axis value meets its cells again further on; the
+// cells in between then stay in one range, so their baselines still run
+// once each.
+func PlanShards(jobs []Job, n int) ([]Shard, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("sweep: shard count %d (want >= 1)", n)
 	}
-	shards := make([]Shard, 0, n)
-	size, extra := len(jobs)/n, len(jobs)%n
-	start := 0
-	for i := 0; i < n; i++ {
-		end := start + size
-		if i < extra {
-			end++
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("sweep: no jobs to shard")
+	}
+	last := make(map[baselineCell]int)
+	for i, j := range jobs {
+		last[baselineCell{j.Seed, j.Scenario}] = i
+	}
+	// cuts[k] is the end of the k-th indivisible run of cells: the first
+	// index at which every cell seen so far has run out of jobs.
+	var cuts []int
+	reach := -1
+	for i, j := range jobs {
+		reach = max(reach, last[baselineCell{j.Seed, j.Scenario}])
+		if reach == i {
+			cuts = append(cuts, i+1)
 		}
+	}
+	n = min(n, len(cuts))
+	shards := make([]Shard, 0, n)
+	size, extra := len(cuts)/n, len(cuts)%n
+	start, used := 0, 0
+	for i := 0; i < n; i++ {
+		used += size
+		if i < extra {
+			used++
+		}
+		end := cuts[used-1]
 		sh := Shard{Index: i, Start: start, End: end}
 		seen := map[baselineCell]bool{}
 		for _, j := range jobs[start:end] {

@@ -6,75 +6,119 @@ import (
 	"testing"
 )
 
-// TestShardsPlan pins the planner: contiguous balanced expansion-order
-// ranges tiling the job list exactly, each with its baseline cells in
-// first-use order, and the plan a pure function of (grid, n).
+// TestShardsPlan pins the cell-aligned planner as properties over grids
+// of several shapes and every shard count up to past the cell count: the
+// shards tile the jobs in expansion order, no baseline cell appears in two
+// shards, there are min(n, cells) shards balanced by cell count, each
+// lists exactly its range's cells, and the shards' simulations add up to
+// the unsharded TotalSims — every baseline runs once.
 func TestShardsPlan(t *testing.T) {
-	g := testGrid() // 2 specs x (2 workloads + 2 mixes) x 2 pvcache... see sweep_test.go
-	jobs, err := g.Jobs()
-	if err != nil {
-		t.Fatal(err)
+	grids := map[string]Grid{
+		"one cell":   {Specs: []string{"none", "16-11a", "PV-8"}, Workloads: []string{"Apache"}, Scale: testScale},
+		"two cells":  {Specs: []string{"16-11a"}, Workloads: []string{"Apache", "Qry1"}, Scale: testScale},
+		"mixes only": {Specs: []string{"PV-8"}, Mixes: []string{"oltp-web", "DB2@500+Apache@500"}, PVCache: []int{4, 8}, Scale: testScale},
+		"full":       testGrid(),
+		"defaults":   {Specs: []string{"none", "PV-8"}, Seeds: []uint64{1, 2, 3}, Scale: testScale},
 	}
-	for _, n := range []int{1, 2, 3, len(jobs), len(jobs) + 7} {
-		shards, err := g.Shards(n)
+	for name, g := range grids {
+		jobs, err := g.Jobs()
 		if err != nil {
-			t.Fatalf("Shards(%d): %v", n, err)
+			t.Fatal(err)
 		}
-		wantShards := n
-		if wantShards > len(jobs) {
-			wantShards = len(jobs)
+		cellsOf := func(js []Job) map[BaselineRef]bool {
+			out := map[BaselineRef]bool{}
+			for _, j := range js {
+				out[BaselineRef{Seed: j.Seed, Scenario: j.Scenario}] = true
+			}
+			return out
 		}
-		if len(shards) != wantShards {
-			t.Fatalf("Shards(%d) planned %d shards, want %d", n, len(shards), wantShards)
+		cells := len(cellsOf(jobs))
+		total, err := g.TotalSims()
+		if err != nil {
+			t.Fatal(err)
 		}
-		next := 0
-		for i, sh := range shards {
-			if sh.Index != i {
-				t.Errorf("Shards(%d)[%d].Index = %d", n, i, sh.Index)
+		for n := 1; n <= cells+2; n++ {
+			shards, err := g.Shards(n)
+			if err != nil {
+				t.Fatalf("%s: Shards(%d): %v", name, n, err)
 			}
-			if sh.Start != next || sh.End <= sh.Start {
-				t.Fatalf("Shards(%d)[%d] = [%d,%d), want contiguous non-empty from %d", n, i, sh.Start, sh.End, next)
+			if want := min(n, cells); len(shards) != want {
+				t.Fatalf("%s: Shards(%d) planned %d shards, want %d", name, n, len(shards), want)
 			}
-			// Balanced: no shard more than one job larger than another.
-			if size := sh.End - sh.Start; size > len(jobs)/wantShards+1 {
-				t.Errorf("Shards(%d)[%d] has %d jobs; unbalanced", n, i, size)
-			}
-			// Baselines: exactly the distinct cells of the range.
-			cells := map[BaselineRef]bool{}
-			for _, j := range jobs[sh.Start:sh.End] {
-				cells[BaselineRef{Seed: j.Seed, Scenario: j.Scenario}] = true
-			}
-			if len(cells) != len(sh.Baselines) {
-				t.Errorf("Shards(%d)[%d] lists %d baselines, range has %d cells", n, i, len(sh.Baselines), len(cells))
-			}
-			for _, b := range sh.Baselines {
-				if !cells[b] {
-					t.Errorf("Shards(%d)[%d] lists baseline %+v not in its range", n, i, b)
+			owner := map[BaselineRef]int{}
+			next, sims := 0, 0
+			for i, sh := range shards {
+				if sh.Index != i || sh.Start != next || sh.End <= sh.Start {
+					t.Fatalf("%s: Shards(%d)[%d] = #%d [%d,%d), want #%d contiguous non-empty from %d", name, n, i, sh.Index, sh.Start, sh.End, i, next)
 				}
+				own := cellsOf(jobs[sh.Start:sh.End])
+				for c := range own {
+					if prev, ok := owner[c]; ok {
+						t.Errorf("%s: Shards(%d): cell %+v in shards %d and %d", name, n, c, prev, i)
+					}
+					owner[c] = i
+				}
+				// Balanced: the first cells%n shards carry one extra cell.
+				want := cells / len(shards)
+				if i < cells%len(shards) {
+					want++
+				}
+				if len(own) != want {
+					t.Errorf("%s: Shards(%d)[%d] holds %d cells, want %d", name, n, i, len(own), want)
+				}
+				if len(sh.Baselines) != len(own) {
+					t.Errorf("%s: Shards(%d)[%d] lists %d baselines, range has %d cells", name, n, i, len(sh.Baselines), len(own))
+				}
+				for _, b := range sh.Baselines {
+					if !own[b] {
+						t.Errorf("%s: Shards(%d)[%d] lists baseline %+v not in its range", name, n, i, b)
+					}
+				}
+				sims += sh.Sims()
+				next = sh.End
 			}
-			if sh.Sims() != (sh.End-sh.Start)+len(sh.Baselines) {
-				t.Errorf("Shards(%d)[%d].Sims() = %d", n, i, sh.Sims())
+			if next != len(jobs) {
+				t.Fatalf("%s: Shards(%d) covers %d of %d jobs", name, n, next, len(jobs))
 			}
-			next = sh.End
-		}
-		if next != len(jobs) {
-			t.Fatalf("Shards(%d) covers %d of %d jobs", n, next, len(jobs))
+			if sims != total {
+				t.Errorf("%s: Shards(%d) plans %d sims, TotalSims is %d", name, n, sims, total)
+			}
 		}
 	}
-	if _, err := g.Shards(0); err == nil {
+	if _, err := testGrid().Shards(0); err == nil {
 		t.Error("Shards(0) accepted, want error")
 	}
-	// A single shard's simulation count equals the unsharded total.
-	one, err := g.Shards(1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := PlanShards(nil, 1); err == nil {
+		t.Error("PlanShards of no jobs accepted, want error")
 	}
+}
+
+// TestShardsRepeatedCells pins the planner on a grid that names a seed
+// twice: the seed's cells recur later in expansion order, so no cut may
+// fall between their two runs, and every baseline still runs once.
+func TestShardsRepeatedCells(t *testing.T) {
+	g := Grid{Specs: []string{"none", "PV-8"}, Workloads: []string{"Apache", "Qry1"}, Seeds: []uint64{7, 42, 7, 9}, Scale: testScale}
 	total, err := g.TotalSims()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one[0].Sims() != total {
-		t.Errorf("Shards(1) plans %d sims, TotalSims is %d", one[0].Sims(), total)
+	for n := 1; n <= 4; n++ {
+		shards, err := g.Shards(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Seeds 7, 42, 7 form one indivisible run; seed 9's two cells
+		// can each stand alone.
+		if want := min(n, 3); len(shards) != want {
+			t.Errorf("Shards(%d) planned %d shards, want %d", n, len(shards), want)
+		}
+		sims := 0
+		for _, sh := range shards {
+			sims += sh.Sims()
+		}
+		if sims != total {
+			t.Errorf("Shards(%d) plans %d sims, TotalSims is %d", n, sims, total)
+		}
 	}
 }
 
@@ -151,7 +195,9 @@ func TestRunShardProgress(t *testing.T) {
 // overlaps, foreign hashes, short rows and misnumbered rows all error
 // instead of assembling a silently wrong result.
 func TestMergePartialsValidation(t *testing.T) {
-	g := Grid{Specs: []string{"none", "16-11a"}, Workloads: []string{"Apache"}, Seeds: []uint64{42}, Scale: testScale}
+	// Two cells, so Shards(2) yields the two partials the gap and overlap
+	// cases need.
+	g := Grid{Specs: []string{"none", "16-11a"}, Workloads: []string{"Apache", "Qry1"}, Seeds: []uint64{42}, Scale: testScale}
 	e := New(Options{Parallel: 2})
 	shards, err := g.Shards(2)
 	if err != nil {
@@ -164,6 +210,9 @@ func TestMergePartialsValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		parts = append(parts, *p)
+	}
+	if len(parts) != 2 {
+		t.Fatalf("Shards(2) of a two-cell grid gave %d partials, want 2", len(parts))
 	}
 	if _, err := g.MergePartials(parts); err != nil {
 		t.Fatalf("valid partials rejected: %v", err)
