@@ -180,17 +180,16 @@ func (d *dispatcher) dispatch(ctx context.Context, w *shardWorker, g sweep.Grid,
 	return &p, nil
 }
 
-// runSharded executes one sweep by sharding its jobs across n healthy
-// workers: at most n cell-aligned expansion-order ranges (a grid with
-// fewer baseline cells than workers uses fewer workers), dispatched
-// concurrently, each to the least-loaded healthy worker, partials released
-// to the row feed in shard order (so the stream carries rows in expansion
-// order exactly like an unsharded run) and merged into a Result
-// byte-identical to the unsharded one. A failed dispatch marks the worker
-// dead and re-dispatches its range to another healthy worker; with none
-// left the range runs on the local engine. The progress callback counts
-// whole-shard completions against the shards' simulation total, which is
-// the grid's TotalSims: no baseline cell spans two shards.
+// runSharded executes one sweep as a list of shards: at most n
+// cell-aligned expansion-order ranges (a grid with fewer baseline cells
+// than n runs fewer shards), run concurrently, each pushed through the
+// runOneShard ladder. Every shard's rows go into one release buffer, which
+// feeds the stream in expansion order whatever order shards finish in, and
+// the Result assembled from it is byte-identical to a serial run. Remote
+// shards count progress a whole shard at a time, local ones a simulation
+// at a time, into one counter that ends at the shards' simulation total —
+// the grid's TotalSims, since no baseline cell spans two shards. With
+// n == 1 and no healthy worker this is the plain in-process sweep.
 func (s *Server) runSharded(ctx context.Context, grid sweep.Grid, n int, progress sweep.Progress, sink sweep.RowSink) (*sweep.Result, error) {
 	jobs, err := grid.Jobs()
 	if err != nil {
@@ -204,44 +203,24 @@ func (s *Server) runSharded(ctx context.Context, grid sweep.Grid, n int, progres
 	for _, sh := range shards {
 		total += sh.Sims()
 	}
-
-	// Release buffer: shard i's rows go to the sink only after shards
-	// 0..i-1 released theirs, whatever order dispatches complete in —
-	// the same expansion-order contract the engine's RowSink keeps.
-	parts := make([]*sweep.Partial, len(shards))
-	var relMu sync.Mutex
-	released, done := 0, 0
-	release := func(i int, p *sweep.Partial) {
-		relMu.Lock()
-		parts[i] = p
-		for released < len(shards) && parts[released] != nil {
-			if sink != nil {
-				for _, row := range parts[released].Rows {
-					sink(row)
-				}
-			}
-			released++
-		}
-		done += shards[i].Sims()
-		if progress != nil {
-			progress(done, total)
-		}
-		relMu.Unlock()
+	var mu sync.Mutex
+	done := 0
+	note := func(sims int) {
+		mu.Lock()
+		done += sims
+		progress(done, total)
+		mu.Unlock()
 	}
+	rel := sweep.NewReleaser(0, len(jobs), sink)
 
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		wg.Add(1)
-		go func(i int, sh sweep.Shard) {
+		go func() {
 			defer wg.Done()
-			p, err := s.runOneShard(ctx, grid, jobs, sh)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			release(i, p)
-		}(i, sh)
+			errs[i] = s.runOneShard(ctx, grid, jobs, sh, note, rel)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -252,33 +231,36 @@ func (s *Server) runSharded(ctx context.Context, grid sweep.Grid, n int, progres
 			return nil, err
 		}
 	}
-	collected := make([]sweep.Partial, len(parts))
-	for i, p := range parts {
-		collected[i] = *p
-	}
-	return grid.MergePartials(collected)
+	return rel.Result(grid)
 }
 
-// runOneShard pushes one shard through the retry ladder: the
+// runOneShard pushes one shard through the retry ladder — the
 // least-loaded healthy worker, then every other healthy worker once, then
-// the local engine.
-func (s *Server) runOneShard(ctx context.Context, grid sweep.Grid, jobs []sweep.Job, sh sweep.Shard) (*sweep.Partial, error) {
+// the local engine — and puts its rows into rel. A remote shard's rows
+// and simulations land at once when its partial does; the local rung
+// streams rows and counts simulations one at a time, baselines first.
+func (s *Server) runOneShard(ctx context.Context, grid sweep.Grid, jobs []sweep.Job, sh sweep.Shard, note func(sims int), rel *sweep.Releaser) error {
 	tried := map[*shardWorker]bool{}
 	for w := s.dispatcher.acquire(tried); w != nil; w = s.dispatcher.acquire(tried) {
 		tried[w] = true
 		p, err := s.dispatcher.dispatch(ctx, w, grid, jobs, sh)
 		s.dispatcher.release(w)
 		if err == nil {
-			return p, nil
+			rel.Put(p.Rows...)
+			note(sh.Sims())
+			return nil
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		s.logf("serve: shard %d [%d,%d) on %s failed: %v; marking dead and re-dispatching", sh.Index, sh.Start, sh.End, w.url, err)
 		s.dispatcher.markDead(w)
 	}
-	s.logf("serve: shard %d [%d,%d): no healthy worker left, running locally", sh.Index, sh.Start, sh.End)
-	return s.engine.RunShard(ctx, grid, sh, nil)
+	if len(tried) > 0 {
+		s.logf("serve: shard %d [%d,%d): no healthy worker left, running locally", sh.Index, sh.Start, sh.End)
+	}
+	_, err := s.engine.RunShard(ctx, grid, jobs, sh, func(int, int) { note(1) }, func(r sweep.Row) { rel.Put(r) })
+	return err
 }
 
 // handleWorkers serves the worker registry: POST joins (or revives) a

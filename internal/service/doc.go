@@ -8,13 +8,13 @@
 //	queue.go      bounded FIFO+priority job queue with deterministic drain
 //	              order (priority desc, then submission seq asc) and
 //	              JSON persistence for graceful shutdown/restart
-//	controller.go worker-pool controller: N workers drain the queue
-//	              through the engine, optionally rate-limited; replaces
-//	              the old unbounded go-per-submit execution
+//	dispatch.go   shard execution: every sweep runs as cell-aligned
+//	              shards, each on a healthy shard worker or, as the last
+//	              rung, on the local engine
 //	store.go      disk-backed result store keyed by grid hash with
 //	              bounded rolling retention, so a restarted server serves
 //	              previously computed grids without re-simulating
-//	stream.go     per-sweep feed: rows arrive from the engine's RowSink
+//	stream.go     per-sweep feed: rows arrive from the release buffer
 //	              in expansion order and fan out to any number of
 //	              streaming subscribers (framed JSON, NDJSON, SSE)
 //

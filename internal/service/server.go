@@ -63,8 +63,8 @@ type Options struct {
 	// ShardWorkers lists shard-worker base URLs ("http://host:port") to
 	// split each sweep's jobs across. Workers can also join a running
 	// coordinator via POST /workers (`pvsim shard -join`). With no
-	// healthy workers registered, sweeps run in-process on the shared
-	// engine exactly as before.
+	// healthy workers registered, a sweep is one shard run in-process on
+	// the shared engine, the last rung of the dispatch ladder.
 	ShardWorkers []string
 	// ShardTimeout bounds one shard dispatch round trip; 0 means
 	// DefaultShardTimeout. Past it the worker is marked dead and its
@@ -298,7 +298,7 @@ func (s *Server) rateWait() {
 	time.Sleep(time.Until(start))
 }
 
-// execute runs one queued sweep through the engine, streaming rows into
+// execute runs one queued sweep as a list of shards, streaming rows into
 // its feed and publishing the result to the tracked state and the disk
 // store. Cancelled sweeps publish nothing: no result, no store write.
 func (s *Server) execute(p Pending) {
@@ -328,19 +328,10 @@ func (s *Server) execute(p Pending) {
 		run.Done, run.Total = done, total
 		s.mu.Unlock()
 	}
-	sink := func(row sweep.Row) { f.append(row) }
-	var res *sweep.Result
-	var err error
-	// Sharded when any worker is registered and healthy; in-process
-	// otherwise. Both paths produce byte-identical results, feed the
-	// stream in expansion order and count progress against the same
-	// Total — sharding only changes where the simulations run.
-	if n := s.dispatcher.healthy(); n > 0 {
-		s.logf("serve: sweep %s sharding across up to %d workers", p.ID, n)
-		res, err = s.runSharded(ctx, grid, n, progress, sink)
-	} else {
-		res, err = s.engine.RunRows(ctx, grid, progress, sink)
-	}
+	// Every sweep is a list of shards, one per healthy worker; with none,
+	// the single shard runs on the local engine. Where the simulations
+	// run changes neither the bytes nor the stream order nor the Total.
+	res, err := s.runSharded(ctx, grid, max(1, s.dispatcher.healthy()), progress, f.append)
 	cancel()
 
 	var resJSON []byte
@@ -408,8 +399,9 @@ func (s *Server) Close(ctx context.Context) error {
 }
 
 // persistQueue writes the undrained queue (plus any sweeps interrupted by
-// a shutdown deadline) to the data dir, atomically. With no data dir the
-// queue state is simply dropped, like any purely in-memory server.
+// a shutdown deadline) to the data dir, atomically and durably. With no
+// data dir the queue state is simply dropped, like any purely in-memory
+// server.
 func (s *Server) persistQueue(interrupted []Pending) error {
 	if s.opts.DataDir == "" {
 		return nil
@@ -426,11 +418,7 @@ func (s *Server) persistQueue(interrupted []Pending) error {
 	if err != nil {
 		return fmt.Errorf("service: encoding queue: %w", err)
 	}
-	tmp := s.queueFile() + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.queueFile()); err != nil {
+	if err := writeDurable(s.queueFile(), append(b, '\n')); err != nil {
 		return err
 	}
 	s.logf("serve: persisted %d queued sweeps to %s", len(items), s.queueFile())
@@ -542,6 +530,12 @@ func (s *Server) restoreResultLocked(id string) (*sweepRun, bool) {
 	var res sweep.Result
 	if err := json.Unmarshal(b, &res); err != nil {
 		s.logf("serve: corrupt stored result %s: %v", id, err)
+		return nil, false
+	}
+	// The file must be the grid it is filed under: a result stored under
+	// another grid's id is re-simulated, never served as this grid's.
+	if res.Hash != id || res.Grid.Hash() != id {
+		s.logf("serve: stored result %s holds grid %s (hash field %s); re-simulating", id, res.Grid.Hash(), res.Hash)
 		return nil, false
 	}
 	// One expansion covers both the feed header and the simulation total.

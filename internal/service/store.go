@@ -55,31 +55,49 @@ func validHash(id string) bool {
 func (s *Store) path(id string) string { return filepath.Join(s.dir, id+".json") }
 
 // Put stores one finished sweep's canonical JSON bytes under its grid
-// hash, atomically (temp file + rename), then applies rolling eviction.
+// hash, atomically and durably (see writeDurable), then applies rolling
+// eviction.
 func (s *Store) Put(id string, data []byte) error {
 	if !validHash(id) {
 		return fmt.Errorf("service: invalid result id %q", id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeDurable(s.path(id), data); err != nil {
 		return err
 	}
 	return s.evictLocked()
+}
+
+// writeDurable replaces path with data atomically and durably: a temp
+// file in the same directory is written and fsynced, renamed over path,
+// and the directory fsynced so the rename itself survives a crash.
+func writeDurable(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "put-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Get returns the stored bytes for a grid hash, if present.

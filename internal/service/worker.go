@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"pvsim/internal/sweep"
 )
@@ -80,7 +79,7 @@ func (w *ShardWorker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.logf("shard: grid %s shard %d [%d,%d) starting", req.Grid.Hash(), req.Shard.Index, req.Shard.Start, req.Shard.End)
-	partial, err := w.engine.RunShard(r.Context(), req.Grid, req.Shard, nil)
+	partial, err := w.engine.RunShard(r.Context(), req.Grid, nil, req.Shard, nil, nil)
 	switch {
 	case errors.Is(err, context.Canceled):
 		// The coordinator went away; nothing to answer.
@@ -88,7 +87,7 @@ func (w *ShardWorker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		return
 	case err != nil:
 		status := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "shard range") {
+		if errors.Is(err, sweep.ErrShardRange) {
 			status = http.StatusBadRequest
 		}
 		httpError(rw, status, err.Error())

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"pvsim/internal/experiments"
@@ -66,9 +67,57 @@ type Progress func(done, total int)
 // worker pool completes jobs in. That makes the sink's byte stream — the
 // serve API's streaming endpoint frames each row with StreamRow — as
 // deterministic as the merged Result. Calls are serialized under the
-// engine's row lock: keep the sink cheap and never call back into the
+// release buffer's lock: keep the sink cheap and never call back into the
 // engine from it.
 type RowSink func(Row)
+
+// Releaser is the expansion-order release buffer every run path shares:
+// rows arrive in any order and at any granularity — one at a time from
+// the engine's job wave, a whole shard partial at a time from the
+// service's dispatcher — and leave for the sink as soon as they extend
+// the ready prefix of the range [start, start+n). It is safe for
+// concurrent use; the sink runs under its lock.
+type Releaser struct {
+	mu    sync.Mutex
+	sink  RowSink
+	start int
+	rows  []Row
+	ready []bool
+	next  int // rows[:next] have gone to the sink
+}
+
+// NewReleaser buffers the n rows of jobs [start, start+n) for sink, which
+// may be nil.
+func NewReleaser(start, n int, sink RowSink) *Releaser {
+	return &Releaser{sink: sink, start: start, rows: make([]Row, n), ready: make([]bool, n)}
+}
+
+// Put stores rows at their Job indices, each inside the buffer's range
+// and put once, then releases the ready prefix.
+func (r *Releaser) Put(rows ...Row) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, row := range rows {
+		i := row.Job - r.start
+		r.rows[i], r.ready[i] = row, true
+	}
+	for ; r.next < len(r.rows) && r.ready[r.next]; r.next++ {
+		if r.sink != nil {
+			r.sink(r.rows[r.next])
+		}
+	}
+}
+
+// Result assembles g's finished sweep from a buffer spanning all of g's
+// jobs once every row has been put; it errors while any row is missing.
+func (r *Releaser) Result(g Grid) (*Result, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.next < len(r.rows) {
+		return nil, fmt.Errorf("sweep: %d of %d rows released", r.next, len(r.rows))
+	}
+	return g.result(r.rows), nil
+}
 
 // Engine runs sweeps. It is safe for concurrent use (the serve API runs
 // sweeps concurrently on one engine) and keeps its system pool across runs,
@@ -196,84 +245,18 @@ func (e *Engine) Run(ctx context.Context, g Grid, progress Progress) (*Result, e
 // sink makes RunRows identical to Run. On cancellation the sink stops
 // receiving rows (the partial prefix it already saw is exactly a prefix of
 // the full run's rows) and RunRows returns ctx.Err() with a nil Result:
-// cancelled sweeps publish no result.
+// cancelled sweeps publish no result. The whole grid runs as the single
+// shard [0, jobs) through RunShard, the engine's one run body.
 func (e *Engine) RunRows(ctx context.Context, g Grid, progress Progress, sink RowSink) (*Result, error) {
-	g = g.normalized()
 	jobs, err := g.Jobs()
 	if err != nil {
 		return nil, err
 	}
-
-	// Register under the grid hash so Engine.Cancel(id) reaches this run.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	h := e.track(g.Hash(), cancel)
-	defer e.untrack(g.Hash(), h)
-
-	// Baselines: one matched no-prefetcher run per (seed, workload) cell,
-	// run as a wave before the grid jobs so concurrent jobs of one cell
-	// never duplicate the baseline simulation.
-	baseCfgs, baseIdx := g.baselineCells(jobs)
-
-	total := len(baseCfgs) + len(jobs)
-	var mu sync.Mutex
-	done := 0
-	note := func() {
-		if progress == nil {
-			return
-		}
-		// The callback runs under the lock so calls are serialized and done
-		// is strictly increasing at the observer.
-		mu.Lock()
-		done++
-		progress(done, total)
-		mu.Unlock()
-	}
-
-	jobCfgs := make([]sim.Config, len(jobs))
-	for i, j := range jobs {
-		jobCfgs[i] = j.Config
-	}
-	if e.opts.Tweak != nil {
-		for i := range baseCfgs {
-			e.opts.Tweak(&baseCfgs[i])
-		}
-		for i := range jobCfgs {
-			e.opts.Tweak(&jobCfgs[i])
-		}
-	}
-
-	baseRes := make([]sim.Result, len(baseCfgs))
-	if err := e.wave(ctx, baseCfgs, baseRes, note, nil); err != nil {
+	p, err := e.RunShard(ctx, g, jobs, Shard{End: len(jobs)}, progress, sink)
+	if err != nil {
 		return nil, err
 	}
-
-	// Job wave: each completed job immediately reduces to its Row (all
-	// baselines are in by now), and the release buffer delivers rows to the
-	// sink in expansion order — row i goes out the moment rows 0..i are all
-	// reduced, whatever order the pool finished them in.
-	res := &Result{Grid: g, Hash: g.Hash(), Jobs: len(jobs), Rows: make([]Row, len(jobs))}
-	jobRes := make([]sim.Result, len(jobs))
-	var rowMu sync.Mutex
-	rowReady := make([]bool, len(jobs))
-	nextRow := 0
-	reduce := func(i int) {
-		rowMu.Lock()
-		base := baseRes[baseIdx[baselineCell{jobs[i].Seed, jobs[i].Scenario}]]
-		res.Rows[i] = rowFor(jobs[i], base, jobRes[i])
-		rowReady[i] = true
-		if sink != nil {
-			for nextRow < len(jobs) && rowReady[nextRow] {
-				sink(res.Rows[nextRow])
-				nextRow++
-			}
-		}
-		rowMu.Unlock()
-	}
-	if err := e.wave(ctx, jobCfgs, jobRes, note, reduce); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return g.result(p.Rows), nil
 }
 
 // wave runs cfgs over the bounded worker pool, writing each result to its

@@ -136,12 +136,24 @@ func (g Grid) scenarios() ([]scenario, error) {
 	return out, nil
 }
 
+// MaxJobs bounds a grid's expansion: far above the few hundred jobs of
+// any sweep the evaluation, examples or benchmark run, far below the
+// ~100k seeds a megabyte request body can list, so a hostile grid is
+// refused before expansion allocates a Job per cross-product point.
+const MaxJobs = 1 << 16
+
 // Validate checks the grid against the pv and workload registries so a
-// typo errors with the available names before any simulation starts.
+// typo errors with the available names before any simulation starts, and
+// refuses a grid whose axes could expand to more than MaxJobs jobs.
 func (g Grid) Validate() error {
 	g = g.normalized()
 	if len(g.Specs) == 0 {
 		return fmt.Errorf("sweep: grid has no specs (try names from 'pvsim list', e.g. \"PV-8\")")
+	}
+	// An upper bound (PVCache multiplies only virtualized specs), in
+	// float64 so no product of axis lengths can overflow.
+	if n := float64(len(g.Seeds)) * float64(len(g.Workloads)+len(g.Mixes)) * float64(len(g.Specs)) * float64(max(1, len(g.PVCache))); n > MaxJobs {
+		return fmt.Errorf("sweep: grid expands to up to %.0f jobs, over the %d-job limit", n, MaxJobs)
 	}
 	for _, name := range g.Specs {
 		if _, err := pv.SpecByName(name); err != nil {
@@ -320,12 +332,8 @@ func (g Grid) baselineCells(jobs []Job) ([]sim.Config, map[baselineCell]int) {
 // jobs plus one matched baseline per distinct (seed, workload) cell — the
 // total the engine's Progress callback counts against.
 func (g Grid) TotalSims() (int, error) {
-	jobs, err := g.Jobs()
-	if err != nil {
-		return 0, err
-	}
-	cfgs, _ := g.baselineCells(jobs)
-	return len(jobs) + len(cfgs), nil
+	p, err := g.Plan()
+	return p.TotalSims, err
 }
 
 // Plan is the expand-once admission summary of a grid: everything a

@@ -52,6 +52,12 @@ type Result struct {
 	Rows []Row  `json:"rows"`
 }
 
+// result wraps g's rows, one per job in expansion order, as its Result.
+func (g Grid) result(rows []Row) *Result {
+	g = g.normalized()
+	return &Result{Grid: g, Hash: g.Hash(), Jobs: len(rows), Rows: rows}
+}
+
 // rowFor reduces one job's simulation (and its matched baseline) to a Row.
 func rowFor(j Job, base, res sim.Result) Row {
 	cov := sim.CoverageOf(base, res)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -133,7 +134,6 @@ type Partial struct {
 // disagrees with its slot all error — and the merged Result is
 // byte-identical to an unsharded Run of the same grid.
 func (g Grid) MergePartials(parts []Partial) (*Result, error) {
-	g = g.normalized()
 	jobs, err := g.Jobs()
 	if err != nil {
 		return nil, err
@@ -164,35 +164,42 @@ func (g Grid) MergePartials(parts []Partial) (*Result, error) {
 	if next != len(jobs) {
 		return nil, fmt.Errorf("sweep: partials cover jobs [0,%d) of %d", next, len(jobs))
 	}
-	return &Result{Grid: g, Hash: hash, Jobs: len(jobs), Rows: rows}, nil
+	return g.result(rows), nil
 }
 
-// RunShard runs one planned shard: the jobs in [sh.Start, sh.End) plus
-// the matched baselines those jobs need, returning their rows as a
-// Partial. Each row is identical to the one an unsharded Run computes
-// for the same index — same config, same matched baseline, and the
-// simulations themselves are deterministic — which is what makes
-// MergePartials byte-identical to Run. Cancellation behaves like Run:
-// dispatch stops, in-flight simulations finish unpublished, and RunShard
-// returns ctx.Err(). progress counts the shard's own simulations
-// (jobs + its baselines) and may be nil.
-func (e *Engine) RunShard(ctx context.Context, g Grid, sh Shard, progress Progress) (*Partial, error) {
-	g = g.normalized()
-	jobs, err := g.Jobs()
-	if err != nil {
-		return nil, err
+// ErrShardRange reports a shard whose job range is empty or reaches
+// outside its grid's jobs — a bad request, not a failed simulation.
+var ErrShardRange = errors.New("sweep: shard range outside the grid's jobs")
+
+// RunShard runs one planned shard — the jobs in [sh.Start, sh.End), after
+// a wave of the matched baselines they need — and returns their rows as
+// a Partial. It is the engine's one run body: Run and RunRows send the
+// whole grid through it as the single shard [0, jobs). Rows are
+// deterministic functions of config and baseline, so any shard plan
+// merges byte-identically to Run. jobs is g's expansion if the caller
+// holds it; nil makes RunShard expand g. sink (may be nil) receives the
+// rows in expansion order as they complete. Cancellation behaves like
+// Run: dispatch stops, in-flight simulations finish unpublished, and
+// RunShard returns ctx.Err(). progress counts the shard's own
+// simulations (jobs + its baselines) and may be nil.
+func (e *Engine) RunShard(ctx context.Context, g Grid, jobs []Job, sh Shard, progress Progress, sink RowSink) (*Partial, error) {
+	if jobs == nil {
+		var err error
+		if jobs, err = g.Jobs(); err != nil {
+			return nil, err
+		}
 	}
 	if sh.Start < 0 || sh.End > len(jobs) || sh.Start >= sh.End {
-		return nil, fmt.Errorf("sweep: shard range [%d,%d) outside the grid's %d jobs", sh.Start, sh.End, len(jobs))
+		return nil, fmt.Errorf("%w: [%d,%d) of %d jobs", ErrShardRange, sh.Start, sh.End, len(jobs))
 	}
 	sub := jobs[sh.Start:sh.End]
+	hash := g.Hash()
 
-	// Register under the grid hash so Engine.Cancel(id) reaches shard
-	// executions too (the service's local-fallback path runs through here).
+	// Register under the grid hash so Engine.Cancel(id) reaches this run.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	h := e.track(g.Hash(), cancel)
-	defer e.untrack(g.Hash(), h)
+	h := e.track(hash, cancel)
+	defer e.untrack(hash, h)
 
 	baseCfgs, baseIdx := g.baselineCells(sub)
 	total := len(baseCfgs) + len(sub)
@@ -202,6 +209,8 @@ func (e *Engine) RunShard(ctx context.Context, g Grid, sh Shard, progress Progre
 		if progress == nil {
 			return
 		}
+		// The callback runs under the lock so calls are serialized and done
+		// is strictly increasing at the observer.
 		mu.Lock()
 		done++
 		progress(done, total)
@@ -226,17 +235,17 @@ func (e *Engine) RunShard(ctx context.Context, g Grid, sh Shard, progress Progre
 		return nil, err
 	}
 
-	// Job wave: rows[i] is written by exactly the worker that ran job i,
-	// so no row lock is needed — there is no streaming sink ordering to
-	// maintain inside a shard.
+	// Job wave: each completed job reduces to its Row at once (every
+	// baseline is in by now) and goes to the release buffer, which hands
+	// the sink each row the moment every row before it is in.
 	jobRes := make([]sim.Result, len(sub))
-	rows := make([]Row, len(sub))
+	rel := NewReleaser(sh.Start, len(sub), sink)
 	reduce := func(i int) {
 		base := baseRes[baseIdx[baselineCell{sub[i].Seed, sub[i].Scenario}]]
-		rows[i] = rowFor(sub[i], base, jobRes[i])
+		rel.Put(rowFor(sub[i], base, jobRes[i]))
 	}
 	if err := e.wave(ctx, jobCfgs, jobRes, note, reduce); err != nil {
 		return nil, err
 	}
-	return &Partial{Hash: g.Hash(), Shard: sh.Index, Start: sh.Start, End: sh.End, Rows: rows}, nil
+	return &Partial{Hash: hash, Shard: sh.Index, Start: sh.Start, End: sh.End, Rows: rel.rows}, nil
 }

@@ -143,7 +143,7 @@ func TestShardedRunByteIdentical(t *testing.T) {
 		}
 		parts := make([]Partial, len(shards))
 		for i, sh := range shards {
-			p, err := e.RunShard(context.Background(), g, sh, nil)
+			p, err := e.RunShard(context.Background(), g, nil, sh, nil, nil)
 			if err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
@@ -176,13 +176,13 @@ func TestRunShardProgress(t *testing.T) {
 	e := New(Options{Parallel: 2})
 	for _, sh := range shards {
 		var last, calls int
-		if _, err := e.RunShard(context.Background(), g, sh, func(done, total int) {
+		if _, err := e.RunShard(context.Background(), g, nil, sh, func(done, total int) {
 			calls++
 			if done != calls || total != sh.Sims() {
 				t.Errorf("shard %d progress (%d,%d), want (%d,%d)", sh.Index, done, total, calls, sh.Sims())
 			}
 			last = done
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if last != sh.Sims() {
@@ -205,7 +205,7 @@ func TestMergePartialsValidation(t *testing.T) {
 	}
 	var parts []Partial
 	for _, sh := range shards {
-		p, err := e.RunShard(context.Background(), g, sh, nil)
+		p, err := e.RunShard(context.Background(), g, nil, sh, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestRunShardBadRange(t *testing.T) {
 	g := Grid{Specs: []string{"none"}, Workloads: []string{"Apache"}, Seeds: []uint64{42}, Scale: testScale}
 	e := New(Options{Parallel: 1})
 	for _, sh := range []Shard{{Start: -1, End: 1}, {Start: 0, End: 99}, {Start: 1, End: 1}} {
-		if _, err := e.RunShard(context.Background(), g, sh, nil); err == nil {
+		if _, err := e.RunShard(context.Background(), g, nil, sh, nil, nil); err == nil {
 			t.Errorf("RunShard accepted range [%d,%d)", sh.Start, sh.End)
 		}
 	}

@@ -25,18 +25,13 @@ var rowsArrayOpen = []byte(`"rows": [`)
 // bracket of the rows array. The returned jobs count is the number of
 // StreamRow chunks the full stream will carry. The grid must Validate.
 func StreamHeader(g Grid) (header []byte, jobs int, err error) {
-	g = g.normalized()
-	js, err := g.Jobs()
-	if err != nil {
-		return nil, 0, err
-	}
-	header, err = streamHeaderForJobs(g, len(js))
-	return header, len(js), err
+	p, err := g.Plan()
+	return p.Header, p.Jobs, err
 }
 
 // streamHeaderForJobs renders the header chunk for a normalized grid
 // whose job count the caller already expanded — the expansion-free core
-// of StreamHeader, shared with Grid.Plan.
+// of Grid.Plan, and so of StreamHeader.
 func streamHeaderForJobs(g Grid, jobs int) ([]byte, error) {
 	// Encode the full Result skeleton with zero rows, then cut it at the
 	// rows array: because Rows is the struct's last field, everything

@@ -152,3 +152,81 @@ func TestEngineCancelByID(t *testing.T) {
 		t.Fatalf("engine unusable after cancel-by-id: %v", err)
 	}
 }
+
+// TestRunRowsStreamsBeforeDone pins streaming on the one run body: at
+// Parallel 1 the baselines run first and row i reaches the sink right
+// after job i simulates, so the first row arrives long before progress
+// reaches its total rather than in one burst at the end.
+func TestRunRowsStreamsBeforeDone(t *testing.T) {
+	g := Grid{Specs: []string{"none", "16-11a", "PV-8"}, Workloads: []string{"Apache"}, Seeds: []uint64{42}, Scale: testScale}
+	done, total := 0, 0
+	var rowAt []int
+	res, err := New(Options{Parallel: 1}).RunRows(context.Background(), g, func(d, tot int) {
+		done, total = d, tot
+	}, func(row Row) {
+		rowAt = append(rowAt, done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) < 3 {
+		t.Fatalf("grid has %d jobs, want at least 3", len(res.Rows))
+	}
+	if done != total {
+		t.Fatalf("progress ended at %d/%d", done, total)
+	}
+	baselines := total - len(res.Rows)
+	for i, at := range rowAt {
+		if at != baselines+i {
+			t.Fatalf("rows reached the sink at progress %v of %d, want row i at %d+i", rowAt, total, baselines)
+		}
+	}
+}
+
+// TestReleaserOrder pins the shared release buffer: rows put out of order,
+// singly or in runs, leave for the sink as one expansion-order sequence,
+// and the Result refuses to assemble while a row is missing.
+func TestReleaserOrder(t *testing.T) {
+	rows := func(from, to int) []Row {
+		var out []Row
+		for i := from; i < to; i++ {
+			out = append(out, Row{Job: i})
+		}
+		return out
+	}
+	var seen []int
+	rel := NewReleaser(0, 6, func(r Row) { seen = append(seen, r.Job) })
+	rel.Put(rows(3, 5)...)
+	rel.Put(rows(1, 2)...)
+	if len(seen) != 0 {
+		t.Fatalf("released %v before row 0 arrived", seen)
+	}
+	rel.Put(rows(0, 1)...)
+	if len(seen) != 2 {
+		t.Fatalf("released %v after rows 0 and 1, want [0 1]", seen)
+	}
+	g := Grid{Specs: []string{"none"}}
+	if _, err := rel.Result(g); err == nil {
+		t.Error("Result assembled with rows 2 and 5 missing")
+	}
+	rel.Put(rows(5, 6)...)
+	rel.Put(rows(2, 3)...)
+	for i, job := range seen {
+		if job != i {
+			t.Fatalf("release order %v, want 0..5", seen)
+		}
+	}
+	res, err := rel.Result(g)
+	if err != nil || len(res.Rows) != 6 || res.Hash != g.Hash() {
+		t.Fatalf("Result = %+v, %v; want 6 rows of grid %s", res, err, g.Hash())
+	}
+
+	// A shard's buffer is offset by its start index.
+	seen = nil
+	shard := NewReleaser(10, 2, func(r Row) { seen = append(seen, r.Job) })
+	shard.Put(Row{Job: 11})
+	shard.Put(Row{Job: 10})
+	if len(seen) != 2 || seen[0] != 10 || seen[1] != 11 {
+		t.Errorf("shard buffer released %v, want [10 11]", seen)
+	}
+}

@@ -102,6 +102,40 @@ func TestGridValidate(t *testing.T) {
 	}
 }
 
+// TestGridValidateBound pins the expansion bound: a grid whose axes
+// could expand past MaxJobs fails Validate before anything is expanded,
+// and a grid exactly at the bound still validates.
+func TestGridValidateBound(t *testing.T) {
+	seeds := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(i)
+		}
+		return out
+	}
+	pvcache := make([]int, MaxJobs+1)
+	for i := range pvcache {
+		pvcache[i] = 8
+	}
+	before := JobExpansions()
+	at := Grid{Specs: []string{"none"}, Workloads: []string{"Apache"}, Seeds: seeds(MaxJobs)}
+	if err := at.Validate(); err != nil {
+		t.Errorf("grid of exactly %d jobs rejected: %v", MaxJobs, err)
+	}
+	for _, g := range []Grid{
+		{Specs: []string{"none"}, Workloads: []string{"Apache"}, Seeds: seeds(MaxJobs + 1)},
+		{Specs: []string{"none"}, Seeds: seeds(100_000)}, // all eight workloads
+		{Specs: []string{"PV-8"}, Workloads: []string{"Apache"}, PVCache: pvcache, Seeds: seeds(1)},
+	} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("grid of %d seeds x %d specs x %d pvcache sizes validated", len(g.Seeds), len(g.Specs), len(g.PVCache))
+		}
+	}
+	if got := JobExpansions() - before; got != 0 {
+		t.Errorf("Validate expanded %d grids", got)
+	}
+}
+
 func TestGridHash(t *testing.T) {
 	a, b := testGrid(), testGrid()
 	if a.Hash() != b.Hash() {
