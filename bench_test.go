@@ -343,108 +343,6 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadlineStreamReplay is the compiled-trace acceptance pair: the
-// per-access cost of producing the stream live (what every uncompiled step
-// pays for stream production) versus batch-decoding it from a compiled
-// binary trace. The compiled side must stay >=2x faster — this is the
-// headline number BENCH_*.json records and scripts/bench_guard.sh tracks.
-func BenchmarkHeadlineStreamReplay(b *testing.B) {
-	w, _ := workloads.ByName("DB2")
-	b.Run("generator", func(b *testing.B) {
-		g := trace.NewGenerator(w.Params, 42, 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Next()
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		const span = 1 << 20
-		ct, err := trace.Compile(trace.NewGenerator(w.Params, 42, 0), span, 0, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := ct.Replayer()
-		batch := make([]trace.Access, trace.DefaultChunkLen)
-		b.ResetTimer()
-		for n := b.N; n > 0; {
-			k := len(batch)
-			if k > n {
-				k = n
-			}
-			got := p.ReadBatch(batch[:k])
-			if got < k {
-				p.Reset()
-			}
-			n -= got
-		}
-	})
-}
-
-// BenchmarkSystemStepCompiled is BenchmarkSystemStep through the batched
-// compiled pipeline: ns/op is per access (all cores round-robin), directly
-// comparable to BenchmarkSystemStep's per-access number, with stream
-// production amortized to a chunk decode per core per batch.
-func BenchmarkSystemStepCompiled(b *testing.B) {
-	w, _ := workloads.ByName("Apache")
-	cfg := sim.Default(w)
-	cfg.Prefetch = sim.PV8
-	cfg.Timing = true
-	const span = 200_000 // compiled accesses per core (Warmup+Measure)
-	cfg.Warmup, cfg.Measure = 0, span
-	cfg.Compile = true
-	sys := sim.NewSystem(cfg)
-	cores := cfg.Hier.Cores
-	left := span
-	const rounds = 1000
-	b.ResetTimer()
-	for n := b.N; n > 0; {
-		if left < rounds {
-			b.StopTimer()
-			sys.Reset()
-			left = span
-			b.StartTimer()
-		}
-		k := rounds
-		if need := (n + cores - 1) / cores; need < k {
-			k = need
-		}
-		sys.StepAllN(k)
-		left -= k
-		n -= k * cores
-	}
-}
-
-// BenchmarkHeadlineCompiledReuse is BenchmarkHeadlineReuse on the
-// compiled-trace pipeline: each system compiles its streams once at build
-// time and every iteration batch-replays them after an in-place Reset —
-// the hot-grid steady state of a compiled sweep. Coverage metrics are
-// bit-identical to the generator path (TestCompiledRunBitIdentical).
-func BenchmarkHeadlineCompiledReuse(b *testing.B) {
-	w, err := workloads.ByName("Apache")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Default(w)
-	cfg.Warmup, cfg.Measure = 40_000, 40_000
-	cfg.Compile = true
-	ded := cfg
-	ded.Prefetch = sim.SMS1K11
-	pv := cfg
-	pv.Prefetch = sim.PV8
-	bsys, dsys, psys := sim.NewSystem(cfg), sim.NewSystem(ded), sim.NewSystem(pv)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 {
-			bsys.Reset()
-			dsys.Reset()
-			psys.Reset()
-		}
-		base, dres, pres := bsys.Run(), dsys.Run(), psys.Run()
-		b.ReportMetric(sim.CoverageOf(base, dres).Covered*100, "dedicated-cov-%")
-		b.ReportMetric(sim.CoverageOf(base, pres).Covered*100, "pv8-cov-%")
-	}
-}
-
 func BenchmarkSystemStep(b *testing.B) {
 	w, _ := workloads.ByName("Apache")
 	cfg := sim.Default(w)

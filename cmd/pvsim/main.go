@@ -75,7 +75,6 @@ func run(args []string, stdout io.Writer) error {
 	outFile := fs.String("o", "", "output file (default stdout)")
 	verbose := fs.Bool("v", false, "log per-run progress")
 	parallel := fs.Int("p", 0, "max parallel simulations")
-	compile := fs.Bool("compile", false, "pre-compile access streams into binary traces and replay them batched (bit-identical output)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -83,69 +82,82 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("no experiment given; try 'pvsim list'")
 	}
 
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, Compile: *compile}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Parallel: *parallel}
 	if *verbose {
 		opts.Log = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
 	}
 
-	out := stdout
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-
-	var ids []string
+	// Resolve every id before -o creates (and truncates) the output file.
+	var exps []experiments.Experiment
 	for _, a := range fs.Args() {
 		switch a {
 		case "list":
-			fmt.Fprintln(out, "experiments:")
-			for _, e := range experiments.All() {
-				fmt.Fprintf(out, "  %-8s %s\n", e.ID, e.Title)
-			}
-			fmt.Fprintf(out, "\nregistered predictors:\n  %s\n", strings.Join(pv.Names(), ", "))
-			fmt.Fprintln(out, "\nnamed configs:")
-			for _, name := range pv.SpecNames() {
-				s, err := pv.SpecByName(name)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "  %-12s %s\n", name, describeSpec(s))
-			}
-			fmt.Fprintln(out, "\nnamed mixes (pvsim sweep -mixes; also per-core specs like DB2/DB2/Apache/Apache):")
-			for _, m := range workloads.Mixes() {
-				fmt.Fprintf(out, "  %-12s %s — %s\n", m.Name, m.Spec(), m.Desc)
-			}
-			return nil
+			return writeOutput(*outFile, stdout, printList)
 		case "all":
-			for _, e := range experiments.All() {
-				ids = append(ids, e.ID)
-			}
+			exps = append(exps, experiments.All()...)
 		case "sweep", "serve", "shard", "mc":
 			// Reached via `pvsim -p 4 sweep ...`: flag parsing stopped at the
 			// subcommand word, so the leading flags never reached it. Point
 			// at the right invocation instead of "unknown experiment".
 			return fmt.Errorf("%q is a subcommand and must come first: use 'pvsim %s [flags]' (its flags go after it)", a, a)
 		default:
-			ids = append(ids, a)
+			e, err := experiments.ByID(a)
+			if err != nil {
+				return err
+			}
+			exps = append(exps, e)
 		}
 	}
-
 	runner := experiments.NewRunner(opts)
-	for _, id := range ids {
-		e, err := experiments.ByID(id)
+	return writeOutput(*outFile, stdout, func(out io.Writer) error {
+		for _, e := range exps {
+			if err := emit(out, e.Run(runner), *format); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// printList writes the list output: experiments, registered predictors,
+// named configs and named mixes.
+func printList(out io.Writer) error {
+	fmt.Fprintln(out, "experiments:")
+	for _, e := range experiments.All() {
+		fmt.Fprintf(out, "  %-8s %s\n", e.ID, e.Title)
+	}
+	fmt.Fprintf(out, "\nregistered predictors:\n  %s\n", strings.Join(pv.Names(), ", "))
+	fmt.Fprintln(out, "\nnamed configs:")
+	for _, name := range pv.SpecNames() {
+		s, err := pv.SpecByName(name)
 		if err != nil {
 			return err
 		}
-		doc := e.Run(runner)
-		if err := emit(out, doc, *format); err != nil {
-			return err
-		}
+		fmt.Fprintf(out, "  %-12s %s\n", name, describeSpec(s))
+	}
+	fmt.Fprintln(out, "\nnamed mixes (pvsim sweep -mixes; also per-core specs like DB2/DB2/Apache/Apache):")
+	for _, m := range workloads.Mixes() {
+		fmt.Fprintf(out, "  %-12s %s — %s\n", m.Name, m.Spec(), m.Desc)
 	}
 	return nil
+}
+
+// writeOutput runs write against the file at path, or against stdout when
+// path is empty. The file is closed on every path, and its Close error is
+// reported on the success path, so a failed write-back never exits 0.
+func writeOutput(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "" {
+		return write(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
 }
 
 // describeSpec renders one registry entry for the list output.

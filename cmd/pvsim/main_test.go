@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,5 +65,26 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-format", "xml", "table3"}, &out); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestRunOutputFileKeptOnBadID pins that a typo in an experiment id fails
+// before -o touches the output file: an existing file keeps its bytes.
+func TestRunOutputFileKeptOnBadID(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "keep.txt")
+	want := []byte("earlier results\n")
+	if err := os.WriteFile(file, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-o", file, "table1", "nosuchexp"}, &out); err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	got, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("-o file rewritten on a bad id: %q, want %q", got, want)
 	}
 }

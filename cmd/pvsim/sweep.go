@@ -33,7 +33,6 @@ func runSweep(args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "log per-run progress to stderr")
 	parallel := fs.Int("p", 0, "max parallel simulations (output is identical at any value)")
 	maxSystems := fs.Int("pool", 0, "max pooled systems (0 = default, negative = unbounded)")
-	compile := fs.Bool("compile", false, "pre-compile access streams into binary traces and replay them batched (bit-identical, faster on repeated grids)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,7 +80,7 @@ func runSweep(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems, Compile: *compile}
+	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems}
 	var progress sweep.Progress
 	if *verbose {
 		opts.Log = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
@@ -93,24 +92,17 @@ func runSweep(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	out := stdout
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
+	return writeOutput(*outFile, stdout, func(out io.Writer) error {
+		if *format == "json" {
+			b, err := res.JSON()
+			if err != nil {
+				return err
+			}
+			_, err = out.Write(b)
 			return err
 		}
-		defer f.Close()
-		out = f
-	}
-	if *format == "json" {
-		b, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		_, err = out.Write(b)
-		return err
-	}
-	return emit(out, res.Doc(), *format)
+		return emit(out, res.Doc(), *format)
+	})
 }
 
 // splitList splits a comma-separated flag value, dropping empty elements so

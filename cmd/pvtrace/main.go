@@ -1,8 +1,7 @@
 // Command pvtrace compiles and inspects synthetic workload traces: the
 // exact access streams the simulator feeds the memory hierarchy. Traces
 // are written in the compiled block format (PVA2) — chunked delta encoding
-// with periodic absolute sync points — which the simulator's batched step
-// pipeline replays with zero allocation at memory-bandwidth speed.
+// with periodic absolute sync points — and replay with zero allocation.
 //
 // Usage:
 //
@@ -30,7 +29,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pvtrace", flag.ContinueOnError)
-	compile := fs.Bool("compile", false, "compile a trace (PVA2 block format, batch-replayable)")
+	compile := fs.Bool("compile", false, "compile a trace (PVA2 block format)")
 	inspect := fs.String("inspect", "", "summarize a compiled trace file")
 	list := fs.Bool("list", false, "list available workloads")
 	workload := fs.String("workload", "Apache", "workload to compile")
@@ -41,6 +40,14 @@ func run(args []string, out io.Writer) error {
 	outFile := fs.String("o", "", "output file for -compile")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A negative core would wrap the generator's per-core address base into
+	// other cores' address spaces; a negative chunk is no chunk length.
+	if *core < 0 {
+		return fmt.Errorf("-core %d: must be >= 0", *core)
+	}
+	if *chunk < 0 {
+		return fmt.Errorf("-chunk %d: must be >= 0 (0 = default)", *chunk)
 	}
 
 	switch {
@@ -67,13 +74,16 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		written, err := ct.WriteTo(f)
 		if err != nil {
+			f.Close() // the write error is the one to report
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "compiled %d accesses to %s (%d chunks of %d, %.1f MB, %.2f B/access)\n",
-			*n, *outFile, ct.Chunks(), ct.ChunkLen(), float64(written)/1e6, float64(written)/float64(*n))
+			*n, *outFile, ct.Chunks(), ct.ChunkLen(), float64(written)/1e6, ratio(float64(written), float64(*n)))
 		return nil
 
 	case *inspect != "":
@@ -88,7 +98,7 @@ func run(args []string, out io.Writer) error {
 		s := trace.Summarize(ct.Replayer())
 		fmt.Fprintf(out, "format:          %s\n", desc)
 		fmt.Fprintf(out, "accesses:        %d\n", s.Accesses)
-		fmt.Fprintf(out, "writes:          %d (%.1f%%)\n", s.Writes, float64(s.Writes)/float64(s.Accesses)*100)
+		fmt.Fprintf(out, "writes:          %d (%.1f%%)\n", s.Writes, ratio(float64(s.Writes), float64(s.Accesses))*100)
 		fmt.Fprintf(out, "distinct blocks: %d (%.1f MB footprint)\n", s.DistinctBlocks, float64(s.DistinctBlocks)*64/1e6)
 		fmt.Fprintf(out, "distinct PCs:    %d\n", s.DistinctPCs)
 		fmt.Fprintf(out, "2KB regions:     %d\n", s.Regions)
@@ -97,4 +107,12 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("one of -compile, -inspect or -list required")
 	}
+}
+
+// ratio is a/b, or 0 for an empty trace (b == 0).
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }

@@ -166,3 +166,51 @@ func TestErrors(t *testing.T) {
 		t.Errorf("non-PVA2 file: err = %v, want a bad-magic error", err)
 	}
 }
+
+// TestCompileFlagEdges pins the numeric flag checks: a negative -core or
+// -chunk is rejected before anything is written, -chunk 0 means the
+// default, and an empty trace compiles and inspects to finite figures.
+func TestCompileFlagEdges(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string // substring of the error; "" means success
+		wantOut string // substring of the output on success
+	}{
+		{"negative core", []string{"-core", "-1"}, "-core -1", ""},
+		{"negative chunk", []string{"-chunk", "-5"}, "-chunk -5", ""},
+		{"zero chunk is default", []string{"-chunk", "0", "-n", "100"}, "", "chunks of 4096"},
+		{"empty trace", []string{"-n", "0"}, "", "0.00 B/access"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			file := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".pvc")
+			var out bytes.Buffer
+			err := run(append([]string{"-compile", "-workload", "Qry1", "-o", file}, tc.args...), &out)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, tc.wantErr)
+				}
+				if _, statErr := os.Stat(file); !os.IsNotExist(statErr) {
+					t.Fatalf("rejected flags still wrote %s (stat: %v)", file, statErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), tc.wantOut) {
+				t.Fatalf("compile output lacks %q:\n%s", tc.wantOut, out.String())
+			}
+			out.Reset()
+			if err := run([]string{"-inspect", file}, &out); err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range []string{"NaN", "Inf"} {
+				if strings.Contains(out.String(), bad) {
+					t.Fatalf("inspect output holds %s:\n%s", bad, out.String())
+				}
+			}
+		})
+	}
+}

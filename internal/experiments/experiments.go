@@ -36,14 +36,6 @@ type Options struct {
 	// 0 means unbounded, which is fine for the fixed experiment set but not
 	// for an open-ended sweep server.
 	MaxSystems int
-	// Compile opts every simulation into the compiled-trace batched
-	// pipeline: fresh builds run with sim.Config.Compile set, and a system
-	// re-acquired from the KeepSystems pool — a hot configuration, about to
-	// run again — has its streams compiled in place. Results are
-	// bit-identical to the generator path and share its cache keys
-	// (sim.Signature excludes the switch); phase-flush configurations fall
-	// back to live generators automatically.
-	Compile bool
 	// MaxResults bounds the result cache the same way (results are small —
 	// kilobytes of statistics — but an open-ended server accumulates one
 	// per distinct configuration forever). 0 means unbounded.
@@ -261,17 +253,9 @@ func (r *Runner) acquireSystem(key string, cfg sim.Config) *sim.System {
 		r.mu.Unlock()
 	}
 	if sys == nil {
-		cfg.Compile = cfg.Compile || r.opts.Compile
 		return sim.NewSystem(cfg)
 	}
 	sys.Reset()
-	if r.opts.Compile {
-		// Hot-grid auto-compile: a pooled system being re-acquired is about
-		// to run the same configuration again — the exact case where paying
-		// one stream materialization buys every subsequent replay. A no-op
-		// when the system already compiled (or cannot: phase flush).
-		sys.CompileStreams(cfg.Warmup + cfg.Measure)
-	}
 	return sys
 }
 
@@ -339,7 +323,6 @@ func (r *Runner) CachedResults() int {
 // least-recently-used entry beyond the bound.
 func (r *Runner) simulate(key string, cfg sim.Config) sim.Result {
 	if !r.opts.KeepSystems {
-		cfg.Compile = cfg.Compile || r.opts.Compile
 		return sim.Run(cfg)
 	}
 	sys := r.acquireSystem(key, cfg)

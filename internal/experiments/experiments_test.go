@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -226,35 +225,5 @@ func TestStrideDocument(t *testing.T) {
 		if !strings.Contains(txt, want) {
 			t.Errorf("stride missing %q", want)
 		}
-	}
-}
-
-// TestCompileOptionBitIdentical pins the runner's compiled-trace opt-in:
-// results from a Compile runner — fresh builds and pool re-acquisitions
-// alike — must equal the generator-path runner's bit for bit.
-func TestCompileOptionBitIdentical(t *testing.T) {
-	w, err := workloads.ByName("Apache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ConfigFor(w, 0.02, 42)
-	cfg.Prefetch = sim.PV8
-
-	plain := NewRunner(Options{Scale: 0.02, Seed: 42}).Run(cfg)
-
-	r := NewRunner(Options{Scale: 0.02, Seed: 42, Compile: true, KeepSystems: true})
-	first := r.Run(cfg)
-	r.Reset()            // forget the result cache; the pooled system survives
-	second := r.Run(cfg) // pool re-acquisition: Reset + CompileStreams in place
-
-	// Results embed the Config; the compiled runs carry Compile=true on
-	// fresh builds. Normalize before comparing simulation output.
-	first.Config.Compile = false
-	second.Config.Compile = false
-	if !reflect.DeepEqual(plain, first) {
-		t.Fatalf("compiled fresh-build run diverges:\n%+v\nvs\n%+v", plain, first)
-	}
-	if !reflect.DeepEqual(plain, second) {
-		t.Fatalf("compiled pool-reuse run diverges:\n%+v\nvs\n%+v", plain, second)
 	}
 }

@@ -338,6 +338,13 @@ func (s *Server) execute(p Pending) {
 	if err == nil {
 		resJSON, err = res.JSON()
 	}
+	// Persist before publishing "done": a client that sees a sweep done
+	// and restarts the server finds the result on disk.
+	if err == nil && s.store != nil {
+		if perr := s.store.Put(p.ID, resJSON); perr != nil {
+			s.logf("serve: persisting sweep %s: %v", p.ID, perr)
+		}
+	}
 
 	s.mu.Lock()
 	run.cancel = nil
@@ -354,12 +361,6 @@ func (s *Server) execute(p Pending) {
 		f.finish("")
 	}
 	s.mu.Unlock()
-
-	if err == nil && s.store != nil {
-		if perr := s.store.Put(p.ID, resJSON); perr != nil {
-			s.logf("serve: persisting sweep %s: %v", p.ID, perr)
-		}
-	}
 	s.logf("serve: sweep %s %s", p.ID, run.Status)
 }
 

@@ -110,18 +110,6 @@ type Config struct {
 	Timing  bool
 	Windows int
 
-	// Compile pre-materializes each core's access stream into a compiled
-	// binary trace (trace.Compile, PVA2) at build time and replays it
-	// through the batched step pipeline: stream production collapses to a
-	// chunk decode per core per batch instead of a generator call per
-	// access. Replay is bit-identical to the live generators — Signature
-	// deliberately excludes this switch, so compiled and uncompiled runs
-	// share cache keys. It is skipped automatically (falling back to live
-	// generators) when PhaseFlush ties stream production to predictor
-	// resets, and ignored by RunSMARTS, whose plan length the compiled
-	// stream would not cover.
-	Compile bool
-
 	// Cost enables the passive cycle-approximate cost model
 	// (internal/timing): a pure fold over the access/outcome stream that
 	// accumulates per-core cycle counts — including PVCache hit/miss and

@@ -128,32 +128,9 @@ func Run(cfg Config) Result {
 // Run executes the system's configured phases — warmup, stats reset,
 // measured windows — and collects a Result. It must start from pristine
 // microarchitectural state: call it once on a freshly built system, or
-// again after Reset. It panics, descriptively and before any stepping,
-// when a compiled stream is too short for the run (CheckStreams);
-// RunChecked returns that as an error instead.
+// again after Reset. The per-window snapshot buffers live on the System,
+// so the measurement loop itself allocates nothing.
 func (sys *System) Run() Result {
-	res, err := sys.RunChecked()
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunChecked is Run with the compiled-stream length validation surfaced as
-// an error: a system whose CompileStreams call covered fewer accesses than
-// Warmup + Measure reports exactly what is missing instead of panicking
-// partway through the run with shared state half-updated.
-func (sys *System) RunChecked() (Result, error) {
-	if err := sys.CheckStreams(); err != nil {
-		return Result{}, err
-	}
-	return sys.run(), nil
-}
-
-// run is the measurement body: warmup, stats reset, measured windows. The
-// per-window snapshot buffers live on the System, so the measurement loop
-// itself allocates nothing.
-func (sys *System) run() Result {
 	cfg := sys.cfg
 	sys.StepAllN(cfg.Warmup)
 	sys.ResetStats()

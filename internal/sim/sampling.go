@@ -50,10 +50,6 @@ func RunSMARTS(cfg Config, plan SMARTSConfig) Result {
 		panic(err)
 	}
 	cfg.Timing = true
-	// The SMARTS plan, not cfg.Measure, sets the run length, so a compiled
-	// stream of Warmup+Measure accesses would run dry mid-plan; sampling
-	// runs always drive live generators.
-	cfg.Compile = false
 	sys := NewSystem(cfg)
 
 	sys.SetDetail(false)

@@ -57,19 +57,6 @@ type System struct {
 	// detail gates timing accounting; RunSMARTS turns it off during
 	// functional fast-forward gaps. Plain Run leaves it on throughout.
 	detail bool
-
-	// hasEdgeHooks records that at least one core's phase edges mutate
-	// predictor state (Config.PhaseFlush on a multi-phase core). Such a
-	// system cannot run stream production ahead of consumption — the flush
-	// must land between the exact accesses it lands between in per-access
-	// stepping — so batching and compilation are disabled for it.
-	hasEdgeHooks bool
-
-	// compiled holds the per-core compiled replayers after CompileStreams
-	// swapped them in (nil on the live-generator path), and batch the
-	// reusable per-core decode buffers of the batched step loop.
-	compiled []*trace.CompiledReplayer
-	batch    [][]trace.Access
 }
 
 // prefetchSink routes one core's predictions into the hierarchy and the
@@ -217,7 +204,6 @@ func NewSystem(cfg Config) *System {
 				inst.Reset()
 				sys.rebaseProxySnapshot(c)
 			})
-			sys.hasEdgeHooks = true
 		}
 	}
 
@@ -230,73 +216,7 @@ func NewSystem(cfg Config) *System {
 			}
 		})
 	}
-	if cfg.Compile {
-		sys.CompileStreams(cfg.Warmup + cfg.Measure)
-	}
 	return sys
-}
-
-// Batchable reports whether stream production may run ahead of
-// consumption on this system: false when a phase-flush edge hook ties
-// production to predictor resets (the flush must land between the exact
-// accesses it lands between), true otherwise.
-func (s *System) Batchable() bool { return !s.hasEdgeHooks }
-
-// Compiled reports whether the cores run compiled traces.
-func (s *System) Compiled() bool { return s.compiled != nil }
-
-// CompileStreams materializes every core's access stream into a compiled
-// binary trace of n accesses (trace.Compile) and swaps zero-alloc batch
-// replayers in as the cores' sources. Replay is bit-identical to the live
-// generators; Run then steps through the batched pipeline. Call it on a
-// pristine system — freshly built or Reset — and only when n covers every
-// access the caller will step (Run consumes Warmup + Measure per core);
-// a compiled stream is finite and stepping past its end panics. Returns
-// false, leaving the system untouched, when the system is not Batchable;
-// compiling twice is a no-op.
-func (s *System) CompileStreams(n int) bool {
-	if !s.Batchable() {
-		return false
-	}
-	if s.compiled != nil {
-		return true
-	}
-	reps := make([]*trace.CompiledReplayer, len(s.gens))
-	for c := range s.gens {
-		ct, err := trace.Compile(s.gens[c], n, 0,
-			fmt.Sprintf("workload=%s seed=%d core=%d", s.cfg.Workload.Name, s.cfg.Seed, c))
-		if err != nil {
-			panic(err) // only a negative n, which Config.Validate excludes
-		}
-		reps[c] = ct.Replayer()
-		s.gens[c] = reps[c]
-	}
-	s.compiled = reps
-	s.batch = make([][]trace.Access, len(s.gens))
-	for c := range s.batch {
-		s.batch[c] = make([]trace.Access, batchLen)
-	}
-	return true
-}
-
-// CheckStreams verifies up front that every core's compiled stream holds
-// enough accesses for the configured run (Warmup + Measure per core),
-// returning a descriptive error instead of letting StepAllN panic mid-run
-// when a stream compiled too short runs dry. Live-generator systems are
-// unbounded and always pass. RunChecked calls it before stepping; Run
-// panics on its error.
-func (s *System) CheckStreams() error {
-	if s.compiled == nil {
-		return nil
-	}
-	need := uint64(s.cfg.Warmup + s.cfg.Measure)
-	for c, rep := range s.compiled {
-		if rem := rep.Remaining(); rem < need {
-			return fmt.Errorf("sim: compiled stream for core %d holds %d accesses but the run needs %d (warmup %d + measure %d); recompile with CompileStreams(n) for n >= %d",
-				c, rem, need, s.cfg.Warmup, s.cfg.Measure, need)
-		}
-	}
-	return nil
 }
 
 // Predictor returns core c's predictor instance (nil without one). Callers
@@ -381,25 +301,7 @@ func (s *System) resyncProxySnapshots() {
 // Step advances core c by one memory instruction: instruction fetch, demand
 // access, timing accounting and predictor training.
 func (s *System) Step(c int) {
-	s.stepAccess(c, s.gens[c].Next())
-}
-
-// StepBatch advances core c through accs in order, performing exactly the
-// per-access work of Step for each — with stream production already done,
-// so a batch pays one call into the stream instead of an interface
-// dispatch per access. On a multi-core system the caller must interleave
-// batches across cores at access granularity to preserve the global
-// round-robin traffic order on the shared L2 (StepAllN does); handing one
-// core a long batch while its peers wait reorders that traffic.
-func (s *System) StepBatch(c int, accs []trace.Access) {
-	for i := range accs {
-		s.stepAccess(c, accs[i])
-	}
-}
-
-// stepAccess is the per-access body of Step: everything after stream
-// production.
-func (s *System) stepAccess(c int, acc trace.Access) {
+	acc := s.gens[c].Next()
 	now := s.clock[c]
 	s.Hier.Tick(now)
 
@@ -470,40 +372,10 @@ func (s *System) StepAll() {
 	}
 }
 
-// batchLen is the batched step loop's per-core buffer size; it matches the
-// compiled trace chunk length so each refill is one whole-chunk decode.
-const batchLen = trace.DefaultChunkLen
-
-// StepAllN advances every core by n accesses. On a compiled system it
-// decodes per-core batches up front and interleaves consumption from the
-// buffers — the exact global round-robin access order of n StepAll calls,
-// with per-access stream dispatch amortized into one chunk decode per core
-// per batch — so results are bit-identical to n StepAll calls on either
-// path (TestCompiledRunBitIdentical pins this).
+// StepAllN advances every core by n accesses: n StepAll calls.
 func (s *System) StepAllN(n int) {
-	if s.compiled == nil {
-		for i := 0; i < n; i++ {
-			s.StepAll()
-		}
-		return
-	}
-	cores := len(s.gens)
-	for n > 0 {
-		k := n
-		if k > batchLen {
-			k = batchLen
-		}
-		for c := 0; c < cores; c++ {
-			if got := s.compiled[c].ReadBatch(s.batch[c][:k]); got < k {
-				panic(fmt.Sprintf("sim: compiled stream for core %d ran dry %d accesses short", c, k-got))
-			}
-		}
-		for i := 0; i < k; i++ {
-			for c := 0; c < cores; c++ {
-				s.stepAccess(c, s.batch[c][i])
-			}
-		}
-		n -= k
+	for i := 0; i < n; i++ {
+		s.StepAll()
 	}
 }
 

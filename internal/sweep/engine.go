@@ -32,12 +32,6 @@ type Options struct {
 	// MaxResults bounds the cached-result map the same way; 0 means
 	// DefaultMaxResults, negative means unbounded.
 	MaxResults int
-	// Compile opts every sweep job into the compiled-trace batched
-	// pipeline (see experiments.Options.Compile): streams are
-	// pre-materialized into compiled binary traces and replayed in
-	// batches, bit-identically to the generator path — the sweep's
-	// p1==p8 byte-identity pins hold either way.
-	Compile bool
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
 	// Sched, when non-nil, replaces the goroutine worker pool with a
@@ -147,7 +141,6 @@ func New(opts Options) *Engine {
 			Scale:       1.0, // unused: the engine builds every config itself
 			Parallel:    opts.Parallel,
 			KeepSystems: true,
-			Compile:     opts.Compile,
 			MaxSystems:  bound(opts.MaxSystems, DefaultMaxSystems),
 			MaxResults:  bound(opts.MaxResults, DefaultMaxResults),
 			Log:         opts.Log,

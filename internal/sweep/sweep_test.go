@@ -510,32 +510,3 @@ func TestSweepRerunIdentical(t *testing.T) {
 		t.Fatalf("pooled re-run diverges:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
-
-// TestSweepCompileByteIdentical pins the compiled-trace pipeline at the
-// sweep level: the full test grid — workloads, mixes, a phased mix, every
-// spec — run under Options.Compile must render byte-identical JSON to the
-// generator-path run at Parallel=1, at Parallel=2 and Parallel=8.
-func TestSweepCompileByteIdentical(t *testing.T) {
-	g := testGrid()
-	run := func(o Options) []byte {
-		t.Helper()
-		res, err := New(o).Run(context.Background(), g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	want := run(Options{Parallel: 1})
-	for _, o := range []Options{
-		{Parallel: 2, Compile: true},
-		{Parallel: 8, Compile: true},
-	} {
-		if got := run(o); !bytes.Equal(want, got) {
-			t.Fatalf("compiled sweep (%+v) diverges from generator sweep:\n%d vs %d bytes", o, len(want), len(got))
-		}
-	}
-}

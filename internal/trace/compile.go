@@ -35,17 +35,12 @@ import (
 // for decode speed: one tag byte carries the write flag (bit 7) and
 // the byte lengths of both fields (bits 5-3: len(pc)-1, bits 2-0:
 // len(addr)-1), followed by the two fields as minimal little-endian byte
-// strings. The decoder learns both field lengths from a single byte and
-// reads each field with one masked 8-byte load — no per-byte continuation
-// bits to discover serially, which is what makes the batch replay path
-// several times cheaper per access than a varint decode (or a live
-// Generator).
+// strings. The decoder learns both field lengths from a single byte — no
+// per-byte continuation bits to discover serially.
 const compiledMagic = "PVA2"
 
 // DefaultChunkLen is the records-per-chunk granularity Compile uses when the
-// caller passes 0. Batches decode a chunk at a time, so this is also the
-// natural batch size of the replay fast path; 4096 keeps a chunk's decode
-// state inside L1 while amortizing the sync-point overhead to noise.
+// caller passes 0; 4096 amortizes the sync-point overhead to noise.
 const DefaultChunkLen = 4096
 
 // Compiled is one core's access stream materialized into the PVA2 block
@@ -144,16 +139,8 @@ func appendGroup(dst []byte, write bool, a, b uint64) []byte {
 	return dst
 }
 
-// lenMask[l] keeps the low l bytes of a raw 8-byte load.
-var lenMask = [9]uint64{0,
-	0xff, 0xffff, 0xffffff, 0xffffffff,
-	0xff_ffffffff, 0xffff_ffffffff, 0xffffff_ffffffff, 0xffffffff_ffffffff,
-}
-
-// readGroup decodes one record's tag and raw fields at pos byte by byte —
-// the bounds-safe path used for single-record decodes and for records
-// within a load's reach of the end of the data. Validation guarantees the
-// record is in bounds.
+// readGroup decodes one record's tag and raw fields at pos byte by byte.
+// Validation guarantees the record is in bounds.
 func readGroup(data []byte, pos int) (tag byte, a, b uint64, next int) {
 	tag = data[pos]
 	la := int(tag>>3&7) + 1
@@ -326,12 +313,9 @@ func (t *Compiled) Replayer() *CompiledReplayer {
 	return &CompiledReplayer{t: t}
 }
 
-// CompiledReplayer re-plays a compiled trace with zero allocation. It
-// implements Source (Next/Reset), so sim.System drives it exactly like a
-// live Generator, and BatchReader, so the batched step pipeline decodes a
-// chunk's worth of accesses at a time. Next panics past the end of the
-// trace (the length is known up front via Len); ReadBatch returns a short
-// count instead.
+// CompiledReplayer re-plays a compiled trace with zero allocation, one
+// access per Next; it implements Source (Next/Reset). Next panics past the
+// end of the trace (the length is known up front via Len).
 type CompiledReplayer struct {
 	t        *Compiled
 	pos      int    // byte position in t.data
@@ -355,8 +339,11 @@ func (p *CompiledReplayer) Reset() {
 	p.prevPC, p.prevAddr = 0, 0
 }
 
-// decode returns the next access; the caller has checked Remaining.
-func (p *CompiledReplayer) decode() Access {
+// Next implements Stream; it panics past the end of the trace.
+func (p *CompiledReplayer) Next() Access {
+	if p.consumed >= p.t.count {
+		panic(fmt.Sprintf("trace: compiled replay past end (%d accesses)", p.t.count))
+	}
 	tag, a, b, next := readGroup(p.t.data, p.pos)
 	p.pos = next
 	if p.left == 0 {
@@ -371,60 +358,4 @@ func (p *CompiledReplayer) decode() Access {
 	}
 	p.consumed++
 	return Access{PC: memsys.Addr(p.prevPC), Addr: memsys.Addr(p.prevAddr), Write: tag&0x80 != 0}
-}
-
-// Next implements Stream; it panics past the end of the trace.
-func (p *CompiledReplayer) Next() Access {
-	if p.consumed >= p.t.count {
-		panic(fmt.Sprintf("trace: compiled replay past end (%d accesses)", p.t.count))
-	}
-	return p.decode()
-}
-
-// ReadBatch decodes up to len(dst) accesses into dst and returns how many
-// it wrote — short only at end of trace. It allocates nothing; the batched
-// step pipeline reuses one dst per core. The loop keeps the decode state in
-// locals and reads each record with the tag byte plus two masked unaligned
-// loads — no per-byte length discovery — so a batch decode costs a
-// fraction of a live Generator.Next per access.
-func (p *CompiledReplayer) ReadBatch(dst []Access) int {
-	n := len(dst)
-	if r := p.Remaining(); uint64(n) > r {
-		n = int(r)
-	}
-	data := p.t.data
-	pos, left, chunk := p.pos, p.left, p.chunk
-	prevPC, prevAddr := p.prevPC, p.prevAddr
-	for i := 0; i < n; i++ {
-		var tag byte
-		var a, b uint64
-		if len(data)-pos >= 17 {
-			// A maximal record is 17 bytes (tag + 8 + 8), so both 8-byte
-			// loads below stay in bounds; shorter final records fall
-			// through to the byte-by-byte reader.
-			tag = data[pos]
-			la := int(tag>>3&7) + 1
-			lb := int(tag&7) + 1
-			a = binary.LittleEndian.Uint64(data[pos+1:]) & lenMask[la]
-			b = binary.LittleEndian.Uint64(data[pos+1+la:]) & lenMask[lb]
-			pos += 1 + la + lb
-		} else {
-			tag, a, b, pos = readGroup(data, pos)
-		}
-		if left == 0 {
-			// Sync point: absolute record opens the chunk.
-			prevPC, prevAddr = int64(a), int64(b)
-			left = p.t.chunkRecords(chunk) - 1
-			chunk++
-		} else {
-			prevPC += unzigzag(a)
-			prevAddr += unzigzag(b)
-			left--
-		}
-		dst[i] = Access{PC: memsys.Addr(prevPC), Addr: memsys.Addr(prevAddr), Write: tag&0x80 != 0}
-	}
-	p.pos, p.left, p.chunk = pos, left, chunk
-	p.prevPC, p.prevAddr = prevPC, prevAddr
-	p.consumed += uint64(n)
-	return n
 }

@@ -71,42 +71,6 @@ func TestCompiledReplayerReset(t *testing.T) {
 	}
 }
 
-// TestCompiledReadBatch pins batch decode against per-access decode,
-// including batch sizes that straddle chunk boundaries and the short final
-// batch.
-func TestCompiledReadBatch(t *testing.T) {
-	const n, chunkLen = 5000, 512
-	ct, err := Compile(NewGenerator(compileParams(), 3, 2), n, chunkLen, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := ct.Replayer()
-	for _, batch := range []int{1, 7, 512, 700, 4096} {
-		ref.Reset()
-		p := ct.Replayer()
-		dst := make([]Access, batch)
-		total := 0
-		for {
-			k := p.ReadBatch(dst)
-			if k == 0 {
-				break
-			}
-			for i := 0; i < k; i++ {
-				if want := ref.Next(); dst[i] != want {
-					t.Fatalf("batch=%d access %d: got %+v want %+v", batch, total+i, dst[i], want)
-				}
-			}
-			total += k
-			if k < batch {
-				break
-			}
-		}
-		if total != n {
-			t.Fatalf("batch=%d decoded %d accesses, want %d", batch, total, n)
-		}
-	}
-}
-
 // TestCompiledWriteReadFile pins the on-disk PVA2 round trip: serialize,
 // reparse, and compare every access plus the header fields.
 func TestCompiledWriteReadFile(t *testing.T) {

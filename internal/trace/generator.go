@@ -291,15 +291,6 @@ func (g *Generator) refillPatternEpisode(e *episode) {
 	*e = episode{pc: pcAddr(pcIdx), base: base, order: order, first: true, shared: shared}
 }
 
-// ReadBatch implements BatchReader by drawing len(dst) accesses; a
-// generator never runs dry, so the count is always len(dst).
-func (g *Generator) ReadBatch(dst []Access) int {
-	for i := range dst {
-		dst[i] = g.Next()
-	}
-	return len(dst)
-}
-
 // Next returns the next access of this core's stream.
 func (g *Generator) Next() Access {
 	g.Emitted++

@@ -1,22 +1,10 @@
 package trace
 
 // Stream is anything that produces an access sequence; Generator, Phased
-// and CompiledReplayer all implement it, so consumers can run on live or
-// compiled traces interchangeably.
+// and CompiledReplayer all implement it. The simulator drives live
+// generators; a CompiledReplayer replays a PVA2 file written by pvtrace.
 type Stream interface {
 	Next() Access
-}
-
-// BatchReader is implemented by streams that can produce many accesses per
-// call. The batched step pipeline (sim.System) fills one reusable batch per
-// core through it, amortizing the per-access interface dispatch that a
-// Next-per-access loop pays; CompiledReplayer additionally amortizes its
-// chunk-decode state across the batch.
-type BatchReader interface {
-	// ReadBatch fills dst from the stream and returns how many accesses it
-	// wrote; a short count means the stream is exhausted. It must allocate
-	// nothing.
-	ReadBatch(dst []Access) int
 }
 
 // Summary aggregates trace statistics for inspection tools.
