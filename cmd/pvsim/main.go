@@ -13,7 +13,8 @@
 //
 // Flags (experiments):
 //
-//	-scale f    access-count multiplier (1.0 = default scale)
+//	-scale f    access-count multiplier (1.0 = default scale, 0 means 1.0;
+//	            NaN, infinite or negative values are rejected)
 //	-seed n     workload generator seed
 //	-format s   text | md | csv | json
 //	-o file     write output to file instead of stdout
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"pvsim/internal/experiments"
@@ -69,7 +71,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	fs := flag.NewFlagSet("pvsim", flag.ContinueOnError)
-	scale := fs.Float64("scale", 1.0, "access-count multiplier")
+	scale := scaleFlag(fs)
 	seed := fs.Uint64("seed", 42, "workload generator seed")
 	format := fs.String("format", "text", "output format: text|md|csv|json")
 	outFile := fs.String("o", "", "output file (default stdout)")
@@ -117,6 +119,23 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	})
+}
+
+// scaleFlag defines -scale on fs, defaulting to 1.0; parsing rejects
+// every value experiments.CheckScale does.
+func scaleFlag(fs *flag.FlagSet) *float64 {
+	scale := 1.0
+	fs.Func("scale", "access-count `multiplier`, 0 means 1.0 (default 1)", func(s string) error {
+		v, err := strconv.ParseFloat(s, 64)
+		if err == nil {
+			err = experiments.CheckScale(v)
+		}
+		if err == nil {
+			scale = v
+		}
+		return err
+	})
+	return &scale
 }
 
 // printList writes the list output: experiments, registered predictors,

@@ -55,6 +55,37 @@ func TestRunCSVFormat(t *testing.T) {
 	}
 }
 
+// TestScaleRejected pins -scale validation at flag parsing, for the
+// experiment runner and for sweeps: NaN, infinities and negative values
+// error before anything runs. Unchecked, NaN ran experiments at the
+// 1000-access floor and panicked a sweep's grid hash, and a negative
+// scale silently became a full-scale run.
+func TestScaleRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"experiment NaN", []string{"-scale", "NaN", "fig4"}},
+		{"experiment +Inf", []string{"-scale", "+Inf", "table3"}},
+		{"experiment -Inf", []string{"-scale", "-Inf", "table3"}},
+		{"experiment negative", []string{"-scale", "-1", "table3"}},
+		{"sweep NaN", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "NaN"}},
+		{"sweep +Inf", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "+Inf"}},
+		{"sweep negative", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "-1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(c.args, &out)
+			if err == nil || !strings.Contains(err.Error(), "-scale") {
+				t.Errorf("run(%q) = %v, want a -scale error", c.args, err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("run(%q) printed output:\n%s", c.args, out.String())
+			}
+		})
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{}, &out); err == nil {

@@ -24,7 +24,7 @@ func runSweep(args []string, stdout io.Writer) error {
 	phaseFlush := fs.Bool("phaseflush", false, "flush predictor state at phase edges of phased mixes")
 	pvcache := fs.String("pvcache", "", "comma-separated PVCache entry counts, applied to virtualized specs")
 	seeds := fs.String("seeds", "", "comma-separated workload seeds (default: 42; 0 is a real seed)")
-	scale := fs.Float64("scale", 1.0, "access-count multiplier")
+	scale := scaleFlag(fs)
 	timing := fs.Bool("timing", false, "enable the IPC model (adds IPC and speedup columns)")
 	cost := fs.Bool("cost", false, "enable the passive cycle-approximate cost model (adds Cycles/CPA/SpdProxy columns; perturbs nothing)")
 	gridFile := fs.String("grid", "", "JSON grid description file (overrides the grid flags)")

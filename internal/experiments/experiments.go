@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -161,6 +162,15 @@ func ConfigForMix(m workloads.Mix, scale float64, seed uint64) (sim.Config, erro
 	cfg.Cores = cores
 	applyScale(&cfg, scale, seed)
 	return cfg, nil
+}
+
+// CheckScale rejects a scale no run can use: NaN, an infinity or a
+// negative multiplier. 0 is valid and means 1.0.
+func CheckScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
+		return fmt.Errorf("scale %g: want a finite multiplier >= 0 (0 means 1.0)", scale)
+	}
+	return nil
 }
 
 // applyScale sets the seed and the scaled warmup/measure split shared by

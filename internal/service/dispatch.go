@@ -138,9 +138,8 @@ func (d *dispatcher) status() []WorkerStatus {
 
 // dispatch runs one shard on one worker: POST /shard, bounded by the
 // dispatch timeout, the partial checked against the coordinator's own
-// expansion — the range asked for, and every row's job index and config
-// hash (a worker answering the wrong rows is as dead as one answering
-// nothing).
+// expansion by sweep.CheckPartial (a worker answering the wrong rows is
+// as dead as one answering nothing).
 func (d *dispatcher) dispatch(ctx context.Context, w *shardWorker, g sweep.Grid, jobs []sweep.Job, sh sweep.Shard) (*sweep.Partial, error) {
 	body, err := json.Marshal(ShardRequest{Grid: g, Shard: sh})
 	if err != nil {
@@ -166,16 +165,8 @@ func (d *dispatcher) dispatch(ctx context.Context, w *shardWorker, g sweep.Grid,
 	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
 		return nil, fmt.Errorf("worker %s: decoding partial: %w", w.url, err)
 	}
-	if p.Start != sh.Start || p.End != sh.End || len(p.Rows) != sh.End-sh.Start {
-		return nil, fmt.Errorf("worker %s: answered range [%d,%d) with %d rows, asked [%d,%d)",
-			w.url, p.Start, p.End, len(p.Rows), sh.Start, sh.End)
-	}
-	for i, r := range p.Rows {
-		j := jobs[sh.Start+i]
-		if want := j.Config.Hash(); r.Job != j.Index || r.Config != want {
-			return nil, fmt.Errorf("worker %s: row %d is job %d config %s, want job %d config %s",
-				w.url, i, r.Job, r.Config, j.Index, want)
-		}
+	if err := sweep.CheckPartial(&p, jobs, sh); err != nil {
+		return nil, fmt.Errorf("worker %s: %w", w.url, err)
 	}
 	return &p, nil
 }

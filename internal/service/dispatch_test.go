@@ -329,7 +329,11 @@ func TestShardWorkerHandler(t *testing.T) {
 	}
 
 	g := smallGrid()
-	shards, err := g.Shards(1)
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := sweep.PlanShards(jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,6 +513,79 @@ func TestShardedInflightReleased(t *testing.T) {
 			t.Errorf("%d dispatches still counted in flight after cancellation", n)
 		}
 	})
+}
+
+// TestShardedCancel cancels a running sweep whose two shards are in
+// flight on two in-process shard workers. The per-sweep context is the
+// one cancellation path: the sweep must end cancelled with no result
+// stored or served, every worker's in-flight count must return to zero,
+// both workers stay healthy, and the coordinator must not fall back to
+// simulating anything itself.
+func TestShardedCancel(t *testing.T) {
+	arrived := make(chan struct{}, 2)
+	// hold lets a shard request reach the worker only once the coordinator
+	// has hung up on it, so both shards are in flight when the DELETE
+	// lands and the worker's run sees its cancelled request context.
+	hold := func(inner http.Handler) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard" {
+				// The server notices a client hang-up only once the body is read.
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				arrived <- struct{}{}
+				<-r.Context().Done()
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	ts0 := hold(NewShardWorker(sweep.Options{Parallel: 2}, nil))
+	ts1 := hold(NewShardWorker(sweep.Options{Parallel: 2}, nil))
+	svc, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 2}, DataDir: t.TempDir(), ShardWorkers: []string{ts0.URL, ts1.URL}})
+
+	_, run, _ := postGrid(t, ts, shardGrid(), "")
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of 2 shards reached a worker", i)
+		}
+	}
+	if n := inflight(svc.dispatcher); n != 2 {
+		t.Errorf("%d dispatches counted in flight while both shards are held, want 2", n)
+	}
+	req, _ := http.NewRequest("DELETE", ts.URL+"/sweeps/"+run.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel running: status %d, want 200", resp.StatusCode)
+	}
+	pollStatus(t, ts, run.ID, "cancelled")
+
+	if _, ok := svc.store.Get(run.ID); ok {
+		t.Error("cancelled sweep persisted a result to the disk store")
+	}
+	resp, err = http.Get(ts.URL + "/sweeps/" + run.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("cancelled result status %d, want 410", resp.StatusCode)
+	}
+	if n := inflight(svc.dispatcher); n != 0 {
+		t.Errorf("%d dispatches still counted in flight after cancellation", n)
+	}
+	if n := svc.dispatcher.healthy(); n != 2 {
+		t.Errorf("%d of 2 workers healthy after cancellation; a cancelled dispatch is not a dead worker", n)
+	}
+	if got := svc.Engine().RetainedSystems(); got != 0 {
+		t.Errorf("coordinator engine retains %d systems; a cancelled sweep must not fall back to local simulation", got)
+	}
 }
 
 // TestShardedWrongConfigRedispatch fronts a real worker with a proxy that

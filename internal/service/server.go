@@ -642,15 +642,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, snapshot)
 	case "running":
 		run.cancelRequested = true
+		// execute sets run.cancel with Status "running" and clears both
+		// together under s.mu, so a running sweep always has one.
 		cancel := run.cancel
 		snapshot := *run
 		s.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		// Belt and braces: the engine's own cancel-by-id registry reaches
-		// the run even if the handle above was already cleared.
-		s.engine.Cancel(id)
+		cancel()
 		writeJSON(w, http.StatusOK, snapshot)
 	default:
 		snapshot := *run

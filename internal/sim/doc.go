@@ -25,9 +25,9 @@
 // # Running
 //
 // Run builds a System and executes warmup, a statistics reset, and the
-// measured phase (windowed when Timing is on); RunSMARTS instead samples
-// detailed windows separated by functional fast-forward gaps (§4.1's
-// SMARTS-style methodology). The per-access path allocates nothing, and a
+// measured phase, split into Windows measurement windows when Timing is on
+// (one IPC sample per window, the matched-pair input of §4.1's
+// methodology). The per-access path allocates nothing, and a
 // System can be Reset in place and re-Run with bit-identical results —
 // the re-run path benchmarks and sweep drivers use to avoid rebuilding
 // multi-megabyte cache arrays per run.

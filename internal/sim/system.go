@@ -53,10 +53,6 @@ type System struct {
 	tm        *timing.Model
 	proxyLive []*pvcore.ProxyStats
 	prevProxy []pvcore.ProxyStats
-
-	// detail gates timing accounting; RunSMARTS turns it off during
-	// functional fast-forward gaps. Plain Run leaves it on throughout.
-	detail bool
 }
 
 // prefetchSink routes one core's predictions into the hierarchy and the
@@ -70,12 +66,9 @@ type prefetchSink struct {
 func (s prefetchSink) Prefetch(addr memsys.Addr, availableAt uint64) {
 	sys := s.sys
 	res, issued := sys.Hier.Prefetch(s.core, addr)
-	if !issued || !sys.cfg.Timing || !sys.detail {
-		// In-flight completion times matter only to detailed timing, and
-		// only detailed steps consume (and prune) the table. Inserting
-		// while detail is off — SMARTS functional fast-forward gaps — would
-		// grow the table without bound: the core clock is frozen there, so
-		// even pruning could never retire an entry.
+	if !issued || !sys.cfg.Timing {
+		// In-flight completion times matter only to timing runs, and only
+		// timing steps consume (and prune) the table.
 		return
 	}
 	now := sys.clock[s.core]
@@ -102,7 +95,6 @@ func NewSystem(cfg Config) *System {
 	n := hcfg.Cores
 	sys := &System{
 		cfg:       cfg,
-		detail:    true,
 		Hier:      memsys.New(hcfg),
 		gens:      make([]trace.Source, n),
 		preds:     make([]pv.Instance, n),
@@ -237,11 +229,6 @@ func (s *System) Core(c int) *cpu.Core { return s.cores[c] }
 // Clock returns core c's current cycle.
 func (s *System) Clock(c int) uint64 { return s.clock[c] }
 
-// SetDetail toggles detailed timing accounting (RunSMARTS uses it to
-// fast-forward functionally between samples). The cost fold is not
-// affected: it observes every step regardless of detail mode.
-func (s *System) SetDetail(on bool) { s.detail = on }
-
 // CostModel exposes the passive cost model (nil when cfg.Cost is
 // disabled); tests and live dashboards read it mid-run.
 func (s *System) CostModel() *timing.Model { return s.tm }
@@ -308,7 +295,7 @@ func (s *System) Step(c int) {
 	fres := s.Hier.Fetch(c, acc.PC)
 	res := s.Hier.Data(c, acc.Addr, acc.Write)
 
-	if s.cfg.Timing && s.detail {
+	if s.cfg.Timing {
 		var extra uint64
 		block := s.Hier.L1D(c).BlockAddr(acc.Addr)
 		if ready, ok := s.inflight[c].Delete(block); ok && ready > now {
@@ -332,10 +319,10 @@ func (s *System) Step(c int) {
 		// plus this core's PVProxy counter movement since its previous
 		// step (which also captures proxy work triggered from other cores'
 		// steps via eviction/invalidation hooks — it is this core's proxy).
-		// Unlike the IPC model it is not gated on s.detail: every step
+		// Unlike the IPC model it is not gated on cfg.Timing: every step
 		// computes its outcome either way, and folding them all keeps the
-		// fold exactly conserving against the proxy counters even under
-		// SMARTS fast-forward (internal/simtest pins the equality).
+		// fold exactly conserving against the proxy counters
+		// (internal/simtest pins the equality).
 		s.tm.OnAccess(c, fres.Level, res.Level)
 		// Most steps move no proxy counter; an unchanged snapshot folds a
 		// zero delta, so it is skipped.
@@ -418,5 +405,4 @@ func (s *System) Reset() {
 		s.tm.Reset()
 		s.resyncProxySnapshots()
 	}
-	s.detail = true
 }

@@ -112,8 +112,7 @@ func CheckCost(res *sim.Result) error {
 		}
 	}
 	// Cores step in lockstep (StepAll round-robins), so every core folds
-	// the same access count whatever the run shape (plain, windowed,
-	// SMARTS).
+	// the same access count whatever the run shape (plain or windowed).
 	for c := 1; c < len(res.Cost.Core); c++ {
 		if res.Cost.Core[c].Accesses != res.Cost.Core[0].Accesses {
 			return fmt.Errorf("cost core %d folded %d accesses, core 0 folded %d (cores step in lockstep)",

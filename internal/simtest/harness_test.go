@@ -112,31 +112,6 @@ func TestInvariantHarness(t *testing.T) {
 		len(results), len(pv.SpecNames()), len(workloads.Mixes()))
 }
 
-// TestInvariantHarnessSMARTS pins that a SMARTS sampled run's cost fold
-// conserves exactly too: the fold observes every step — fast-forward
-// included — so fold == proxy holds for sampling runs, and the folded
-// access count is the full plan length.
-func TestInvariantHarnessSMARTS(t *testing.T) {
-	w, err := workloads.ByName("Apache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := experiments.ConfigFor(w, harnessScale, 42)
-	cfg.Cost = timing.Config{Enabled: true}
-	cfg.Prefetch = sim.PV8
-	plan := sim.SMARTSConfig{Samples: 3, DetailWarm: 200, Measure: 100, FastForward: 400}
-	res := sim.RunSMARTS(cfg, plan)
-	if err := Check(&res); err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(plan.TotalAccesses()); res.Cost.Core[0].Accesses != want {
-		t.Errorf("SMARTS run folded %d accesses per core, plan executes %d", res.Cost.Core[0].Accesses, want)
-	}
-	if res.Cost.Totals().PVLookups == 0 {
-		t.Error("SMARTS cost fold saw no PV lookups; the conservation check is vacuous")
-	}
-}
-
 // expectedFoldedAccesses mirrors sim's Run loop: windows x perWindow
 // measured steps per core (Windows <= 0 means one window; a window is at
 // least one step).

@@ -15,10 +15,9 @@ import (
 // sweep server grow without bound.
 const DefaultMaxSystems = 8
 
-// DefaultMaxResults bounds the result cache when Options.MaxResults is
-// zero: results are kilobytes of statistics each, so a few thousand keep a
-// long-lived server's memory flat while still deduplicating configurations
-// across overlapping grids.
+// DefaultMaxResults bounds the result cache: results are kilobytes of
+// statistics each, so a few thousand keep a long-lived server's memory
+// flat while still deduplicating configurations across overlapping grids.
 const DefaultMaxResults = 4096
 
 // Options tune an Engine.
@@ -29,9 +28,6 @@ type Options struct {
 	// MaxSystems bounds the keyed system pool (config-signature LRU);
 	// 0 means DefaultMaxSystems, negative means unbounded.
 	MaxSystems int
-	// MaxResults bounds the cached-result map the same way; 0 means
-	// DefaultMaxResults, negative means unbounded.
-	MaxResults int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
 	// Sched, when non-nil, replaces the goroutine worker pool with a
@@ -120,17 +116,6 @@ func (r *Releaser) Result(g Grid) (*Result, error) {
 type Engine struct {
 	opts   Options
 	runner *experiments.Runner
-
-	// runMu guards running: grid-hash -> active run handles, so a service
-	// can cancel a sweep by its public id without holding the context that
-	// started it.
-	runMu   sync.Mutex
-	running map[string][]*runHandle
-}
-
-// runHandle is one in-flight Run's cancellation hook.
-type runHandle struct {
-	cancel context.CancelFunc
 }
 
 // New builds an engine.
@@ -142,55 +127,10 @@ func New(opts Options) *Engine {
 			Parallel:    opts.Parallel,
 			KeepSystems: true,
 			MaxSystems:  bound(opts.MaxSystems, DefaultMaxSystems),
-			MaxResults:  bound(opts.MaxResults, DefaultMaxResults),
+			MaxResults:  DefaultMaxResults,
 			Log:         opts.Log,
 		}),
-		running: map[string][]*runHandle{},
 	}
-}
-
-// track registers an in-flight run under the grid's hash so Cancel can
-// reach it; untrack removes exactly that registration (two concurrent runs
-// of the same grid each get their own handle).
-func (e *Engine) track(id string, cancel context.CancelFunc) *runHandle {
-	h := &runHandle{cancel: cancel}
-	e.runMu.Lock()
-	e.running[id] = append(e.running[id], h)
-	e.runMu.Unlock()
-	return h
-}
-
-func (e *Engine) untrack(id string, h *runHandle) {
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	hs := e.running[id]
-	for i, other := range hs {
-		if other == h {
-			hs = append(hs[:i], hs[i+1:]...)
-			break
-		}
-	}
-	if len(hs) == 0 {
-		delete(e.running, id)
-	} else {
-		e.running[id] = hs
-	}
-}
-
-// Cancel cancels every in-flight Run of the grid whose Hash is id and
-// reports whether any was running. It is the service layer's
-// DELETE /sweeps/{id} hook: the run observes the same context cancellation
-// an external caller could have triggered — dispatch stops, in-flight
-// simulations finish without publishing progress for undispatched jobs,
-// and Run returns context.Canceled.
-func (e *Engine) Cancel(id string) bool {
-	e.runMu.Lock()
-	hs := e.running[id]
-	e.runMu.Unlock()
-	for _, h := range hs {
-		h.cancel()
-	}
-	return len(hs) > 0
 }
 
 // bound maps the engine's option convention (0 = default, negative =

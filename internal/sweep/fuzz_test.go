@@ -102,86 +102,72 @@ func FuzzDecodeGrid(f *testing.F) {
 	})
 }
 
-// FuzzPartialMerge pins the shard protocol's merge against adversarial
-// partials — the bytes a coordinator decodes from a worker:
+// FuzzPartialMerge pins the coordinator's side of the shard protocol
+// against adversarial partials — the bytes it decodes from a worker for
+// one shard of its plan:
 //
-//  1. Decoding and MergePartials never panic, whatever bytes arrive.
-//  2. Anything MergePartials accepts tiles the grid exactly: the partials
-//     carry no foreign grid hash, their ranges cover every job once, the
-//     result carries one row per job in expansion order under the grid's
-//     hash, and each row is the one its partial sent for that slot.
+//  1. Decoding and CheckPartial never panic, whatever bytes arrive.
+//  2. Anything CheckPartial accepts goes into a release buffer over the
+//     shard's jobs without a panic, and the buffer releases exactly the
+//     shard's jobs, in expansion order, each the row the partial sent.
 func FuzzPartialMerge(f *testing.F) {
 	g := Grid{Specs: []string{"none", "PV-8"}, Workloads: []string{"Apache", "Qry1"}, Scale: testScale}
 	jobs, err := g.Jobs()
 	if err != nil {
 		f.Fatal(err)
 	}
-	hash := g.Hash()
+	shards, err := PlanShards(jobs, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
 	partial := func(start, end int) Partial {
-		p := Partial{Hash: hash, Start: start, End: end}
-		for i := start; i < end; i++ {
-			p.Rows = append(p.Rows, Row{Job: i, Workload: jobs[i].Scenario, Spec: jobs[i].SpecName})
+		p := Partial{Hash: g.Hash(), Start: start, End: end}
+		for _, j := range jobs[start:end] {
+			p.Rows = append(p.Rows, Row{Job: j.Index, Workload: j.Scenario, Spec: j.SpecName, Config: j.Config.Hash()})
 		}
 		return p
 	}
-	n := len(jobs)
-	foreign := partial(0, n)
-	foreign.Hash = "feedfacefeedface"
-	for _, parts := range [][]Partial{
-		{foreign},
-		{partial(0, n)},
-		{partial(0, n/2), partial(n/2, n)},
-		{partial(n/2, n), partial(0, n/2)},
-		{partial(0, 1), partial(1, n)},
-		{partial(0, n/2)},
-		{partial(0, n/2), partial(0, n/2), partial(n/2, n)},
-		{partial(0, n/2), partial(n/2-1, n)},
-		{},
-	} {
-		b, err := json.Marshal(parts)
-		if err != nil {
-			f.Fatal(err)
+	for k, sh := range shards {
+		honest := partial(sh.Start, sh.End)
+		short := partial(sh.Start, sh.End)
+		short.Rows = short.Rows[1:]
+		misnumbered := partial(sh.Start, sh.End)
+		misnumbered.Rows[0].Job++
+		foreign := partial(sh.Start, sh.End)
+		foreign.Rows[0].Config = "feedfacefeedface"
+		other := shards[1-k]
+		for _, p := range []Partial{honest, short, misnumbered, foreign, partial(other.Start, other.End)} {
+			b, err := json.Marshal(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b, uint8(k))
 		}
-		f.Add(b)
 	}
-	f.Add([]byte(`[{"start":0,"end":-1,"rows":[]}]`))
-	f.Add([]byte(`[null,{"start":2,"end":0}]`))
-	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"start":0,"end":-1,"rows":[]}`), uint8(0))
+	f.Add([]byte(`{"start":2,"end":0,"rows":[null]}`), uint8(1))
+	f.Add([]byte(`null`), uint8(0))
+	f.Add([]byte(`not json`), uint8(1))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var parts []Partial
-		if err := json.Unmarshal(data, &parts); err != nil {
+	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
+		sh := shards[int(pick)%len(shards)]
+		var p Partial
+		if err := json.Unmarshal(data, &p); err != nil {
 			return
 		}
-		res, err := g.MergePartials(parts)
-		if err != nil {
+		if err := CheckPartial(&p, jobs, sh); err != nil {
 			return // rejected is fine; rejecting by panic is not
 		}
-		if res.Hash != hash || res.Jobs != n || len(res.Rows) != n {
-			t.Fatalf("merge accepted: hash %s jobs %d rows %d, want %s %d %d", res.Hash, res.Jobs, len(res.Rows), hash, n, n)
+		var released []Row
+		rel := NewReleaser(sh.Start, sh.End-sh.Start, func(r Row) { released = append(released, r) })
+		rel.Put(p.Rows...)
+		if len(released) != sh.End-sh.Start {
+			t.Fatalf("accepted partial released %d rows, shard [%d,%d) has %d jobs", len(released), sh.Start, sh.End, sh.End-sh.Start)
 		}
-		for i, r := range res.Rows {
-			if r.Job != i {
-				t.Fatalf("merged row %d carries job %d", i, r.Job)
+		for i, r := range released {
+			if r.Job != sh.Start+i || r != p.Rows[i] {
+				t.Fatalf("released row %d carries job %d, want job %d as the partial sent it", i, r.Job, sh.Start+i)
 			}
-		}
-		covered := 0
-		for _, p := range parts {
-			if p.Hash != "" && p.Hash != hash {
-				t.Fatalf("merge accepted a partial for grid %s", p.Hash)
-			}
-			if p.Start < 0 || p.End > n || p.End-p.Start != len(p.Rows) {
-				t.Fatalf("merge accepted partial [%d,%d) with %d rows over %d jobs", p.Start, p.End, len(p.Rows), n)
-			}
-			for i, r := range p.Rows {
-				if res.Rows[p.Start+i] != r {
-					t.Fatalf("merged row %d differs from the one partial [%d,%d) sent", p.Start+i, p.Start, p.End)
-				}
-			}
-			covered += len(p.Rows)
-		}
-		if covered != n {
-			t.Fatalf("merge accepted partials covering %d rows of %d jobs", covered, n)
 		}
 	})
 }

@@ -144,8 +144,12 @@ const MaxJobs = 1 << 16
 
 // Validate checks the grid against the pv and workload registries so a
 // typo errors with the available names before any simulation starts, and
-// refuses a grid whose axes could expand to more than MaxJobs jobs.
+// refuses a grid whose axes could expand to more than MaxJobs jobs or
+// whose Scale is NaN, infinite or negative.
 func (g Grid) Validate() error {
+	if err := experiments.CheckScale(g.Scale); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
 	g = g.normalized()
 	if len(g.Specs) == 0 {
 		return fmt.Errorf("sweep: grid has no specs (try names from 'pvsim list', e.g. \"PV-8\")")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"pvsim/internal/sim"
@@ -44,20 +43,9 @@ type BaselineRef struct {
 }
 
 // Sims reports how many simulations the shard runs: its jobs plus its
-// baseline cells. Across a plan from Shards the sum is the grid's
+// baseline cells. Across a plan from PlanShards the sum is the grid's
 // TotalSims, since no baseline cell spans two shards.
 func (s Shard) Sims() int { return s.End - s.Start + len(s.Baselines) }
-
-// Shards plans a sharded run over the grid's jobs; see PlanShards. The
-// plan is a pure function of (grid, n) — coordinator and workers can both
-// derive it.
-func (g Grid) Shards(n int) ([]Shard, error) {
-	jobs, err := g.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	return PlanShards(jobs, n)
-}
 
 // PlanShards cuts expansion-ordered jobs into min(n, cells) contiguous
 // ranges, cutting only where no baseline cell has jobs on both sides, and
@@ -114,12 +102,13 @@ func PlanShards(jobs []Job, n int) ([]Shard, error) {
 }
 
 // Partial is one shard's result: the rows for its job range, in expansion
-// order. It is the shard protocol's wire format — a worker returns it,
-// MergePartials combines it — and its rows are exactly the rows an
-// unsharded run computes for the same indices, so merging is pure
-// concatenation. Row floats survive a JSON round trip bit-exactly (Go
-// emits the shortest representation that parses back to the same value),
-// so a Partial that crossed the wire merges byte-identically too.
+// order. It is the shard protocol's wire format — a worker returns it, the
+// coordinator checks it with CheckPartial and puts its rows into a
+// Releaser — and its rows are exactly the rows an unsharded run computes
+// for the same indices, so assembling is pure concatenation. Row floats
+// survive a JSON round trip bit-exactly (Go emits the shortest
+// representation that parses back to the same value), so a Partial that
+// crossed the wire assembles byte-identically too.
 type Partial struct {
 	Hash  string `json:"hash"`
 	Shard int    `json:"shard"`
@@ -128,43 +117,24 @@ type Partial struct {
 	Rows  []Row  `json:"rows"`
 }
 
-// MergePartials assembles a full Result from shard partials, in whatever
-// order they arrived. The partials must tile the grid's job range exactly
-// — a gap, an overlap, a foreign grid hash, or a row whose Job index
-// disagrees with its slot all error — and the merged Result is
-// byte-identical to an unsharded Run of the same grid.
-func (g Grid) MergePartials(parts []Partial) (*Result, error) {
-	jobs, err := g.Jobs()
-	if err != nil {
-		return nil, err
+// CheckPartial checks a partial answering shard sh of a plan over jobs
+// against the coordinator's own expansion: the range asked for, one row
+// per job, and every row's job index and config hash. A partial it
+// accepts can go into a Releaser spanning sh's jobs; one it rejects (a
+// worker answering the wrong rows) is as failed as no answer at all.
+func CheckPartial(p *Partial, jobs []Job, sh Shard) error {
+	if p.Start != sh.Start || p.End != sh.End || len(p.Rows) != sh.End-sh.Start {
+		return fmt.Errorf("sweep: partial answers range [%d,%d) with %d rows, asked [%d,%d)",
+			p.Start, p.End, len(p.Rows), sh.Start, sh.End)
 	}
-	hash := g.Hash()
-	sorted := append([]Partial(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	rows := make([]Row, 0, len(jobs))
-	next := 0
-	for _, p := range sorted {
-		if p.Hash != "" && p.Hash != hash {
-			return nil, fmt.Errorf("sweep: partial [%d,%d) is for grid %s, merging grid %s", p.Start, p.End, p.Hash, hash)
+	for i, r := range p.Rows {
+		j := jobs[sh.Start+i]
+		if want := j.Config.Hash(); r.Job != j.Index || r.Config != want {
+			return fmt.Errorf("sweep: partial row %d is job %d config %s, want job %d config %s",
+				i, r.Job, r.Config, j.Index, want)
 		}
-		if p.Start != next {
-			return nil, fmt.Errorf("sweep: partials do not tile: range [%d,%d) follows job %d (gap or overlap)", p.Start, p.End, next)
-		}
-		if p.End-p.Start != len(p.Rows) {
-			return nil, fmt.Errorf("sweep: partial [%d,%d) carries %d rows, want %d", p.Start, p.End, len(p.Rows), p.End-p.Start)
-		}
-		for i, r := range p.Rows {
-			if r.Job != p.Start+i {
-				return nil, fmt.Errorf("sweep: partial [%d,%d) row %d carries job %d, want %d", p.Start, p.End, i, r.Job, p.Start+i)
-			}
-		}
-		rows = append(rows, p.Rows...)
-		next = p.End
 	}
-	if next != len(jobs) {
-		return nil, fmt.Errorf("sweep: partials cover jobs [0,%d) of %d", next, len(jobs))
-	}
-	return g.result(rows), nil
+	return nil
 }
 
 // ErrShardRange reports a shard whose job range is empty or reaches
@@ -193,13 +163,6 @@ func (e *Engine) RunShard(ctx context.Context, g Grid, jobs []Job, sh Shard, pro
 		return nil, fmt.Errorf("%w: [%d,%d) of %d jobs", ErrShardRange, sh.Start, sh.End, len(jobs))
 	}
 	sub := jobs[sh.Start:sh.End]
-	hash := g.Hash()
-
-	// Register under the grid hash so Engine.Cancel(id) reaches this run.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	h := e.track(hash, cancel)
-	defer e.untrack(hash, h)
 
 	baseCfgs, baseIdx := g.baselineCells(sub)
 	total := len(baseCfgs) + len(sub)
@@ -247,5 +210,5 @@ func (e *Engine) RunShard(ctx context.Context, g Grid, jobs []Job, sh Shard, pro
 	if err := e.wave(ctx, jobCfgs, jobRes, note, reduce); err != nil {
 		return nil, err
 	}
-	return &Partial{Hash: hash, Shard: sh.Index, Start: sh.Start, End: sh.End, Rows: rel.rows}, nil
+	return &Partial{Hash: g.Hash(), Shard: sh.Index, Start: sh.Start, End: sh.End, Rows: rel.rows}, nil
 }

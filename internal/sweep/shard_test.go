@@ -38,23 +38,23 @@ func TestShardsPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 1; n <= cells+2; n++ {
-			shards, err := g.Shards(n)
+			shards, err := PlanShards(jobs, n)
 			if err != nil {
-				t.Fatalf("%s: Shards(%d): %v", name, n, err)
+				t.Fatalf("%s: PlanShards(%d): %v", name, n, err)
 			}
 			if want := min(n, cells); len(shards) != want {
-				t.Fatalf("%s: Shards(%d) planned %d shards, want %d", name, n, len(shards), want)
+				t.Fatalf("%s: PlanShards(%d) planned %d shards, want %d", name, n, len(shards), want)
 			}
 			owner := map[BaselineRef]int{}
 			next, sims := 0, 0
 			for i, sh := range shards {
 				if sh.Index != i || sh.Start != next || sh.End <= sh.Start {
-					t.Fatalf("%s: Shards(%d)[%d] = #%d [%d,%d), want #%d contiguous non-empty from %d", name, n, i, sh.Index, sh.Start, sh.End, i, next)
+					t.Fatalf("%s: PlanShards(%d)[%d] = #%d [%d,%d), want #%d contiguous non-empty from %d", name, n, i, sh.Index, sh.Start, sh.End, i, next)
 				}
 				own := cellsOf(jobs[sh.Start:sh.End])
 				for c := range own {
 					if prev, ok := owner[c]; ok {
-						t.Errorf("%s: Shards(%d): cell %+v in shards %d and %d", name, n, c, prev, i)
+						t.Errorf("%s: PlanShards(%d): cell %+v in shards %d and %d", name, n, c, prev, i)
 					}
 					owner[c] = i
 				}
@@ -64,29 +64,33 @@ func TestShardsPlan(t *testing.T) {
 					want++
 				}
 				if len(own) != want {
-					t.Errorf("%s: Shards(%d)[%d] holds %d cells, want %d", name, n, i, len(own), want)
+					t.Errorf("%s: PlanShards(%d)[%d] holds %d cells, want %d", name, n, i, len(own), want)
 				}
 				if len(sh.Baselines) != len(own) {
-					t.Errorf("%s: Shards(%d)[%d] lists %d baselines, range has %d cells", name, n, i, len(sh.Baselines), len(own))
+					t.Errorf("%s: PlanShards(%d)[%d] lists %d baselines, range has %d cells", name, n, i, len(sh.Baselines), len(own))
 				}
 				for _, b := range sh.Baselines {
 					if !own[b] {
-						t.Errorf("%s: Shards(%d)[%d] lists baseline %+v not in its range", name, n, i, b)
+						t.Errorf("%s: PlanShards(%d)[%d] lists baseline %+v not in its range", name, n, i, b)
 					}
 				}
 				sims += sh.Sims()
 				next = sh.End
 			}
 			if next != len(jobs) {
-				t.Fatalf("%s: Shards(%d) covers %d of %d jobs", name, n, next, len(jobs))
+				t.Fatalf("%s: PlanShards(%d) covers %d of %d jobs", name, n, next, len(jobs))
 			}
 			if sims != total {
-				t.Errorf("%s: Shards(%d) plans %d sims, TotalSims is %d", name, n, sims, total)
+				t.Errorf("%s: PlanShards(%d) plans %d sims, TotalSims is %d", name, n, sims, total)
 			}
 		}
 	}
-	if _, err := testGrid().Shards(0); err == nil {
-		t.Error("Shards(0) accepted, want error")
+	jobs, err := testGrid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PlanShards(jobs, 0); err == nil {
+		t.Error("PlanShards(0) accepted, want error")
 	}
 	if _, err := PlanShards(nil, 1); err == nil {
 		t.Error("PlanShards of no jobs accepted, want error")
@@ -98,33 +102,38 @@ func TestShardsPlan(t *testing.T) {
 // fall between their two runs, and every baseline still runs once.
 func TestShardsRepeatedCells(t *testing.T) {
 	g := Grid{Specs: []string{"none", "PV-8"}, Workloads: []string{"Apache", "Qry1"}, Seeds: []uint64{7, 42, 7, 9}, Scale: testScale}
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	total, err := g.TotalSims()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 4; n++ {
-		shards, err := g.Shards(n)
+		shards, err := PlanShards(jobs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Seeds 7, 42, 7 form one indivisible run; seed 9's two cells
 		// can each stand alone.
 		if want := min(n, 3); len(shards) != want {
-			t.Errorf("Shards(%d) planned %d shards, want %d", n, len(shards), want)
+			t.Errorf("PlanShards(%d) planned %d shards, want %d", n, len(shards), want)
 		}
 		sims := 0
 		for _, sh := range shards {
 			sims += sh.Sims()
 		}
 		if sims != total {
-			t.Errorf("Shards(%d) plans %d sims, TotalSims is %d", n, sims, total)
+			t.Errorf("PlanShards(%d) plans %d sims, TotalSims is %d", n, sims, total)
 		}
 	}
 }
 
 // TestShardedRunByteIdentical is the tentpole pin at the sweep layer:
 // an unsharded serial run, a 1-shard run, and an N-shard run (partials
-// merged out of order) must produce byte-identical Result JSON.
+// checked and put into one release buffer in reverse arrival order, the
+// coordinator's path) must produce byte-identical Result JSON.
 func TestShardedRunByteIdentical(t *testing.T) {
 	g := testGrid()
 	serial, err := New(Options{Parallel: 1}).Run(context.Background(), g, nil)
@@ -135,22 +144,30 @@ func TestShardedRunByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int{1, 3} {
 		e := New(Options{Parallel: 4})
-		shards, err := g.Shards(n)
+		shards, err := PlanShards(jobs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts := make([]Partial, len(shards))
+		parts := make([]*Partial, len(shards))
 		for i, sh := range shards {
-			p, err := e.RunShard(context.Background(), g, nil, sh, nil, nil)
-			if err != nil {
+			if parts[i], err = e.RunShard(context.Background(), g, nil, sh, nil, nil); err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
-			// Reverse arrival order: merging must not depend on it.
-			parts[len(shards)-1-i] = *p
 		}
-		merged, err := g.MergePartials(parts)
+		rel := NewReleaser(0, len(jobs), nil)
+		for i := len(shards) - 1; i >= 0; i-- {
+			if err := CheckPartial(parts[i], jobs, shards[i]); err != nil {
+				t.Fatalf("shard %d: %v", i, err)
+			}
+			rel.Put(parts[i].Rows...)
+		}
+		merged, err := rel.Result(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +186,11 @@ func TestShardedRunByteIdentical(t *testing.T) {
 // exactly at Shard.Sims().
 func TestRunShardProgress(t *testing.T) {
 	g := Grid{Specs: []string{"none", "16-11a"}, Workloads: []string{"Apache", "Qry1"}, Seeds: []uint64{42}, Scale: testScale}
-	shards, err := g.Shards(2)
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := PlanShards(jobs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,48 +212,53 @@ func TestRunShardProgress(t *testing.T) {
 	}
 }
 
-// TestMergePartialsValidation pins the merge's tiling checks: gaps,
-// overlaps, foreign hashes, short rows and misnumbered rows all error
-// instead of assembling a silently wrong result.
-func TestMergePartialsValidation(t *testing.T) {
-	// Two cells, so Shards(2) yields the two partials the gap and overlap
-	// cases need.
+// TestCheckPartial pins the coordinator's check of a worker's partial:
+// the honest answer passes, and a wrong range, short rows, a misnumbered
+// row or a foreign config hash each error instead of reaching the
+// release buffer.
+func TestCheckPartial(t *testing.T) {
+	// Two cells, so the plan has two shards and one can answer for the
+	// other.
 	g := Grid{Specs: []string{"none", "16-11a"}, Workloads: []string{"Apache", "Qry1"}, Seeds: []uint64{42}, Scale: testScale}
-	e := New(Options{Parallel: 2})
-	shards, err := g.Shards(2)
+	jobs, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	shards, err := PlanShards(jobs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 2 {
+		t.Fatalf("PlanShards(2) of a two-cell grid gave %d shards, want 2", len(shards))
+	}
+	e := New(Options{Parallel: 2})
 	var parts []Partial
 	for _, sh := range shards {
-		p, err := e.RunShard(context.Background(), g, nil, sh, nil, nil)
+		p, err := e.RunShard(context.Background(), g, jobs, sh, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, *p)
 	}
-	if len(parts) != 2 {
-		t.Fatalf("Shards(2) of a two-cell grid gave %d partials, want 2", len(parts))
-	}
-	if _, err := g.MergePartials(parts); err != nil {
-		t.Fatalf("valid partials rejected: %v", err)
-	}
-
-	corrupt := func(name string, mutate func([]Partial) []Partial) {
-		cp := make([]Partial, len(parts))
-		for i := range parts {
-			cp[i] = parts[i]
-			cp[i].Rows = append([]Row(nil), parts[i].Rows...)
+	for _, c := range []struct {
+		name   string
+		mutate func(p *Partial)
+		ok     bool
+	}{
+		{"honest", func(*Partial) {}, true},
+		{"wrong range", func(p *Partial) { *p = parts[1] }, false},
+		{"shifted range", func(p *Partial) { p.Start++ }, false},
+		{"short rows", func(p *Partial) { p.Rows = p.Rows[:len(p.Rows)-1] }, false},
+		{"misnumbered row", func(p *Partial) { p.Rows[0].Job = 99 }, false},
+		{"foreign config hash", func(p *Partial) { p.Rows[len(p.Rows)-1].Config = "feedfacefeedface" }, false},
+	} {
+		p := parts[0]
+		p.Rows = append([]Row(nil), p.Rows...)
+		c.mutate(&p)
+		if err := CheckPartial(&p, jobs, shards[0]); (err == nil) != c.ok {
+			t.Errorf("%s: CheckPartial = %v, want ok=%v", c.name, err, c.ok)
 		}
-		if _, err := g.MergePartials(mutate(cp)); err == nil {
-			t.Errorf("%s: merge accepted, want error", name)
-		}
 	}
-	corrupt("gap", func(ps []Partial) []Partial { return ps[:1] })
-	corrupt("overlap", func(ps []Partial) []Partial { return append(ps, ps[len(ps)-1]) })
-	corrupt("foreign hash", func(ps []Partial) []Partial { ps[0].Hash = "feedfacefeedface"; return ps })
-	corrupt("short rows", func(ps []Partial) []Partial { ps[0].Rows = ps[0].Rows[:0]; return ps })
-	corrupt("misnumbered row", func(ps []Partial) []Partial { ps[0].Rows[0].Job = 99; return ps })
 }
 
 // TestRunShardBadRange pins range validation: a shard outside the grid's

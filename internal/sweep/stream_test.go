@@ -108,51 +108,6 @@ func TestStreamRowEscaping(t *testing.T) {
 	}
 }
 
-// cancelOnFirstChoice is a Scheduler that cancels the engine's run — by
-// public id — at its first scheduling decision, then picks transitions
-// first-enabled-first. It makes Engine.Cancel deterministic to test: the
-// sequenced wave observes the cancellation at the next pickup.
-type cancelOnFirstChoice struct {
-	e      *Engine
-	id     string
-	called bool
-}
-
-func (c *cancelOnFirstChoice) Choose(n int, label func(i int) string) int {
-	if !c.called {
-		c.called = true
-		if !c.e.Cancel(c.id) {
-			panic("Cancel found no running sweep to cancel")
-		}
-	}
-	return 0
-}
-
-// TestEngineCancelByID pins cancel-by-id: cancelling a running sweep by
-// its grid hash aborts it with context.Canceled and publishes nothing,
-// and the id is untracked afterwards (a second Cancel reports no run).
-func TestEngineCancelByID(t *testing.T) {
-	g := Grid{Specs: []string{"none", "16-11a"}, Workloads: []string{"Apache"}, Seeds: []uint64{42}, Scale: testScale}
-	e := New(Options{Parallel: 2})
-	e.opts.Sched = &cancelOnFirstChoice{e: e, id: g.Hash()}
-	calls := 0
-	res, err := e.RunRows(context.Background(), g, func(done, total int) { calls++ }, nil)
-	if err != context.Canceled {
-		t.Fatalf("cancelled-by-id run returned %v, want context.Canceled", err)
-	}
-	if res != nil || calls != 0 {
-		t.Fatalf("cancelled-by-id run published: res=%v progress=%d", res, calls)
-	}
-	if e.Cancel(g.Hash()) {
-		t.Error("finished run still tracked: Cancel found a handle after RunRows returned")
-	}
-	// The engine stays usable: the same grid re-runs to completion.
-	e.opts.Sched = nil
-	if _, err := e.Run(context.Background(), g, nil); err != nil {
-		t.Fatalf("engine unusable after cancel-by-id: %v", err)
-	}
-}
-
 // TestRunRowsStreamsBeforeDone pins streaming on the one run body: at
 // Parallel 1 the baselines run first and row i reaches the sink right
 // after job i simulates, so the first row arrives long before progress

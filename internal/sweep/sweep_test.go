@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +85,9 @@ func TestGridValidate(t *testing.T) {
 		{Specs: []string{"PV-8"}, Mixes: []string{"no-such-mix"}},
 		{Specs: []string{"PV-8"}, Mixes: []string{"DB2@0+Apache"}},
 		{Specs: []string{"PV-8"}, Mixes: []string{""}},
+		{Specs: []string{"PV-8"}, Scale: math.NaN()},
+		{Specs: []string{"PV-8"}, Scale: math.Inf(1)},
+		{Specs: []string{"PV-8"}, Scale: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("grid %+v validated", bad)
