@@ -160,8 +160,9 @@ func sweepBenchGrid() sweep.Grid {
 	}
 }
 
-// BenchmarkSweepGridCold runs the grid on a fresh engine every iteration:
-// every system is rebuilt from scratch (the one-shot `pvsim sweep` cost).
+// BenchmarkSweepGridCold runs the grid on a fresh engine every iteration
+// (the one-shot `pvsim sweep` cost): the first simulation builds a system
+// from scratch, the later ones rebuild it around its cache arrays.
 func BenchmarkSweepGridCold(b *testing.B) {
 	g := sweepBenchGrid()
 	for i := 0; i < b.N; i++ {
@@ -176,9 +177,10 @@ func BenchmarkSweepGridCold(b *testing.B) {
 }
 
 // BenchmarkSweepGridPooled re-runs the grid on one engine, Reset between
-// iterations: results are recomputed but every system comes from the keyed
-// pool and is reset in place — the serve path's steady state, and the
-// allocation-free re-execution the acceptance bar measures.
+// iterations: results are recomputed and every system comes from the
+// pool. At Parallel 1 the pool keeps one system for the grid's one
+// geometry, so each simulation rebuilds around its cache arrays rather
+// than resetting in place.
 func BenchmarkSweepGridPooled(b *testing.B) {
 	g := sweepBenchGrid()
 	e := sweep.New(sweep.Options{Parallel: 1})

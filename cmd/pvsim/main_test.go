@@ -56,10 +56,11 @@ func TestRunCSVFormat(t *testing.T) {
 }
 
 // TestScaleRejected pins -scale validation at flag parsing, for the
-// experiment runner and for sweeps: NaN, infinities and negative values
-// error before anything runs. Unchecked, NaN ran experiments at the
-// 1000-access floor and panicked a sweep's grid hash, and a negative
-// scale silently became a full-scale run.
+// experiment runner and for sweeps: NaN, infinities, negative values and
+// scales whose access count overflows an int error before anything runs.
+// Unchecked, NaN ran experiments at the 1000-access floor and panicked a
+// sweep's grid hash, a negative scale silently became a full-scale run,
+// and 1e20 overflowed to the 1000-access floor.
 func TestScaleRejected(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -72,6 +73,10 @@ func TestScaleRejected(t *testing.T) {
 		{"sweep NaN", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "NaN"}},
 		{"sweep +Inf", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "+Inf"}},
 		{"sweep negative", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "-1"}},
+		{"experiment 1e20", []string{"-scale", "1e20", "table3"}},
+		{"experiment 1e300", []string{"-scale", "1e300", "table3"}},
+		{"sweep 1e20", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "1e20"}},
+		{"sweep 1e300", []string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", "1e300"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -16,8 +16,10 @@
 //
 // Runner.Run keys each sim.Config into a result cache, bounds concurrent
 // simulations with a semaphore, and — with Options.KeepSystems — retains
-// each configuration's built sim.System so a Reset runner re-executes by
-// resetting systems in place instead of rebuilding them. Reset forgets
-// cached results (forcing re-simulation) while keeping retained systems,
-// which makes repeated sweeps over one configuration set rebuild-free.
+// built sim.Systems in a pool keyed by hierarchy geometry, up to Parallel
+// per geometry. A run takes a retained system of its geometry: the one
+// that last ran the same configuration is reset in place, any other is
+// rebuilt around its hierarchy's cache arrays (sim.System.Rebuild), so a
+// cold sweep allocates cache arrays only for its first wave. Reset forgets
+// cached results (forcing re-simulation) while keeping retained systems.
 package experiments

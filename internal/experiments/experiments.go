@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"pvsim/internal/memsys"
 	"pvsim/internal/report"
 	"pvsim/internal/sim"
 	"pvsim/internal/workloads"
@@ -24,18 +25,21 @@ type Options struct {
 	Seed uint64
 	// Parallel caps concurrent simulations (0 = GOMAXPROCS).
 	Parallel int
-	// KeepSystems retains each configuration's built sim.System so that a
-	// Reset runner (or a repeated Run after Reset) re-executes by resetting
-	// the existing system in place instead of rebuilding it — the
-	// allocation-free re-run path benchmarks use. Off by default: retained
-	// systems hold their cache arrays (megabytes each), which a one-shot
-	// pvsim invocation has no reason to keep.
+	// KeepSystems retains built sim.Systems in a pool keyed by hierarchy
+	// geometry (memsys.Geometry: cores, the three cache shapes, L2 banks),
+	// up to Parallel systems per geometry. A run takes a retained system of
+	// its geometry: one that last ran the same configuration is Reset in
+	// place (the allocation-free re-run path benchmarks use), any other is
+	// rebuilt around its hierarchy (sim.System.Rebuild), which skips the
+	// cache arrays, the bulk of a build. Off by default: retained systems
+	// hold their cache arrays (megabytes each), which a one-shot pvsim
+	// invocation has no reason to keep.
 	KeepSystems bool
 	// MaxSystems bounds how many built systems a KeepSystems runner retains
-	// (each holds its cache arrays — megabytes). When the bound is exceeded
-	// the least-recently-used system is dropped, keyed by config signature.
-	// 0 means unbounded, which is fine for the fixed experiment set but not
-	// for an open-ended sweep server.
+	// in total, across geometries (each holds its cache arrays —
+	// megabytes). When the bound is exceeded the least-recently-used
+	// system is dropped. 0 means unbounded, which is fine for the fixed
+	// experiment set but not for an open-ended sweep server.
 	MaxSystems int
 	// MaxResults bounds the result cache the same way (results are small —
 	// kilobytes of statistics — but an open-ended server accumulates one
@@ -67,21 +71,23 @@ func (o Options) normalized() Options {
 type Runner struct {
 	opts Options
 
-	mu      sync.Mutex
-	cache   map[string]*cachedResult
-	systems map[string]*retainedSystem // retained built systems (KeepSystems)
-	useTick uint64                     // recency clock for LRU eviction
+	mu    sync.Mutex
+	cache map[string]*cachedResult
+	// systems is the KeepSystems pool: per geometry, the retained systems
+	// in release order, so each list's first entry is its least recently
+	// used.
+	systems map[memsys.Geometry][]*retainedSystem
+	useTick uint64 // recency clock for LRU eviction
 	sem     chan struct{}
 }
 
-// retainedSystem is one pooled system plus the recency stamp MaxSystems
-// eviction orders by.
+// retainedSystem is one pooled system, the signature of the config it
+// last ran, and the recency stamp MaxSystems eviction orders by.
 type retainedSystem struct {
 	sys     *sim.System
+	key     string
 	lastUse uint64
 }
-
-func (e *retainedSystem) use() uint64 { return e.lastUse }
 
 // cachedResult is one cached result plus the recency stamp MaxResults
 // eviction orders by.
@@ -90,24 +96,22 @@ type cachedResult struct {
 	lastUse uint64
 }
 
-func (e *cachedResult) use() uint64 { return e.lastUse }
-
-// evictOldest drops least-recently-used entries until m fits the bound
-// (max <= 0 means unbounded). Both runner caches — systems and results —
-// evict through it; the caller holds r.mu.
-func evictOldest[E interface{ use() uint64 }](m map[string]E, max int) {
+// evictOldestResults drops least-recently-used results until the cache
+// fits MaxResults (0 means unbounded); the caller holds r.mu.
+func (r *Runner) evictOldestResults() {
+	max := r.opts.MaxResults
 	if max <= 0 {
 		return
 	}
-	for len(m) > max {
+	for len(r.cache) > max {
 		oldestKey := ""
 		oldest := uint64(0)
-		for k, e := range m {
-			if oldestKey == "" || e.use() < oldest {
-				oldestKey, oldest = k, e.use()
+		for k, e := range r.cache {
+			if oldestKey == "" || e.lastUse < oldest {
+				oldestKey, oldest = k, e.lastUse
 			}
 		}
-		delete(m, oldestKey)
+		delete(r.cache, oldestKey)
 	}
 }
 
@@ -117,15 +121,15 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{
 		opts:    o,
 		cache:   make(map[string]*cachedResult),
-		systems: make(map[string]*retainedSystem),
+		systems: make(map[memsys.Geometry][]*retainedSystem),
 		sem:     make(chan struct{}, o.Parallel),
 	}
 }
 
 // Reset forgets every cached result, so subsequent Run calls re-simulate.
-// Systems retained under Options.KeepSystems survive and are reset in
-// place on their next use, making repeated sweeps over the same
-// configurations rebuild-free.
+// Systems retained under Options.KeepSystems survive: on their next use
+// they are reset in place for the configuration they last ran, or rebuilt
+// around their hierarchy for another of the same geometry.
 func (r *Runner) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -164,11 +168,16 @@ func ConfigForMix(m workloads.Mix, scale float64, seed uint64) (sim.Config, erro
 	return cfg, nil
 }
 
-// CheckScale rejects a scale no run can use: NaN, an infinity or a
-// negative multiplier. 0 is valid and means 1.0.
+// CheckScale rejects a scale no run can use: NaN, an infinity, a
+// negative multiplier, or one so large that the measured access count
+// (scale x sim.DefaultScale) does not fit in an int. 0 is valid and means
+// 1.0.
 func CheckScale(scale float64) error {
 	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
 		return fmt.Errorf("scale %g: want a finite multiplier >= 0 (0 means 1.0)", scale)
+	}
+	if float64(sim.DefaultScale)*scale >= math.MaxInt {
+		return fmt.Errorf("scale %g: %g measured accesses per core do not fit in an int", scale, float64(sim.DefaultScale)*scale)
 	}
 	return nil
 }
@@ -240,66 +249,134 @@ func (r *Runner) storeResult(key string, res sim.Result) {
 	r.mu.Lock()
 	r.useTick++
 	r.cache[key] = &cachedResult{res: res, lastUse: r.useTick}
-	evictOldest(r.cache, r.opts.MaxResults)
+	r.evictOldestResults()
 	r.mu.Unlock()
 }
 
-// AcquireSystem claims cfg's pooled system — the pool-take transition of
-// simulate. A claimed retained system is Reset in place; a pool miss (or a
-// runner without KeepSystems) builds fresh. Pair every call with
-// ReleaseSystem after the system's Run.
+// AcquireSystem claims a system for cfg — the pool-take transition of
+// simulate. A retained system of cfg's geometry is claimed, preferring one
+// that last ran cfg: that one is Reset in place, any other is rebuilt
+// around its hierarchy. A pool miss (or a runner without KeepSystems)
+// builds fresh. Pair every call with ReleaseSystem after the system's Run.
 func (r *Runner) AcquireSystem(cfg sim.Config) *sim.System {
 	return r.acquireSystem(cacheKey(cfg), cfg)
 }
 
 func (r *Runner) acquireSystem(key string, cfg sim.Config) *sim.System {
-	var sys *sim.System
+	var e *retainedSystem
 	if r.opts.KeepSystems {
 		r.mu.Lock()
-		if e := r.systems[key]; e != nil {
-			sys = e.sys
-			delete(r.systems, key) // claim: concurrent runs of the same key build fresh
-		}
+		e = r.takeSystem(key, cfg.Hier.Geometry())
 		r.mu.Unlock()
 	}
-	if sys == nil {
+	switch {
+	case e == nil:
 		return sim.NewSystem(cfg)
+	case e.key == key:
+		e.sys.Reset()
+		return e.sys
 	}
-	sys.Reset()
-	return sys
+	return e.sys.Rebuild(cfg)
+}
+
+// takeSystem removes and returns a retained system of geometry g — the
+// one that last ran key if there is one, else the least recently used —
+// or nil. The caller holds r.mu.
+func (r *Runner) takeSystem(key string, g memsys.Geometry) *retainedSystem {
+	list := r.systems[g]
+	if len(list) == 0 {
+		return nil
+	}
+	pick := 0
+	for i, e := range list {
+		if e.key == key {
+			pick = i
+			break
+		}
+	}
+	return r.dropSystem(g, pick)
+}
+
+// dropSystem removes and returns the i-th retained system of geometry g.
+// The caller holds r.mu.
+func (r *Runner) dropSystem(g memsys.Geometry, i int) *retainedSystem {
+	list := r.systems[g]
+	e := list[i]
+	if list = append(list[:i], list[i+1:]...); len(list) == 0 {
+		delete(r.systems, g)
+	} else {
+		r.systems[g] = list
+	}
+	return e
+}
+
+// retained counts the pooled systems across geometries. The caller holds
+// r.mu.
+func (r *Runner) retained() int {
+	n := 0
+	for _, list := range r.systems {
+		n += len(list)
+	}
+	return n
 }
 
 // ReleaseSystem returns a claimed system to the pool — the pool-put
-// transition of simulate, including the MaxSystems LRU eviction. Without
-// KeepSystems the system is simply dropped.
+// transition of simulate. A geometry keeps at most Parallel systems and
+// the pool at most MaxSystems; past either bound the least recently used
+// system is dropped. Without KeepSystems the system is simply dropped.
 func (r *Runner) ReleaseSystem(cfg sim.Config, sys *sim.System) {
-	r.releaseSystem(cacheKey(cfg), sys)
+	r.releaseSystem(cacheKey(cfg), cfg.Hier.Geometry(), sys)
 }
 
-func (r *Runner) releaseSystem(key string, sys *sim.System) {
+func (r *Runner) releaseSystem(key string, g memsys.Geometry, sys *sim.System) {
 	if !r.opts.KeepSystems {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.useTick++
-	r.systems[key] = &retainedSystem{sys: sys, lastUse: r.useTick}
-	evictOldest(r.systems, r.opts.MaxSystems)
-	r.mu.Unlock()
+	r.systems[g] = append(r.systems[g], &retainedSystem{sys: sys, key: key, lastUse: r.useTick})
+	if len(r.systems[g]) > r.opts.Parallel {
+		r.dropSystem(g, 0)
+	}
+	for max := r.opts.MaxSystems; max > 0 && r.retained() > max; {
+		var oldest memsys.Geometry
+		oldestUse := uint64(0)
+		for k, list := range r.systems {
+			if oldestUse == 0 || list[0].lastUse < oldestUse {
+				oldest, oldestUse = k, list[0].lastUse
+			}
+		}
+		r.dropSystem(oldest, 0)
+	}
 }
 
 // CheckPool verifies the system pool's structural invariants: occupancy
-// within the MaxSystems bound and no nil retained system. The sweep
-// schedule explorer asserts it after every explored schedule — including
-// cancelled ones — to prove scheduling can never corrupt the pool.
+// within the MaxSystems bound, at most Parallel systems per geometry, each
+// list in release order and filed under its own geometry, and no nil
+// retained system. The sweep schedule explorer asserts it after every
+// explored schedule — including cancelled ones — to prove scheduling can
+// never corrupt the pool.
 func (r *Runner) CheckPool() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if max := r.opts.MaxSystems; max > 0 && len(r.systems) > max {
-		return fmt.Errorf("experiments: system pool holds %d systems, bound is %d", len(r.systems), max)
+	if n, max := r.retained(), r.opts.MaxSystems; max > 0 && n > max {
+		return fmt.Errorf("experiments: system pool holds %d systems, bound is %d", n, max)
 	}
-	for key, e := range r.systems {
-		if e == nil || e.sys == nil {
-			return fmt.Errorf("experiments: system pool retains nil system under key %q", key)
+	for g, list := range r.systems {
+		if len(list) == 0 || len(list) > r.opts.Parallel {
+			return fmt.Errorf("experiments: system pool holds %d systems of one geometry, bound is %d", len(list), r.opts.Parallel)
+		}
+		for i, e := range list {
+			if e == nil || e.sys == nil {
+				return fmt.Errorf("experiments: system pool retains a nil system under geometry %+v", g)
+			}
+			if e.sys.Hier.Config().Geometry() != g {
+				return fmt.Errorf("experiments: system pool files a system under another geometry (%q)", e.key)
+			}
+			if i > 0 && e.lastUse <= list[i-1].lastUse {
+				return fmt.Errorf("experiments: system pool list out of release order (%q)", e.key)
+			}
 		}
 	}
 	return nil
@@ -326,28 +403,27 @@ func (r *Runner) CachedResults() int {
 	return len(r.cache)
 }
 
-// simulate executes cfg, reusing (and retaining) a built system for the key
-// when KeepSystems is on. A retained system is reset in place before the
-// run, which produces bit-identical results to a fresh build. When
-// MaxSystems bounds the pool, putting a system back evicts the
-// least-recently-used entry beyond the bound.
+// simulate executes cfg, reusing (and retaining) a built system of cfg's
+// geometry when KeepSystems is on. A reused system is reset or rebuilt
+// before the run, either of which produces bit-identical results to a
+// fresh build; putting it back evicts beyond the pool's bounds.
 func (r *Runner) simulate(key string, cfg sim.Config) sim.Result {
 	if !r.opts.KeepSystems {
 		return sim.Run(cfg)
 	}
 	sys := r.acquireSystem(key, cfg)
 	res := sys.Run()
-	r.releaseSystem(key, sys)
+	r.releaseSystem(key, cfg.Hier.Geometry(), sys)
 	return res
 }
 
 // RetainedSystems reports how many built systems the runner currently
-// retains (KeepSystems pool occupancy; tests assert the MaxSystems bound
-// through it).
+// retains across geometries (KeepSystems pool occupancy; tests assert the
+// MaxSystems bound through it).
 func (r *Runner) RetainedSystems() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.systems)
+	return r.retained()
 }
 
 // RunAll simulates configurations concurrently, preserving order.

@@ -101,6 +101,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Geometry is the part of a Config that sizes a Hierarchy's arrays: the
+// core count, the three cache shapes and the L2 bank count. A Hierarchy
+// built for one Config can Retarget to any other Config of the same
+// Geometry.
+type Geometry struct {
+	Cores        int
+	L1I, L1D, L2 CacheConfig
+	L2Banks      int
+}
+
+// Geometry returns the configuration's array-sizing fields.
+func (c Config) Geometry() Geometry {
+	return Geometry{Cores: c.Cores, L1I: c.L1I, L1D: c.L1D, L2: c.L2, L2Banks: c.L2Banks}
+}
+
 // CoreStats aggregates per-core L1 events.
 type CoreStats struct {
 	L1DReads        uint64
@@ -262,6 +277,25 @@ func (h *Hierarchy) Reset() {
 		h.bankFree[i] = 0
 	}
 	h.ResetStats()
+}
+
+// Retarget re-points the hierarchy at cfg, which must share its Geometry,
+// keeping the cache arrays: cfg's PVRanges, OnChipOnlyPV, latencies and
+// bank model take effect, every L1D eviction hook and the PV-drop hook are
+// dropped, and Reset empties the caches and zeroes the statistics. A
+// retargeted hierarchy behaves exactly like New(cfg). It panics on an
+// invalid cfg or a different geometry.
+func (h *Hierarchy) Retarget(cfg Config) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if g := cfg.Geometry(); g != h.cfg.Geometry() {
+		panic(fmt.Sprintf("hierarchy: retarget to geometry %+v from %+v", g, h.cfg.Geometry()))
+	}
+	h.cfg = cfg
+	clear(h.evictHooks)
+	h.pvDropHook = nil
+	h.Reset()
 }
 
 // L1D exposes a core's L1 data cache (tests and the prefetcher use it).

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -459,4 +460,98 @@ func TestInclusiveL2DirtyL1CopyGoesOffChip(t *testing.T) {
 	if h.Stats.OffChipWrites[ClassApp] != before+1 {
 		t.Errorf("dirty back-invalidated copy not written off-chip")
 	}
+}
+
+// driveMixed sends a seeded mix of every request kind through h and
+// returns each access's result.
+func driveMixed(h *Hierarchy, seed int64, n int) []Result {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Result, 0, n)
+	for i := 0; i < n; i++ {
+		h.Tick(uint64(i) * 3)
+		core := rng.Intn(h.cfg.Cores)
+		a := Addr(rng.Intn(1<<16)) << 6
+		if rng.Intn(4) == 0 {
+			a += 0xF0000000 // inside the PV range of retargetPVConfig
+		}
+		var r Result
+		switch rng.Intn(6) {
+		case 0:
+			r = h.Data(core, a, true)
+		case 1:
+			r = h.Fetch(core, a)
+		case 2:
+			r, _ = h.Prefetch(core, a)
+		case 3:
+			r = h.PVRead(a)
+		case 4:
+			r = h.PVWriteback(a)
+		default:
+			r = h.Data(core, a, false)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// retargetPVConfig is smallConfig with every per-run knob Retarget must
+// replace turned on: PV ranges, on-chip-only PV and bank contention.
+func retargetPVConfig() Config {
+	cfg := smallConfig()
+	cfg.PVRanges = []AddrRange{{Start: 0xF0000000, End: 0xF0400000}}
+	cfg.OnChipOnlyPV = true
+	cfg.ModelBankContention = true
+	cfg.PrioritizeAppOverPV = true
+	return cfg
+}
+
+// TestHierarchyRetargetMatchesNew pins Retarget: a used hierarchy
+// retargeted to another config of its geometry answers every request
+// exactly as New(cfg) does, and the old hooks never fire again.
+func TestHierarchyRetargetMatchesNew(t *testing.T) {
+	plain := smallConfig()
+	plain.MemLatency = 250
+	for _, c := range []struct {
+		name       string
+		prev, next Config
+	}{
+		{"pv-to-plain", retargetPVConfig(), plain},
+		{"plain-to-pv", plain, retargetPVConfig()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := New(c.prev)
+			stale := 0
+			for core := 0; core < c.prev.Cores; core++ {
+				h.SetL1DEvictHook(core, func(Addr, EvictCause) { stale++ })
+			}
+			h.SetPVDropHook(func(Addr) { stale++ })
+			driveMixed(h, 1, 4000)
+
+			h.Retarget(c.next)
+			stale = 0
+			got := driveMixed(h, 2, 4000)
+			want := New(c.next)
+			if w := driveMixed(want, 2, 4000); !reflect.DeepEqual(got, w) {
+				t.Fatal("retargeted hierarchy's results diverge from a fresh one")
+			}
+			if !reflect.DeepEqual(h.Stats, want.Stats) {
+				t.Fatalf("retargeted stats diverge:\n%+v\nvs fresh\n%+v", h.Stats, want.Stats)
+			}
+			if stale != 0 {
+				t.Errorf("hooks registered before Retarget fired %d times after it", stale)
+			}
+		})
+	}
+}
+
+func TestHierarchyRetargetRejectsOtherGeometry(t *testing.T) {
+	h := New(smallConfig())
+	other := smallConfig()
+	other.L2Banks = 4
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Retarget across geometries did not panic")
+		}
+	}()
+	h.Retarget(other)
 }

@@ -692,6 +692,10 @@ func TestServerErrors(t *testing.T) {
 	if code, _, _ := postGrid(t, ts, sweep.Grid{Specs: []string{"no-such-spec"}}, ""); code != http.StatusBadRequest {
 		t.Errorf("unknown spec: status %d, want 400", code)
 	}
+	// A scale whose access count overflows an int: 400, naming the scale.
+	if code, msg := postRaw(t, ts.URL+"/sweeps", `{"specs":["PV-8"],"workloads":["Apache"],"scale":1e20}`); code != http.StatusBadRequest || !strings.Contains(msg, "scale 1e+20") {
+		t.Errorf("overflowing scale: status %d (%q), want 400 naming the scale", code, msg)
+	}
 	// A field the grid format no longer has is an unknown field: 400,
 	// naming it.
 	if code, msg := postRaw(t, ts.URL+"/sweeps", `{"specs":["PV-8"],"core_parallel":true}`); code != http.StatusBadRequest || !strings.Contains(msg, "core_parallel") {

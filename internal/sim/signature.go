@@ -13,10 +13,10 @@ import (
 // Signature renders every behaviour-affecting field of the configuration
 // into one canonical string: two configs simulate identically if and only
 // if their signatures match. It is the key under which experiments.Runner
-// caches results and retains built systems, and the key the sweep engine's
-// system pool evicts by. Labels are family-owned and compress geometry;
-// the raw spec fields disambiguate families whose labels overlap and carry
-// the params map.
+// caches results, and its system pool resets a retained system in place
+// only for the signature that system last ran. Labels are family-owned and
+// compress geometry; the raw spec fields disambiguate families whose
+// labels overlap and carry the params map.
 func (c Config) Signature() string {
 	return fmt.Sprintf("%s|%s|pred=%s/%d/%dx%d/%d/%v|seed=%d|w=%d|m=%d|t=%v|win=%d|l2=%d/%d/%d|mem=%d|oco=%v|shared=%v|cores=%d|prio=%v|banks=%d",
 		c.Workload.Name, c.Prefetch.Label(),

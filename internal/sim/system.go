@@ -82,7 +82,18 @@ func (s prefetchSink) Prefetch(addr memsys.Addr, availableAt uint64) {
 
 // NewSystem builds and wires a system; it panics on invalid configuration
 // (configs come from code, not user input).
-func NewSystem(cfg Config) *System {
+func NewSystem(cfg Config) *System { return build(cfg, nil) }
+
+// Rebuild builds and wires cfg's system around s's hierarchy, retargeted
+// to cfg, instead of allocating new cache arrays: the result is
+// bit-identical to NewSystem(cfg). cfg must share s's hierarchy geometry
+// (memsys.Config.Geometry of Config.Hier); s must not be used afterwards.
+// The system pool (experiments.Runner) rebuilds retained systems this way.
+func (s *System) Rebuild(cfg Config) *System { return build(cfg, s.Hier) }
+
+// build wires cfg's system, building a hierarchy when hier is nil and
+// retargeting hier to cfg otherwise.
+func build(cfg Config, hier *memsys.Hierarchy) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -91,11 +102,16 @@ func NewSystem(cfg Config) *System {
 	hcfg.OnChipOnlyPV = cfg.Prefetch.OnChipOnly
 	// Bank arbitration needs a advancing clock; timing runs provide one.
 	hcfg.ModelBankContention = cfg.Timing && hcfg.L2Banks > 0
+	if hier == nil {
+		hier = memsys.New(hcfg)
+	} else {
+		hier.Retarget(hcfg)
+	}
 
 	n := hcfg.Cores
 	sys := &System{
 		cfg:       cfg,
-		Hier:      memsys.New(hcfg),
+		Hier:      hier,
 		gens:      make([]trace.Source, n),
 		preds:     make([]pv.Instance, n),
 		cores:     make([]*cpu.Core, n),

@@ -9,10 +9,11 @@ import (
 	"pvsim/internal/sim"
 )
 
-// DefaultMaxSystems bounds the keyed system pool when Options.MaxSystems is
-// zero: eight retained systems is roughly 100MB of cache arrays, enough to
-// keep a repeated small grid allocation-free without letting an open-ended
-// sweep server grow without bound.
+// DefaultMaxSystems bounds the system pool when Options.MaxSystems is
+// zero. The pool keeps at most Parallel systems per hierarchy geometry, so
+// the bound only binds on grids that mix geometries: eight retained
+// systems is roughly 100MB of cache arrays, which keeps an open-ended
+// sweep server from growing without bound.
 const DefaultMaxSystems = 8
 
 // DefaultMaxResults bounds the result cache: results are kilobytes of
@@ -25,8 +26,9 @@ type Options struct {
 	// Parallel caps concurrent simulations (0 = GOMAXPROCS). Output is
 	// byte-identical at every value.
 	Parallel int
-	// MaxSystems bounds the keyed system pool (config-signature LRU);
-	// 0 means DefaultMaxSystems, negative means unbounded.
+	// MaxSystems bounds the system pool (keyed by hierarchy geometry, at
+	// most Parallel systems per geometry, LRU across all); 0 means
+	// DefaultMaxSystems, negative means unbounded.
 	MaxSystems int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
@@ -110,9 +112,11 @@ func (r *Releaser) Result(g Grid) (*Result, error) {
 }
 
 // Engine runs sweeps. It is safe for concurrent use (the serve API runs
-// sweeps concurrently on one engine) and keeps its system pool across runs,
-// so re-running a grid after Reset re-executes by resetting retained
-// systems in place instead of rebuilding them.
+// sweeps concurrently on one engine) and keeps its system pool across runs
+// and sweeps. The pool is keyed by hierarchy geometry, so every job of a
+// grid — whatever its predictor — reuses a retained system's cache arrays:
+// a system that last ran the job's configuration is reset in place, any
+// other is rebuilt around its hierarchy.
 type Engine struct {
 	opts   Options
 	runner *experiments.Runner
@@ -146,8 +150,8 @@ func bound(v, def int) int {
 }
 
 // Reset forgets every cached result while keeping the pooled systems, so
-// the next Run of the same grid re-simulates rebuild-free (the benchmarked
-// pooled re-run path).
+// the next Run of the same grid re-simulates on retained systems (the
+// benchmarked pooled re-run path).
 func (e *Engine) Reset() { e.runner.Reset() }
 
 // RetainedSystems reports the system pool's occupancy (bounded by

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"pvsim/internal/sim"
 	"pvsim/pv"
 
 	_ "pvsim/pv/predictors" // register the built-in predictor families
@@ -88,6 +90,8 @@ func TestGridValidate(t *testing.T) {
 		{Specs: []string{"PV-8"}, Scale: math.NaN()},
 		{Specs: []string{"PV-8"}, Scale: math.Inf(1)},
 		{Specs: []string{"PV-8"}, Scale: -1},
+		{Specs: []string{"PV-8"}, Scale: 1e20},
+		{Specs: []string{"PV-8"}, Scale: 1e300},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("grid %+v validated", bad)
@@ -512,5 +516,63 @@ func TestSweepRerunIdentical(t *testing.T) {
 	b, _ := second.JSON()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("pooled re-run diverges:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestSweepPoolHitsColdSweep pins the geometry-keyed pool on the
+// benchmark's cold timing sweep: every job and baseline shares one
+// hierarchy geometry, so after the first wave a fresh engine rebuilds
+// retained systems around their cache arrays instead of allocating new
+// ones. The whole sweep must allocate less than half of what building
+// its systems fresh does, with the pool inside its bound.
+func TestSweepPoolHitsColdSweep(t *testing.T) {
+	g := Grid{
+		Specs:     []string{"1K-11a", "16-11a", "stride-1K"},
+		Workloads: []string{"Apache", "DB2", "Oracle", "Qry1"},
+		Seeds:     []uint64{42},
+		Scale:     testScale,
+		Timing:    true,
+	}
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, _ := g.baselineCells(jobs)
+	for _, j := range jobs {
+		cfgs = append(cfgs, j.Config)
+	}
+	if len(cfgs) != 16 {
+		t.Fatalf("grid runs %d simulations, want 16", len(cfgs))
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	buildAll := func() {
+		for _, cfg := range cfgs {
+			sim.NewSystem(cfg)
+		}
+	}
+	buildAll() // the first builds also fill the shared Zipf tables
+	fresh := allocated(buildAll)
+
+	e := New(Options{Parallel: 2, MaxSystems: DefaultMaxSystems})
+	swept := allocated(func() {
+		if _, err := e.Run(context.Background(), g, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("16 fresh builds allocate %d KB; the cold sweep %d KB", fresh>>10, swept>>10)
+	if swept*2 >= fresh {
+		t.Errorf("cold sweep allocated %d KB, want under half of 16 fresh builds' %d KB", swept>>10, fresh>>10)
+	}
+	if n := e.RetainedSystems(); n > DefaultMaxSystems {
+		t.Errorf("pool retains %d systems, bound is %d", n, DefaultMaxSystems)
+	}
+	if err := e.CheckPool(); err != nil {
+		t.Error(err)
 	}
 }

@@ -4,19 +4,39 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Zipf samples ranks 0..N-1 with probability proportional to 1/(rank+1)^S.
 // Commercial-workload locality (hot database pages, hot code paths) is
 // conventionally modeled as Zipf-distributed reuse; the exponent controls
 // how concentrated the working set is.
+//
+// A Zipf is immutable once built, so one table serves every generator in
+// the process: NewZipf hands out a shared instance per (n, s), and Sample
+// is safe for concurrent use.
 type Zipf struct {
 	n   int
 	cdf []float64
 }
 
-// NewZipf precomputes the CDF for n items with exponent s (s = 0 degrades
-// to uniform). It panics for n <= 0 or negative s.
+// zipfKey identifies one table: the rank count and the exponent's bits (a
+// float64 key would never match itself for NaN).
+type zipfKey struct {
+	n int
+	s uint64
+}
+
+// zipfTables memoises NewZipf: zipfKey -> *Zipf. It grows by one table per
+// distinct (n, s) and never shrinks. Workload and branch-stream parameters
+// come from code, not from requests, so the set is finite — a few dozen
+// tables of at most a few hundred kilobytes each.
+var zipfTables sync.Map
+
+// NewZipf returns the CDF table for n items with exponent s (s = 0
+// degrades to uniform). Every call with the same (n, s) returns the same
+// shared, immutable table; the first call builds it. It panics for n <= 0
+// or negative s.
 func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic(fmt.Sprintf("trace: Zipf over %d items", n))
@@ -24,6 +44,18 @@ func NewZipf(n int, s float64) *Zipf {
 	if s < 0 {
 		panic(fmt.Sprintf("trace: negative Zipf exponent %v", s))
 	}
+	k := zipfKey{n: n, s: math.Float64bits(s)}
+	if z, ok := zipfTables.Load(k); ok {
+		return z.(*Zipf)
+	}
+	// Concurrent first calls may each build a table; LoadOrStore keeps
+	// one, and every caller gets that one.
+	z, _ := zipfTables.LoadOrStore(k, buildZipf(n, s))
+	return z.(*Zipf)
+}
+
+// buildZipf computes the CDF for n items with exponent s.
+func buildZipf(n int, s float64) *Zipf {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
