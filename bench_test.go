@@ -129,11 +129,11 @@ func BenchmarkSystemReset(b *testing.B) {
 }
 
 // BenchmarkRunnerRerun measures a full experiments.Runner re-run of one
-// configuration with KeepSystems: after the first iteration every Run is a
-// Reset of the retained system, not a rebuild.
+// configuration: every runner pools its systems, so after the first
+// iteration every Run is a Reset of the retained system, not a rebuild.
 func BenchmarkRunnerRerun(b *testing.B) {
 	w, _ := workloads.ByName("Apache")
-	r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 42, KeepSystems: true})
+	r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 42})
 	for i := 0; i < b.N; i++ {
 		r.Reset()
 		cfg := sim.Default(w)

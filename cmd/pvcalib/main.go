@@ -35,8 +35,8 @@ func main() {
 // calibrate runs the dashboard's simulation matrix and renders the table;
 // main is a flag-parsing shell around it so the smoke test can drive the
 // whole command in-process. Every simulation goes through one
-// experiments.Runner, which bounds parallelism; each distinct config runs
-// once.
+// experiments.Runner, which bounds parallelism, pools systems and runs
+// each distinct config once, however often the list repeats it.
 func calibrate(scale float64, seed uint64, out io.Writer) error {
 	if err := experiments.CheckScale(scale); err != nil {
 		return err

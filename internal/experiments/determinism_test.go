@@ -13,35 +13,28 @@ const determinismScale = 0.0025
 
 // TestRunnerDeterminism is the guard the hot-path buffer reuse is built
 // under: two independent runners with the same seed must render the same
-// report text, and a KeepSystems runner re-running after Reset — which
-// reuses every retained sim.System in place — must render it a third time,
-// byte for byte.
+// report text, and a runner re-running after Reset — which reuses every
+// retained sim.System in place — must render it a third time, byte for
+// byte. That a pooled system matches a fresh build is pinned by the golden
+// digests below (captured on fresh builds, now run on the pool) and by
+// sim's TestRebuildBitIdentical and TestSystemResetBitIdentical.
 func TestRunnerDeterminism(t *testing.T) {
 	e, err := ByID("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run := func(opts Options) string {
-		return e.Run(NewRunner(opts)).Text()
-	}
-
 	opts := Options{Scale: determinismScale, Seed: 42}
-	a := run(opts)
-	b := run(opts)
+	r := NewRunner(opts)
+	a := e.Run(r).Text()
+	b := e.Run(NewRunner(opts)).Text()
 	if a != b {
-		t.Fatalf("two fresh runners with the same seed diverge:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+		t.Fatalf("two runners with the same seed diverge:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
-
-	keep := NewRunner(Options{Scale: determinismScale, Seed: 42, KeepSystems: true})
-	c := e.Run(keep).Text()
+	r.Reset()
+	c := e.Run(r).Text()
 	if a != c {
-		t.Fatalf("KeepSystems first pass diverges from plain runner:\n--- plain ---\n%s\n--- keep ---\n%s", a, c)
-	}
-	keep.Reset()
-	d := e.Run(keep).Text()
-	if a != d {
-		t.Fatalf("KeepSystems re-run after Reset diverges (system reuse is not bit-identical):\n--- first ---\n%s\n--- rerun ---\n%s", a, d)
+		t.Fatalf("re-run after Reset diverges (system reuse is not bit-identical):\n--- first ---\n%s\n--- rerun ---\n%s", a, c)
 	}
 }
 

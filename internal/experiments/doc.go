@@ -14,12 +14,15 @@
 //
 // # Runner
 //
-// Runner.Run keys each sim.Config into a result cache, bounds concurrent
-// simulations with a semaphore, and — with Options.KeepSystems — retains
-// built sim.Systems in a pool keyed by hierarchy geometry, up to Parallel
-// per geometry. A run takes a retained system of its geometry: the one
-// that last ran the same configuration is reset in place, any other is
-// rebuilt around its hierarchy's cache arrays (sim.System.Rebuild), so a
-// cold sweep allocates cache arrays only for its first wave. Reset forgets
-// cached results (forcing re-simulation) while keeping retained systems.
+// Runner.Run keys each sim.Config by its signature into a result cache,
+// bounds concurrent simulations with a semaphore, and simulates each
+// signature at most once at a time: a Run whose configuration another
+// caller is simulating waits for that result, without taking a slot. Every
+// runner retains built sim.Systems in a pool keyed by hierarchy geometry,
+// up to Parallel per geometry and MaxSystems in total. A run takes a
+// retained system of its geometry: the one that last ran the same
+// configuration is reset in place, any other is rebuilt around its
+// hierarchy's cache arrays (sim.System.Rebuild), so a run allocates cache
+// arrays only for its first wave. Reset forgets cached results (forcing
+// re-simulation) while keeping retained systems.
 package experiments

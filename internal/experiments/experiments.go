@@ -25,21 +25,12 @@ type Options struct {
 	Seed uint64
 	// Parallel caps concurrent simulations (0 = GOMAXPROCS).
 	Parallel int
-	// KeepSystems retains built sim.Systems in a pool keyed by hierarchy
-	// geometry (memsys.Geometry: cores, the three cache shapes, L2 banks),
-	// up to Parallel systems per geometry. A run takes a retained system of
-	// its geometry: one that last ran the same configuration is Reset in
-	// place (the allocation-free re-run path benchmarks use), any other is
-	// rebuilt around its hierarchy (sim.System.Rebuild), which skips the
-	// cache arrays, the bulk of a build. Off by default: retained systems
-	// hold their cache arrays (megabytes each), which a one-shot pvsim
-	// invocation has no reason to keep.
-	KeepSystems bool
-	// MaxSystems bounds how many built systems a KeepSystems runner retains
-	// in total, across geometries (each holds its cache arrays —
-	// megabytes). When the bound is exceeded the least-recently-used
-	// system is dropped. 0 means unbounded, which is fine for the fixed
-	// experiment set but not for an open-ended sweep server.
+	// MaxSystems bounds how many built systems the runner retains in
+	// total, across geometries (each holds its cache arrays — megabytes).
+	// The pool keeps at most Parallel systems per hierarchy geometry, so
+	// this bound binds only on runs that mix geometries; past it the
+	// least-recently-used system is dropped. 0 means DefaultMaxSystems,
+	// negative means unbounded.
 	MaxSystems int
 	// MaxResults bounds the result cache the same way (results are small —
 	// kilobytes of statistics — but an open-ended server accumulates one
@@ -48,6 +39,11 @@ type Options struct {
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
 }
+
+// DefaultMaxSystems bounds the system pool when Options.MaxSystems is
+// zero: enough for a few geometries at Parallel systems each, while an
+// open-ended sweep server that touches many geometries stays flat.
+const DefaultMaxSystems = 8
 
 // DefaultOptions runs at full scale with quiet logging.
 func DefaultOptions() Options {
@@ -61,20 +57,29 @@ func (o Options) normalized() Options {
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
+	if o.MaxSystems == 0 {
+		o.MaxSystems = DefaultMaxSystems
+	}
 	if o.Log == nil {
 		o.Log = func(string, ...interface{}) {}
 	}
 	return o
 }
 
-// Runner executes simulations with caching and bounded parallelism.
+// Runner executes simulations with caching and bounded parallelism. It
+// simulates each signature at most once at a time: a Run whose
+// configuration is already simulating waits for that result instead of
+// simulating it again.
 type Runner struct {
 	opts Options
 
 	mu    sync.Mutex
 	cache map[string]*cachedResult
-	// systems is the KeepSystems pool: per geometry, the retained systems
-	// in release order, so each list's first entry is its least recently
+	// inflight maps each signature being simulated to the Twin its
+	// concurrent callers wait on; StoreResult resolves and removes it.
+	inflight map[string]*Twin
+	// systems is the system pool: per geometry, the retained systems in
+	// release order, so each list's first entry is its least recently
 	// used.
 	systems map[memsys.Geometry][]*retainedSystem
 	useTick uint64 // recency clock for LRU eviction
@@ -88,6 +93,20 @@ type retainedSystem struct {
 	key     string
 	lastUse uint64
 }
+
+// Twin is a simulation in flight: the claim of the first caller that
+// missed the result cache for a signature. Later callers of the same
+// signature wait on it rather than simulate again.
+type Twin struct {
+	done chan struct{}
+	res  sim.Result
+}
+
+// Done is closed once the twin's result is stored.
+func (t *Twin) Done() <-chan struct{} { return t.done }
+
+// Result is the twin's result; it is valid once Done is closed.
+func (t *Twin) Result() sim.Result { return t.res }
 
 // cachedResult is one cached result plus the recency stamp MaxResults
 // eviction orders by.
@@ -119,17 +138,18 @@ func (r *Runner) evictOldestResults() {
 func NewRunner(opts Options) *Runner {
 	o := opts.normalized()
 	return &Runner{
-		opts:    o,
-		cache:   make(map[string]*cachedResult),
-		systems: make(map[memsys.Geometry][]*retainedSystem),
-		sem:     make(chan struct{}, o.Parallel),
+		opts:     o,
+		cache:    make(map[string]*cachedResult),
+		inflight: make(map[string]*Twin),
+		systems:  make(map[memsys.Geometry][]*retainedSystem),
+		sem:      make(chan struct{}, o.Parallel),
 	}
 }
 
 // Reset forgets every cached result, so subsequent Run calls re-simulate.
-// Systems retained under Options.KeepSystems survive: on their next use
-// they are reset in place for the configuration they last ran, or rebuilt
-// around their hierarchy for another of the same geometry.
+// Retained systems survive: on their next use they are reset in place for
+// the configuration they last ran, or rebuilt around their hierarchy for
+// another of the same geometry.
 func (r *Runner) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -210,65 +230,89 @@ func (r *Runner) timingConfig(w workloads.Workload) sim.Config {
 func cacheKey(cfg sim.Config) string { return cfg.Signature() }
 
 // Run simulates cfg, returning a cached result when an identical
-// configuration already ran.
+// configuration already ran and waiting for the result when one is
+// simulating. Only a caller that claims the signature takes one of the
+// Parallel slots, so a waiter never holds a slot its twin needs.
 func (r *Runner) Run(cfg sim.Config) sim.Result {
 	key := cacheKey(cfg)
-	if res, ok := r.cachedRun(key); ok {
+	res, twin, claimed := r.lookup(key)
+	switch {
+	case twin != nil:
+		<-twin.done
+		return twin.res
+	case !claimed:
 		return res
 	}
-
 	r.sem <- struct{}{}
-	defer func() { <-r.sem }()
-
-	// Double-check after acquiring a slot.
-	if res, ok := r.cachedRun(key); ok {
-		return res
-	}
-
-	r.opts.Log("run %s", key)
-	res := r.simulate(key, cfg)
+	res = r.simulate(key, cfg)
+	<-r.sem
 	r.storeResult(key, res)
 	return res
 }
 
-// CachedResult returns cfg's cached result, refreshing its recency on a
-// hit. Together with AcquireSystem/ReleaseSystem/StoreResult it decomposes
-// Run into its pool/cache transitions, so the sweep engine's sequenced
-// model-checking mode (internal/mc) drives exactly the code Run runs.
-func (r *Runner) CachedResult(cfg sim.Config) (sim.Result, bool) {
-	return r.cachedRun(cacheKey(cfg))
+// Lookup is Run's first transition. It returns cfg's cached result
+// (refreshing its recency), or the Twin already simulating cfg, or — when
+// there is neither — claims cfg for the caller (claimed is true). A caller
+// that claims must simulate cfg (AcquireSystem, the system's Run,
+// ReleaseSystem) and StoreResult it, which resolves the Twin every later
+// caller waits on. Together these transitions decompose Run, so the sweep
+// engine's sequenced model-checking mode (internal/mc) drives exactly the
+// code Run runs, the wait on a twin included.
+func (r *Runner) Lookup(cfg sim.Config) (res sim.Result, twin *Twin, claimed bool) {
+	return r.lookup(cacheKey(cfg))
+}
+
+func (r *Runner) lookup(key string) (sim.Result, *Twin, bool) {
+	r.mu.Lock()
+	if e, ok := r.cache[key]; ok {
+		r.useTick++
+		e.lastUse = r.useTick
+		r.mu.Unlock()
+		return e.res, nil, false
+	}
+	if t := r.inflight[key]; t != nil {
+		r.mu.Unlock()
+		return sim.Result{}, t, false
+	}
+	r.inflight[key] = &Twin{done: make(chan struct{})}
+	r.mu.Unlock()
+	r.opts.Log("run %s", key)
+	return sim.Result{}, nil, true
 }
 
 // StoreResult records cfg's finished result in the bounded result cache
-// (the step Run performs after simulating).
+// and hands it to the callers waiting on cfg's Twin (the step Run performs
+// after simulating).
 func (r *Runner) StoreResult(cfg sim.Config, res sim.Result) {
 	r.storeResult(cacheKey(cfg), res)
 }
 
 func (r *Runner) storeResult(key string, res sim.Result) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.useTick++
 	r.cache[key] = &cachedResult{res: res, lastUse: r.useTick}
 	r.evictOldestResults()
-	r.mu.Unlock()
+	if t := r.inflight[key]; t != nil {
+		t.res = res
+		delete(r.inflight, key)
+		close(t.done)
+	}
 }
 
 // AcquireSystem claims a system for cfg — the pool-take transition of
 // simulate. A retained system of cfg's geometry is claimed, preferring one
 // that last ran cfg: that one is Reset in place, any other is rebuilt
-// around its hierarchy. A pool miss (or a runner without KeepSystems)
-// builds fresh. Pair every call with ReleaseSystem after the system's Run.
+// around its hierarchy. A pool miss builds fresh. Pair every call with
+// ReleaseSystem after the system's Run.
 func (r *Runner) AcquireSystem(cfg sim.Config) *sim.System {
 	return r.acquireSystem(cacheKey(cfg), cfg)
 }
 
 func (r *Runner) acquireSystem(key string, cfg sim.Config) *sim.System {
-	var e *retainedSystem
-	if r.opts.KeepSystems {
-		r.mu.Lock()
-		e = r.takeSystem(key, cfg.Hier.Geometry())
-		r.mu.Unlock()
-	}
+	r.mu.Lock()
+	e := r.takeSystem(key, cfg.Hier.Geometry())
+	r.mu.Unlock()
 	switch {
 	case e == nil:
 		return sim.NewSystem(cfg)
@@ -323,15 +367,12 @@ func (r *Runner) retained() int {
 // ReleaseSystem returns a claimed system to the pool — the pool-put
 // transition of simulate. A geometry keeps at most Parallel systems and
 // the pool at most MaxSystems; past either bound the least recently used
-// system is dropped. Without KeepSystems the system is simply dropped.
+// system is dropped.
 func (r *Runner) ReleaseSystem(cfg sim.Config, sys *sim.System) {
 	r.releaseSystem(cacheKey(cfg), cfg.Hier.Geometry(), sys)
 }
 
 func (r *Runner) releaseSystem(key string, g memsys.Geometry, sys *sim.System) {
-	if !r.opts.KeepSystems {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.useTick++
@@ -382,19 +423,6 @@ func (r *Runner) CheckPool() error {
 	return nil
 }
 
-// cachedRun looks a result up, refreshing its recency on a hit.
-func (r *Runner) cachedRun(key string) (sim.Result, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.cache[key]
-	if !ok {
-		return sim.Result{}, false
-	}
-	r.useTick++
-	e.lastUse = r.useTick
-	return e.res, true
-}
-
 // CachedResults reports the result cache's occupancy (bounded by
 // MaxResults).
 func (r *Runner) CachedResults() int {
@@ -403,14 +431,10 @@ func (r *Runner) CachedResults() int {
 	return len(r.cache)
 }
 
-// simulate executes cfg, reusing (and retaining) a built system of cfg's
-// geometry when KeepSystems is on. A reused system is reset or rebuilt
-// before the run, either of which produces bit-identical results to a
-// fresh build; putting it back evicts beyond the pool's bounds.
+// simulate executes cfg on a pooled system of cfg's geometry — reset or
+// rebuilt before the run, either of which is bit-identical to a fresh
+// build — and puts it back, evicting beyond the pool's bounds.
 func (r *Runner) simulate(key string, cfg sim.Config) sim.Result {
-	if !r.opts.KeepSystems {
-		return sim.Run(cfg)
-	}
 	sys := r.acquireSystem(key, cfg)
 	res := sys.Run()
 	r.releaseSystem(key, cfg.Hier.Geometry(), sys)
@@ -418,8 +442,8 @@ func (r *Runner) simulate(key string, cfg sim.Config) sim.Result {
 }
 
 // RetainedSystems reports how many built systems the runner currently
-// retains across geometries (KeepSystems pool occupancy; tests assert the
-// MaxSystems bound through it).
+// retains across geometries (pool occupancy; tests assert the MaxSystems
+// bound through it).
 func (r *Runner) RetainedSystems() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

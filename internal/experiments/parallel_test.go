@@ -8,18 +8,18 @@ import (
 
 // TestParallelDeterminismFullSet is the scheduler stress test: the complete
 // experiment set rendered with Parallel=1 must be byte-identical to
-// Parallel=8. Experiments fan their configurations out through
-// Runner.RunAll, so this exercises the semaphore, the result cache's
-// double-check path and the KeepSystems claim/return dance under real
-// contention — and it runs under the CI -race job, where a scheduler race
-// fails loudly even when the bytes happen to match.
+// Parallel=8, and so must a second Parallel=8 pass after Reset, which runs
+// every configuration again on the systems the first pass retained.
+// Experiments fan their configurations out through Runner.RunAll, so this
+// exercises the semaphore, the in-flight wait and the pool's claim/return
+// dance under real contention — and it runs under the CI -race job, where
+// a scheduler race fails loudly even when the bytes happen to match.
 func TestParallelDeterminismFullSet(t *testing.T) {
 	ids := make([]string, 0, len(All()))
 	for _, e := range All() {
 		ids = append(ids, e.ID)
 	}
-	render := func(parallel int, keep bool) string {
-		r := NewRunner(Options{Scale: determinismScale, Seed: 42, Parallel: parallel, KeepSystems: keep})
+	render := func(r *Runner) string {
 		var sb strings.Builder
 		for _, id := range ids {
 			e, err := ByID(id)
@@ -31,14 +31,16 @@ func TestParallelDeterminismFullSet(t *testing.T) {
 		return sb.String()
 	}
 
-	serial := render(1, false)
-	parallel := render(8, false)
+	serial := render(NewRunner(Options{Scale: determinismScale, Seed: 42, Parallel: 1}))
+	r := NewRunner(Options{Scale: determinismScale, Seed: 42, Parallel: 8})
+	parallel := render(r)
 	if serial != parallel {
 		t.Fatal(diffHint(t, serial, parallel, "Parallel=8 full-set report diverges from Parallel=1"))
 	}
-	pooled := render(8, true)
-	if serial != pooled {
-		t.Fatal(diffHint(t, serial, pooled, "Parallel=8 KeepSystems full-set report diverges from serial"))
+	r.Reset()
+	rerun := render(r)
+	if serial != rerun {
+		t.Fatal(diffHint(t, serial, rerun, "Parallel=8 re-run on retained systems diverges from Parallel=1"))
 	}
 }
 

@@ -9,9 +9,11 @@
 //
 //   - ExploreSchedules drives internal/sweep's worker pool through every
 //     interleaving of a small grid via the Options.Sched hook (pickup,
-//     cancellation check, pool take, simulate, pool put, merge are the
-//     atomic transitions), asserting the merged report bytes are
-//     identical to serial execution on every schedule and that the LRU
+//     cancellation check, lookup and pool take, the wait on an in-flight
+//     twin, simulate, pool put, merge are the atomic transitions),
+//     asserting the merged report bytes are identical to serial
+//     execution on every schedule, that no signature simulates twice,
+//     and that the LRU
 //     system pool survives every schedule — including schedules where
 //     cancellation is injected at an arbitrary yield point — intact and
 //     within bound.

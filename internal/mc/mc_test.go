@@ -287,3 +287,28 @@ func TestStateExplorerDeterminism(t *testing.T) {
 		t.Fatalf("exploration not deterministic: %+v vs %+v", a, b)
 	}
 }
+
+// TestScheduleExplorerInFlightWait: a grid whose seed axis repeats a
+// value ([7, 7]) runs its job's configuration twice, so some schedules
+// find the twin already simulating on the other worker. The explorer must
+// reach that wait transition, with and without injected cancellation, and
+// every schedule must still simulate each signature once and match serial
+// bytes.
+func TestScheduleExplorerInFlightWait(t *testing.T) {
+	for _, cancel := range []bool{false, true} {
+		rep, err := ExploreSchedules(ScheduleOptions{Workers: 2, Specs: []string{"PV-8"}, Seeds: []uint64{7, 7}, Cancel: cancel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cex != nil {
+			t.Fatalf("cancel=%v counterexample:\n%s", cancel, rep.Cex)
+		}
+		if rep.Truncated {
+			t.Fatalf("cancel=%v truncated at %d schedules", cancel, rep.Explored)
+		}
+		if rep.Waits == 0 {
+			t.Fatalf("cancel=%v: none of %d schedules waited on an in-flight twin", cancel, rep.Explored)
+		}
+		t.Logf("cancel=%v: %d schedules, %d with an in-flight wait", cancel, rep.Explored, rep.Waits)
+	}
+}

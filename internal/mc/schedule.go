@@ -44,6 +44,14 @@ type ScheduleOptions struct {
 	// Workload and Seed pick the grid cell; zero values mean "Apache", 42.
 	Workload string
 	Seed     uint64
+	// Specs, when set, replaces the first Jobs entries of the spec pool
+	// as the grid's spec axis.
+	Specs []string
+	// Seeds, when set, replaces Seed as the grid's seed axis. A repeated
+	// seed repeats its jobs' configurations, so a worker can find its
+	// job's twin simulating on another worker and take the wait
+	// transition.
+	Seeds []uint64
 	// Fault injects a deliberate defect so tests can prove the explorer
 	// catches one and that its counterexample replays. "corrupt-row"
 	// flips a byte of each schedule's report before the byte-identity
@@ -84,10 +92,17 @@ func (o ScheduleOptions) grid() (sweep.Grid, error) {
 	if o.Jobs < 1 || o.Jobs > len(defaultSpecPool) {
 		return sweep.Grid{}, fmt.Errorf("mc: %d jobs (want 1..%d)", o.Jobs, len(defaultSpecPool))
 	}
+	specs, seeds := o.Specs, o.Seeds
+	if len(specs) == 0 {
+		specs = defaultSpecPool[:o.Jobs]
+	}
+	if len(seeds) == 0 {
+		seeds = []uint64{o.Seed}
+	}
 	return sweep.Grid{
-		Specs:     defaultSpecPool[:o.Jobs],
+		Specs:     specs,
 		Workloads: []string{o.Workload},
-		Seeds:     []uint64{o.Seed},
+		Seeds:     seeds,
 		Scale:     defaultScheduleScale,
 	}, nil
 }
@@ -99,6 +114,9 @@ type Report struct {
 	Explored int
 	// Paths counts complete quiescent paths (ExploreStates only).
 	Paths int
+	// Waits counts explored schedules in which a worker waited on a twin
+	// simulating its job's configuration (ExploreSchedules only).
+	Waits int
 	// Truncated reports that the budget ended exploration before the
 	// tree/state space was exhausted.
 	Truncated bool
@@ -145,8 +163,9 @@ func (s *mcSched) Choose(n int, label func(i int) string) int {
 // ExploreSchedules enumerates every schedule of the configured grid on the
 // sequenced sweep worker pool and checks, per schedule: the report bytes
 // are identical to serial execution; progress fires exactly once per
-// merge transition; the LRU system pool stays within bound and
-// structurally intact; and — on schedules with injected cancellation — no
+// merge transition; no signature is simulated twice (a job whose
+// configuration is in flight waits for it); the LRU system pool stays
+// within bound and structurally intact; and — on schedules with injected cancellation — no
 // result is published, and a deterministic re-run on the same engine
 // still reproduces the serial bytes (cancellation corrupts nothing).
 func ExploreSchedules(opts ScheduleOptions) (Report, error) {
@@ -162,13 +181,21 @@ func ExploreSchedules(opts ScheduleOptions) (Report, error) {
 	if opts.Log != nil {
 		opts.Log("mc: schedules: %d jobs x %d workers, cancel=%v, budget %d", opts.Jobs, opts.Workers, opts.Cancel, opts.Budget)
 	}
+	waits := 0
 	runs, truncated, cex := enumerate(opts.Budget, func(c *chooser) error {
-		return runSchedule(opts, grid, want, c)
+		err := runSchedule(opts, grid, want, c)
+		for _, t := range c.trace {
+			if strings.HasPrefix(t, "wait(") {
+				waits++
+				break
+			}
+		}
+		return err
 	})
 	if opts.Log != nil {
-		opts.Log("mc: schedules: explored %d (truncated=%v)", runs, truncated)
+		opts.Log("mc: schedules: explored %d, %d with an in-flight wait (truncated=%v)", runs, waits, truncated)
 	}
-	return Report{Explored: runs, Truncated: truncated, Cex: cex}, nil
+	return Report{Explored: runs, Waits: waits, Truncated: truncated, Cex: cex}, nil
 }
 
 // ReplaySchedule re-runs the single schedule identified by seed (a
@@ -227,7 +254,11 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, c *chooser)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sched := &mcSched{ch: c, cancel: cancel, inject: opts.Cancel}
-	e := sweep.New(sweep.Options{Parallel: opts.Workers, MaxSystems: opts.MaxSystems, Sched: sched, Tweak: shrinkSim})
+	// The runner logs one "run <signature>" line per claimed simulation;
+	// a line seen twice is one signature simulated twice.
+	claims := map[string]int{}
+	claim := func(format string, args ...interface{}) { claims[fmt.Sprintf(format, args...)]++ }
+	e := sweep.New(sweep.Options{Parallel: opts.Workers, MaxSystems: opts.MaxSystems, Sched: sched, Tweak: shrinkSim, Log: claim})
 
 	progress := 0
 	res, err := e.Run(ctx, grid, func(done, total int) { progress++ })
@@ -268,6 +299,9 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, c *chooser)
 		}
 	}
 
+	if err := checkClaims(claims); err != nil {
+		return err
+	}
 	if err := checkEnginePool(e, opts.MaxSystems); err != nil {
 		return err
 	}
@@ -288,8 +322,23 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, c *chooser)
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("re-run after cancellation diverged from serial reference")
 		}
+		if err := checkClaims(claims); err != nil {
+			return fmt.Errorf("after cancellation re-run: %w", err)
+		}
 		if err := checkEnginePool(e, opts.MaxSystems); err != nil {
 			return fmt.Errorf("after cancellation re-run: %w", err)
+		}
+	}
+	return nil
+}
+
+// checkClaims fails on a signature claimed for simulation twice: the
+// engine's runner never forgets a result during a schedule, so every
+// signature simulates once.
+func checkClaims(claims map[string]int) error {
+	for line, n := range claims {
+		if n > 1 {
+			return fmt.Errorf("%d simulations of one signature (%.60s...)", n, line)
 		}
 	}
 	return nil

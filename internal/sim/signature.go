@@ -5,18 +5,25 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
 
+	"pvsim/internal/memsys"
 	"pvsim/internal/trace"
+	"pvsim/internal/workloads"
 )
 
 // Signature renders every behaviour-affecting field of the configuration
-// into one canonical string: two configs simulate identically if and only
-// if their signatures match. It is the key under which experiments.Runner
-// caches results, and its system pool resets a retained system in place
-// only for the signature that system last ran. Labels are family-owned and
-// compress geometry; the raw spec fields disambiguate families whose
-// labels overlap and carry the params map.
+// into one canonical string: two configs whose signatures match simulate
+// identically. It is the key under which experiments.Runner caches
+// results and waits on a simulation in flight, and its system pool resets
+// a retained system in place only for the signature that system last ran.
+// Labels are family-owned and compress geometry; the raw spec fields
+// disambiguate families whose labels overlap and carry the params map.
+// Fields added after the first format are suffixes present only when they
+// differ from their defaults, so older signatures stay byte-identical;
+// TestSignatureCoversEveryField perturbs every field of Config and fails
+// on one the signature misses.
 func (c Config) Signature() string {
 	return fmt.Sprintf("%s|%s|pred=%s/%d/%dx%d/%d/%v|seed=%d|w=%d|m=%d|t=%v|win=%d|l2=%d/%d/%d|mem=%d|oco=%v|shared=%v|cores=%d|prio=%v|banks=%d",
 		c.Workload.Name, c.Prefetch.Label(),
@@ -26,8 +33,85 @@ func (c Config) Signature() string {
 		c.Timing, c.Windows,
 		c.Hier.L2.SizeBytes, c.Hier.L2.TagLatency, c.Hier.L2.DataLatency,
 		c.Hier.MemLatency, c.Prefetch.OnChipOnly, c.Prefetch.SharedTable,
-		c.Hier.Cores, c.Hier.PrioritizeAppOverPV, c.Hier.L2Banks) + c.scenarioSig() + c.costSig()
+		c.Hier.Cores, c.Hier.PrioritizeAppOverPV, c.Hier.L2Banks) + c.scenarioSig() + c.costSig() + c.hierSig() + c.paramsSig()
 }
+
+// hierSig renders the hierarchy fields the base format leaves out, each
+// only where it differs from memsys.DefaultConfig. Cache names only label.
+// Hier.PVRanges and Hier.OnChipOnlyPV are not read: a build derives them
+// from Prefetch. ModelBankContention is derived from Timing and L2Banks
+// today, but a config that sets it is still keyed apart. Every Runner
+// transition computes a signature, so this appends with strconv rather
+// than formatting with fmt.
+func (c Config) hierSig() string {
+	h, d := c.Hier, memsys.DefaultConfig()
+	b := make([]byte, 0, 96)
+	for _, l1 := range [...]struct {
+		key      string
+		got, def memsys.CacheConfig
+	}{{"l1i", h.L1I, d.L1I}, {"l1d", h.L1D, d.L1D}} {
+		g := l1.got
+		g.Name = l1.def.Name
+		if g != l1.def {
+			b = appendSig(b, l1.key, int64(g.SizeBytes), int64(g.Ways), int64(g.BlockBytes), int64(g.TagLatency), int64(g.DataLatency))
+		}
+	}
+	if h.L2.Ways != d.L2.Ways || h.L2.BlockBytes != d.L2.BlockBytes {
+		b = appendSig(b, "l2shape", int64(h.L2.Ways), int64(h.L2.BlockBytes))
+	}
+	if h.L1Latency != d.L1Latency {
+		b = appendSig(b, "l1lat", int64(h.L1Latency))
+	}
+	if h.NextLineIPrefetch != d.NextLineIPrefetch {
+		b = strconv.AppendBool(append(b, "|nlip="...), h.NextLineIPrefetch)
+	}
+	if h.ModelBankContention != d.ModelBankContention {
+		b = strconv.AppendBool(append(b, "|bankc="...), h.ModelBankContention)
+	}
+	if h.BankServiceCycles != d.BankServiceCycles {
+		b = appendSig(b, "banksvc", int64(h.BankServiceCycles))
+	}
+	if h.InclusiveL2 != d.InclusiveL2 {
+		b = strconv.AppendBool(append(b, "|incl="...), h.InclusiveL2)
+	}
+	return string(b)
+}
+
+// appendSig appends one "|key=v1/v2/..." signature component.
+func appendSig(b []byte, key string, vs ...int64) []byte {
+	b = append(append(append(b, '|'), key...), '=')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return b
+}
+
+// paramsSig renders a homogeneous run's trace parameters when they differ
+// from the registered workload of the same name (a custom or edited
+// workload), as phaseSig renders a mix phase's; a mix's Workload only
+// labels it.
+func (c Config) paramsSig() string {
+	if len(c.Cores) > 0 {
+		return ""
+	}
+	if p, ok := registeredParams[c.Workload.Name]; ok && p == c.Workload.Params {
+		return ""
+	}
+	return "|params=" + phaseSig(trace.Phase{Params: c.Workload.Params})
+}
+
+// registeredParams maps each registered workload's name to its trace
+// parameters; paramsSig reads it on every signature.
+var registeredParams = func() map[string]trace.Params {
+	m := map[string]trace.Params{}
+	for _, w := range workloads.All() {
+		m[w.Name] = w.Params
+	}
+	return m
+}()
 
 // costSig renders the cost-model configuration into the signature: empty
 // when disabled (keeping every pre-cost-model signature byte-identical),

@@ -10,11 +10,8 @@ import (
 )
 
 // DefaultMaxSystems bounds the system pool when Options.MaxSystems is
-// zero. The pool keeps at most Parallel systems per hierarchy geometry, so
-// the bound only binds on grids that mix geometries: eight retained
-// systems is roughly 100MB of cache arrays, which keeps an open-ended
-// sweep server from growing without bound.
-const DefaultMaxSystems = 8
+// zero; it is the runner's bound (experiments.DefaultMaxSystems).
+const DefaultMaxSystems = experiments.DefaultMaxSystems
 
 // DefaultMaxResults bounds the result cache: results are kilobytes of
 // statistics each, so a few thousand keep a long-lived server's memory
@@ -127,26 +124,13 @@ func New(opts Options) *Engine {
 	return &Engine{
 		opts: opts,
 		runner: experiments.NewRunner(experiments.Options{
-			Scale:       1.0, // unused: the engine builds every config itself
-			Parallel:    opts.Parallel,
-			KeepSystems: true,
-			MaxSystems:  bound(opts.MaxSystems, DefaultMaxSystems),
-			MaxResults:  DefaultMaxResults,
-			Log:         opts.Log,
+			Scale:      1.0, // unused: the engine builds every config itself
+			Parallel:   opts.Parallel,
+			MaxSystems: opts.MaxSystems,
+			MaxResults: DefaultMaxResults,
+			Log:        opts.Log,
 		}),
 	}
-}
-
-// bound maps the engine's option convention (0 = default, negative =
-// unbounded) onto the runner's (0 = unbounded).
-func bound(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // Reset forgets every cached result while keeping the pooled systems, so

@@ -4,15 +4,17 @@ import (
 	"context"
 	"fmt"
 
+	"pvsim/internal/experiments"
 	"pvsim/internal/sim"
 )
 
 // Scheduler is the model-checking hook of the worker pool. When
 // Options.Sched is non-nil the engine replaces its goroutine pool with a
 // sequenced single-threaded execution: at every decision point it lists
-// the enabled transitions — job pickup (with its cancellation check), pool
-// take, simulate, pool put, result merge — and asks the scheduler which
-// one fires next. Exhaustively enumerating the scheduler's answers
+// the enabled transitions — job pickup (with its cancellation check),
+// lookup and pool take, the wait on a twin simulating the same
+// configuration, simulate, pool put, result merge — and asks the scheduler
+// which one fires next. Exhaustively enumerating the scheduler's answers
 // (internal/mc does) enumerates every interleaving the real pool can
 // exhibit at those decision points. Production runs leave Sched nil and
 // pay zero overhead: the goroutine pool path does not consult it.
@@ -28,7 +30,8 @@ type Scheduler interface {
 // mirrors one section of the goroutine worker's loop.
 const (
 	stageStart = iota // post-pickup cancellation check
-	stageTake         // result-cache lookup, then pool take on a miss
+	stageTake         // Runner.Lookup, then pool take on a claim
+	stageWait         // take the in-flight twin's result; enabled once it is stored
 	stageRun          // the simulation itself
 	stagePut          // pool put + result-cache store
 	stageMerge        // write the result slot, publish progress
@@ -40,6 +43,8 @@ func stageName(s int) string {
 		return "start"
 	case stageTake:
 		return "take"
+	case stageWait:
+		return "wait"
 	case stageRun:
 		return "run"
 	case stagePut:
@@ -55,6 +60,7 @@ type seqWorker struct {
 	job   int // index into cfgs; -1 when idle
 	stage int
 	sys   *sim.System
+	twin  *experiments.Twin
 	res   sim.Result
 }
 
@@ -64,7 +70,9 @@ type seqWorker struct {
 // first observed cancellation, a worker that picked a job up after
 // cancellation drops it without simulating or publishing progress, and a
 // worker already simulating finishes and merges (a simulation has no
-// preemption point).
+// preemption point). A worker whose job's configuration another worker
+// has claimed waits for it: its wait transition is enabled only once the
+// twin's result is stored, as Run blocks on the twin.
 func (e *Engine) waveSequenced(ctx context.Context, cfgs []sim.Config, out []sim.Result, note func(), merged func(i int)) error {
 	if len(cfgs) == 0 {
 		return ctx.Err()
@@ -91,6 +99,7 @@ func (e *Engine) waveSequenced(ctx context.Context, cfgs []sim.Config, out []sim
 		}
 		var enabled []transition
 		pickupListed := false
+		busy := 0
 		for w := range ws {
 			if ws[w].job < 0 {
 				if next < len(cfgs) && !stopped && !pickupListed {
@@ -99,9 +108,17 @@ func (e *Engine) waveSequenced(ctx context.Context, cfgs []sim.Config, out []sim
 				}
 				continue
 			}
+			busy++
+			if ws[w].stage == stageWait && !stored(ws[w].twin) {
+				continue
+			}
 			enabled = append(enabled, transition{w, fmt.Sprintf("%s(job %d)", stageName(ws[w].stage), ws[w].job)})
 		}
 		if len(enabled) == 0 {
+			if busy > 0 {
+				// Every busy worker waits on a twin no worker is simulating.
+				return fmt.Errorf("sweep: sequenced wave stalled: %d workers wait on twins nobody simulates", busy)
+			}
 			break
 		}
 		pick := e.opts.Sched.Choose(len(enabled), func(i int) string { return enabled[i].name })
@@ -134,13 +151,22 @@ func (e *Engine) waveSequenced(ctx context.Context, cfgs []sim.Config, out []sim
 			}
 			wk.stage = stageTake
 		case stageTake:
-			if res, ok := e.runner.CachedResult(cfgs[wk.job]); ok {
+			res, twin, claimed := e.runner.Lookup(cfgs[wk.job])
+			switch {
+			case claimed:
+				wk.sys = e.runner.AcquireSystem(cfgs[wk.job])
+				wk.stage = stageRun
+			case twin != nil:
+				wk.twin = twin
+				wk.stage = stageWait
+			default:
 				wk.res = res
 				wk.stage = stageMerge
-				continue
 			}
-			wk.sys = e.runner.AcquireSystem(cfgs[wk.job])
-			wk.stage = stageRun
+		case stageWait:
+			wk.res = wk.twin.Result()
+			wk.twin = nil
+			wk.stage = stageMerge
 		case stageRun:
 			wk.res = wk.sys.Run()
 			wk.stage = stagePut
@@ -159,4 +185,14 @@ func (e *Engine) waveSequenced(ctx context.Context, cfgs []sim.Config, out []sim
 		}
 	}
 	return ctx.Err()
+}
+
+// stored reports whether t's result is in.
+func stored(t *experiments.Twin) bool {
+	select {
+	case <-t.Done():
+		return true
+	default:
+		return false
+	}
 }
