@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,6 +65,62 @@ func TestRunAllInFlightSerial(t *testing.T) {
 	if n := runs.Load(); n != 2 {
 		t.Fatalf("RunAll([cfg, cfg, other]) at Parallel 1 simulated %d times, want 2", n)
 	}
+}
+
+// TestRunInFlightWaiterHoldsNoSlot forces the order in which a waiter that took a
+// Parallel slot before waiting would deadlock the runner: at Parallel 1
+// the test itself claims cfg and holds the claim, a Run(cfg) blocks on
+// that twin, and a Run(other) must still get the one slot and return
+// before the claim is resolved.
+func TestRunInFlightWaiterHoldsNoSlot(t *testing.T) {
+	r := NewRunner(Options{Scale: 0.02, Seed: 42, Parallel: 1})
+	w, _ := workloads.ByName("Apache")
+	cfg := r.baseConfig(w)
+	other := cfg
+	other.Prefetch = sim.PV8
+	if _, twin, claimed := r.Lookup(cfg); !claimed || twin != nil {
+		t.Fatal("a fresh runner did not hand out the claim on cfg")
+	}
+	waited := make(chan sim.Result, 1)
+	go func() { waited <- r.Run(cfg) }()
+	waitForBlockedRun(t)
+
+	done := make(chan struct{})
+	go func() { r.Run(other); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("Run(other) did not return while a Run(cfg) waited on the claimed twin: the waiter holds the Parallel slot")
+	}
+
+	want := sim.Run(cfg)
+	r.StoreResult(cfg, want)
+	select {
+	case got := <-waited:
+		if got.Mem.OffChipReads != want.Mem.OffChipReads || got.Config.Signature() != cfg.Signature() {
+			t.Fatal("the waiter did not return the stored result")
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the waiter did not return after StoreResult resolved its twin")
+	}
+}
+
+// waitForBlockedRun returns once some goroutine is blocked receiving on a
+// channel inside Runner.Run — a waiter parked on its twin — and fails the
+// test if none is within a minute.
+func waitForBlockedRun(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[chan receive") && strings.Contains(g, "experiments.(*Runner).Run(") {
+				return
+			}
+		}
+	}
+	t.Fatal("no Run call blocked waiting on its twin")
 }
 
 // TestRunnerSignatureInclusiveL2 is the regression test for a result

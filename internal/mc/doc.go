@@ -12,11 +12,10 @@
 //     cancellation check, lookup and pool take, the wait on an in-flight
 //     twin, simulate, pool put, merge are the atomic transitions),
 //     asserting the merged report bytes are identical to serial
-//     execution on every schedule, that no signature simulates twice,
-//     and that the LRU
-//     system pool survives every schedule — including schedules where
-//     cancellation is injected at an arbitrary yield point — intact and
-//     within bound.
+//     execution on every schedule, that every signature of the grid
+//     simulates exactly once, and that the LRU system pool survives
+//     every schedule — including schedules where cancellation is
+//     injected at an arbitrary yield point — intact and within bound.
 //
 //   - ExploreStates drives a tiny PVProxy (2–4 entries, a handful of
 //     accesses) through every reachable ordering of demand accesses, PV

@@ -296,7 +296,7 @@ func TestStateExplorerDeterminism(t *testing.T) {
 // bytes.
 func TestScheduleExplorerInFlightWait(t *testing.T) {
 	for _, cancel := range []bool{false, true} {
-		rep, err := ExploreSchedules(ScheduleOptions{Workers: 2, Specs: []string{"PV-8"}, Seeds: []uint64{7, 7}, Cancel: cancel})
+		rep, err := ExploreSchedules(ScheduleOptions{Jobs: 1, Workers: 2, Seeds: []uint64{7, 7}, Cancel: cancel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,13 +8,15 @@ import (
 
 	"pvsim/internal/sim"
 	"pvsim/internal/sweep"
+	"pvsim/pv"
 )
 
 // defaultSpecPool orders the predictor specs the schedule explorer draws
-// its jobs from: a Jobs-job grid uses the first Jobs entries, so the
-// default 3-job grid mixes a baseline row, a dedicated-table row and a
-// virtualized row — the three code paths a sweep wave can take.
-var defaultSpecPool = []string{"none", "16-11a", "PV-8", "8-11a", "PV-16"}
+// its jobs from: a Jobs-job grid uses the first Jobs entries, so a 1-job
+// grid simulates one predictor beside its baseline, and the default 3-job
+// grid mixes a dedicated-table row, a baseline row and a virtualized row
+// — the three code paths a sweep wave can take.
+var defaultSpecPool = []string{"16-11a", "none", "PV-8", "8-11a", "PV-16"}
 
 // defaultScheduleScale keeps each simulation at the generator's minimum
 // access count; the explorer's subject is the worker pool, not the
@@ -23,9 +25,10 @@ const defaultScheduleScale = 1e-6
 
 // ScheduleOptions configure ExploreSchedules.
 type ScheduleOptions struct {
-	// Jobs is the grid-job count, 1..len(defaultSpecPool); 0 means 3 (the
-	// acceptance geometry). Each job is one predictor spec over one
-	// workload and seed, plus one shared matched-baseline simulation.
+	// Jobs is the grid's spec count, 1..len(defaultSpecPool); 0 means 3
+	// (the acceptance geometry). The grid runs each of the first Jobs
+	// specs over one workload and each seed, plus one matched-baseline
+	// simulation per seed.
 	Jobs int
 	// Workers is the sequenced worker-pool width; 0 means 2.
 	Workers int
@@ -41,16 +44,11 @@ type ScheduleOptions struct {
 	// intentionally smaller than the job count so eviction happens inside
 	// the explored schedules.
 	MaxSystems int
-	// Workload and Seed pick the grid cell; zero values mean "Apache", 42.
+	// Workload picks the grid's one workload; empty means "Apache".
 	Workload string
-	Seed     uint64
-	// Specs, when set, replaces the first Jobs entries of the spec pool
-	// as the grid's spec axis.
-	Specs []string
-	// Seeds, when set, replaces Seed as the grid's seed axis. A repeated
-	// seed repeats its jobs' configurations, so a worker can find its
-	// job's twin simulating on another worker and take the wait
-	// transition.
+	// Seeds is the grid's seed axis; empty means [42]. A repeated seed
+	// repeats its jobs' configurations, so a worker can find its job's
+	// twin simulating on another worker and take the wait transition.
 	Seeds []uint64
 	// Fault injects a deliberate defect so tests can prove the explorer
 	// catches one and that its counterexample replays. "corrupt-row"
@@ -82,8 +80,8 @@ func (o ScheduleOptions) withDefaults() ScheduleOptions {
 	if o.Workload == "" {
 		o.Workload = "Apache"
 	}
-	if o.Seed == 0 {
-		o.Seed = 42
+	if len(o.Seeds) == 0 {
+		o.Seeds = []uint64{42}
 	}
 	return o
 }
@@ -92,17 +90,10 @@ func (o ScheduleOptions) grid() (sweep.Grid, error) {
 	if o.Jobs < 1 || o.Jobs > len(defaultSpecPool) {
 		return sweep.Grid{}, fmt.Errorf("mc: %d jobs (want 1..%d)", o.Jobs, len(defaultSpecPool))
 	}
-	specs, seeds := o.Specs, o.Seeds
-	if len(specs) == 0 {
-		specs = defaultSpecPool[:o.Jobs]
-	}
-	if len(seeds) == 0 {
-		seeds = []uint64{o.Seed}
-	}
 	return sweep.Grid{
-		Specs:     specs,
+		Specs:     defaultSpecPool[:o.Jobs],
 		Workloads: []string{o.Workload},
-		Seeds:     seeds,
+		Seeds:     o.Seeds,
 		Scale:     defaultScheduleScale,
 	}, nil
 }
@@ -178,12 +169,16 @@ func ExploreSchedules(opts ScheduleOptions) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	sigs, err := gridSignatures(grid)
+	if err != nil {
+		return Report{}, err
+	}
 	if opts.Log != nil {
 		opts.Log("mc: schedules: %d jobs x %d workers, cancel=%v, budget %d", opts.Jobs, opts.Workers, opts.Cancel, opts.Budget)
 	}
 	waits := 0
 	runs, truncated, cex := enumerate(opts.Budget, func(c *chooser) error {
-		err := runSchedule(opts, grid, want, c)
+		err := runSchedule(opts, grid, want, sigs, c)
 		for _, t := range c.trace {
 			if strings.HasPrefix(t, "wait(") {
 				waits++
@@ -215,8 +210,12 @@ func ReplaySchedule(opts ScheduleOptions, seed string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	sigs, err := gridSignatures(grid)
+	if err != nil {
+		return nil, err
+	}
 	return replay(trail, func(c *chooser) error {
-		return runSchedule(opts, grid, want, c)
+		return runSchedule(opts, grid, want, sigs, c)
 	})
 }
 
@@ -248,17 +247,40 @@ func serialReference(grid sweep.Grid) ([]byte, error) {
 	return res.JSON()
 }
 
+// gridSignatures returns the signature of every simulation the grid runs
+// on an explorer's engine: each job's shrunken configuration and its
+// matched baseline (the same configuration without a prefetcher).
+func gridSignatures(grid sweep.Grid) (map[string]bool, error) {
+	jobs, err := grid.Jobs()
+	if err != nil {
+		return nil, err
+	}
+	sigs := map[string]bool{}
+	for _, j := range jobs {
+		cfg := j.Config
+		shrinkSim(&cfg)
+		sigs[cfg.Signature()] = true
+		cfg.Prefetch = pv.Spec{}
+		sigs[cfg.Signature()] = true
+	}
+	return sigs, nil
+}
+
 // runSchedule executes one explored schedule on a fresh engine and checks
-// its invariants. A returned error is the counterexample's failed check.
-func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, c *chooser) error {
+// its invariants. sigs is gridSignatures(grid). A returned error is the
+// counterexample's failed check.
+func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, sigs map[string]bool, c *chooser) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sched := &mcSched{ch: c, cancel: cancel, inject: opts.Cancel}
-	// The runner logs one "run <signature>" line per claimed simulation;
-	// a line seen twice is one signature simulated twice.
+	// The runner logs one "run <signature>" line per claimed simulation.
 	claims := map[string]int{}
-	claim := func(format string, args ...interface{}) { claims[fmt.Sprintf(format, args...)]++ }
-	e := sweep.New(sweep.Options{Parallel: opts.Workers, MaxSystems: opts.MaxSystems, Sched: sched, Tweak: shrinkSim, Log: claim})
+	logf := func(format string, args ...interface{}) {
+		if sig, ok := strings.CutPrefix(fmt.Sprintf(format, args...), "run "); ok {
+			claims[sig]++
+		}
+	}
+	e := sweep.New(sweep.Options{Parallel: opts.Workers, MaxSystems: opts.MaxSystems, Sched: sched, Tweak: shrinkSim, Log: logf})
 
 	progress := 0
 	res, err := e.Run(ctx, grid, func(done, total int) { progress++ })
@@ -299,7 +321,7 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, c *chooser)
 		}
 	}
 
-	if err := checkClaims(claims); err != nil {
+	if err := checkClaims(claims, sigs, !sched.cancelled); err != nil {
 		return err
 	}
 	if err := checkEnginePool(e, opts.MaxSystems); err != nil {
@@ -322,7 +344,7 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, c *chooser)
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("re-run after cancellation diverged from serial reference")
 		}
-		if err := checkClaims(claims); err != nil {
+		if err := checkClaims(claims, sigs, true); err != nil {
 			return fmt.Errorf("after cancellation re-run: %w", err)
 		}
 		if err := checkEnginePool(e, opts.MaxSystems); err != nil {
@@ -332,14 +354,22 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, c *chooser)
 	return nil
 }
 
-// checkClaims fails on a signature claimed for simulation twice: the
-// engine's runner never forgets a result during a schedule, so every
-// signature simulates once.
-func checkClaims(claims map[string]int) error {
-	for line, n := range claims {
+// checkClaims compares the signatures claimed for simulation with the
+// grid's. The engine's runner never forgets a result during a schedule, so
+// no signature simulates twice and none outside the grid simulates at all;
+// once the grid has run to completion, every one of its signatures has
+// simulated, so a count that stays empty cannot pass.
+func checkClaims(claims map[string]int, sigs map[string]bool, complete bool) error {
+	for sig, n := range claims {
 		if n > 1 {
-			return fmt.Errorf("%d simulations of one signature (%.60s...)", n, line)
+			return fmt.Errorf("%d simulations of one signature (%.60s...)", n, sig)
 		}
+		if !sigs[sig] {
+			return fmt.Errorf("simulated a signature outside the grid (%.60s...)", sig)
+		}
+	}
+	if complete && len(claims) != len(sigs) {
+		return fmt.Errorf("%d signatures simulated, the grid has %d", len(claims), len(sigs))
 	}
 	return nil
 }
