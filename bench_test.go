@@ -6,7 +6,6 @@
 package pvsim_test
 
 import (
-	"context"
 	"testing"
 
 	"pvsim/internal/btb"
@@ -15,7 +14,6 @@ import (
 	"pvsim/internal/memsys"
 	"pvsim/internal/sim"
 	"pvsim/internal/sms"
-	"pvsim/internal/sweep"
 	"pvsim/internal/timing"
 	"pvsim/internal/trace"
 	"pvsim/internal/workloads"
@@ -58,147 +56,6 @@ func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
 func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
 func BenchmarkSpace(b *testing.B)  { benchExperiment(b, "space") }
 func BenchmarkTiming(b *testing.B) { benchExperiment(b, "timing") }
-
-// BenchmarkHeadline measures the paper's central comparison directly —
-// dedicated 1K-11a vs virtualized PV-8 — and reports coverage and the
-// PVProxy's L2 fill rate as benchmark metrics.
-func BenchmarkHeadline(b *testing.B) {
-	w, err := workloads.ByName("Apache")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		cfg := sim.Default(w)
-		cfg.Warmup, cfg.Measure = 40_000, 40_000
-		base := sim.Run(cfg)
-		ded := cfg
-		ded.Prefetch = sim.SMS1K11
-		pv := cfg
-		pv.Prefetch = sim.PV8
-		dres, pres := sim.Run(ded), sim.Run(pv)
-		b.ReportMetric(sim.CoverageOf(base, dres).Covered*100, "dedicated-cov-%")
-		b.ReportMetric(sim.CoverageOf(base, pres).Covered*100, "pv8-cov-%")
-		pt := pres.ProxyTotals()
-		b.ReportMetric(pt.L2FillRate()*100, "pv-l2fill-%")
-	}
-}
-
-// BenchmarkHeadlineReuse is BenchmarkHeadline on the system-reuse path: the
-// three systems are built once and Reset in place each iteration, so the
-// steady state measures pure simulation with no construction cost. Results
-// are bit-identical to fresh builds (TestSystemResetBitIdentical).
-func BenchmarkHeadlineReuse(b *testing.B) {
-	w, err := workloads.ByName("Apache")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Default(w)
-	cfg.Warmup, cfg.Measure = 40_000, 40_000
-	ded := cfg
-	ded.Prefetch = sim.SMS1K11
-	pv := cfg
-	pv.Prefetch = sim.PV8
-	bsys, dsys, psys := sim.NewSystem(cfg), sim.NewSystem(ded), sim.NewSystem(pv)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 {
-			bsys.Reset()
-			dsys.Reset()
-			psys.Reset()
-		}
-		base, dres, pres := bsys.Run(), dsys.Run(), psys.Run()
-		b.ReportMetric(sim.CoverageOf(base, dres).Covered*100, "dedicated-cov-%")
-		b.ReportMetric(sim.CoverageOf(base, pres).Covered*100, "pv8-cov-%")
-	}
-}
-
-// BenchmarkSystemReset measures the in-place reset itself (clearing caches,
-// predictor state and statistics of a warm PV-8 system).
-func BenchmarkSystemReset(b *testing.B) {
-	w, _ := workloads.ByName("Apache")
-	cfg := sim.Default(w)
-	cfg.Prefetch = sim.PV8
-	sys := sim.NewSystem(cfg)
-	for i := 0; i < 10_000; i++ {
-		sys.StepAll()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Reset()
-	}
-}
-
-// BenchmarkRunnerRerun measures a full experiments.Runner re-run of one
-// configuration: every runner pools its systems, so after the first
-// iteration every Run is a Reset of the retained system, not a rebuild.
-func BenchmarkRunnerRerun(b *testing.B) {
-	w, _ := workloads.ByName("Apache")
-	r := experiments.NewRunner(experiments.Options{Scale: benchScale, Seed: 42})
-	for i := 0; i < b.N; i++ {
-		r.Reset()
-		cfg := sim.Default(w)
-		cfg.Warmup, cfg.Measure = 20_000, 20_000
-		cfg.Prefetch = sim.PV8
-		res := r.Run(cfg)
-		if res.L1DReads() == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// sweepBenchGrid is the N-config grid the sweep benchmarks run: two specs
-// on one workload, so each iteration is three simulations (one shared
-// baseline + two jobs) at the same 20k/20k warmup/measure split as
-// BenchmarkRunnerRerun — making their allocs/op directly comparable
-// (pooled sweep ≈ 3 x RunnerRerun + engine overhead).
-func sweepBenchGrid() sweep.Grid {
-	return sweep.Grid{
-		Specs:     []string{"16-11a", "PV-8"},
-		Workloads: []string{"Apache"},
-		Seeds:     []uint64{42},
-		Scale:     benchScale,
-	}
-}
-
-// BenchmarkSweepGridCold runs the grid on a fresh engine every iteration
-// (the one-shot `pvsim sweep` cost): the first simulation builds a system
-// from scratch, the later ones rebuild it around its cache arrays.
-func BenchmarkSweepGridCold(b *testing.B) {
-	g := sweepBenchGrid()
-	for i := 0; i < b.N; i++ {
-		res, err := sweep.New(sweep.Options{Parallel: 1}).Run(context.Background(), g, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 2 {
-			b.Fatalf("%d rows", len(res.Rows))
-		}
-	}
-}
-
-// BenchmarkSweepGridPooled re-runs the grid on one engine, Reset between
-// iterations: results are recomputed and every system comes from the
-// pool. At Parallel 1 the pool keeps one system for the grid's one
-// geometry, so each simulation rebuilds around its cache arrays rather
-// than resetting in place.
-func BenchmarkSweepGridPooled(b *testing.B) {
-	g := sweepBenchGrid()
-	e := sweep.New(sweep.Options{Parallel: 1})
-	if _, err := e.Run(context.Background(), g, nil); err != nil {
-		b.Fatal(err) // warm the pool before measuring
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		res, err := e.Run(context.Background(), g, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 2 {
-			b.Fatalf("%d rows", len(res.Rows))
-		}
-	}
-}
 
 // Ablation benches for the design options DESIGN.md calls out.
 
@@ -370,36 +227,6 @@ func BenchmarkSystemStepCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Step(i & 3)
-	}
-}
-
-// BenchmarkHeadlineCostReuse is BenchmarkHeadlineReuse with cost
-// accounting on: the system-reuse steady state must stay allocation-free
-// with the fold active, and it reports the modeled PV-8 slowdown next to
-// the coverage metrics.
-func BenchmarkHeadlineCostReuse(b *testing.B) {
-	w, err := workloads.ByName("Apache")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Default(w)
-	cfg.Warmup, cfg.Measure = 40_000, 40_000
-	cfg.Cost = timing.Config{Enabled: true}
-	ded := cfg
-	ded.Prefetch = sim.SMS1K11
-	pv := cfg
-	pv.Prefetch = sim.PV8
-	dsys, psys := sim.NewSystem(ded), sim.NewSystem(pv)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 {
-			dsys.Reset()
-			psys.Reset()
-		}
-		dres, pres := dsys.Run(), psys.Run()
-		b.ReportMetric(pres.Cost.SlowdownOver(dres.Cost), "pv8-slowdown-x")
-		pt := pres.ProxyTotals()
-		b.ReportMetric(pt.HitRate()*100, "pvcache-hit-%")
 	}
 }
 

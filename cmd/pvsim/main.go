@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pvsim [flags] list                 # show experiments, predictors, named configs
+//	pvsim [flags] list                 # show experiments, predictors, configs, workloads
 //	pvsim [flags] fig4 [fig6 ...]      # run specific experiments
 //	pvsim [flags] all                  # run everything, in paper order
 //	pvsim sweep [sweep flags]          # run a spec x workload x pvcache x seed grid
@@ -139,7 +139,7 @@ func scaleFlag(fs *flag.FlagSet) *float64 {
 }
 
 // printList writes the list output: experiments, registered predictors,
-// named configs and named mixes.
+// named configs, workloads and named mixes.
 func printList(out io.Writer) error {
 	fmt.Fprintln(out, "experiments:")
 	for _, e := range experiments.All() {
@@ -153,6 +153,10 @@ func printList(out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "  %-12s %s\n", name, describeSpec(s))
+	}
+	fmt.Fprintln(out, "\nworkloads:")
+	for _, w := range workloads.All() {
+		fmt.Fprintf(out, "  %-8s %-5s %s\n", w.Name, w.Class, w.Description)
 	}
 	fmt.Fprintln(out, "\nnamed mixes (pvsim sweep -mixes; also per-core specs like DB2/DB2/Apache/Apache):")
 	for _, m := range workloads.Mixes() {

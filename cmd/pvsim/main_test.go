@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pvsim/internal/workloads"
 )
 
 func TestRunList(t *testing.T) {
@@ -21,6 +23,30 @@ func TestRunList(t *testing.T) {
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("list output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestListWorkloads checks that the workloads section of `pvsim list` names
+// every workload with its class, one line each, before the next section's
+// blank line.
+func TestListWorkloads(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"list"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(out.String(), "\nworkloads:\n")
+	if !ok {
+		t.Fatalf("list output has no workloads: section:\n%s", out.String())
+	}
+	section, _, _ = strings.Cut(section, "\n\n")
+	lines := strings.Split(section, "\n")
+	if len(lines) != len(workloads.All()) {
+		t.Fatalf("workloads: section has %d lines, want %d:\n%s", len(lines), len(workloads.All()), section)
+	}
+	for i, w := range workloads.All() {
+		if f := strings.Fields(lines[i]); len(f) < 2 || f[0] != w.Name || f[1] != w.Class {
+			t.Errorf("workloads: line %d is %q, want %s (%s)", i, lines[i], w.Name, w.Class)
 		}
 	}
 }

@@ -76,6 +76,9 @@ func SMSVirtualizedSized(entries int) pv.Spec {
 // Config is one simulation run.
 type Config struct {
 	Workload workloads.Workload
+	// Hier is the memory hierarchy. A build derives its PVRanges,
+	// OnChipOnlyPV and ModelBankContention from Prefetch and Timing, so
+	// Validate rejects a caller-set value of any of them.
 	Hier     memsys.Config
 	Prefetch pv.Spec
 
@@ -145,6 +148,16 @@ func Default(w workloads.Workload) Config {
 func (c Config) Validate() error {
 	if err := c.Hier.Validate(); err != nil {
 		return err
+	}
+	// A build derives these hierarchy fields and overwrites what a caller
+	// set, so a set value would have no effect; refuse it by name.
+	switch {
+	case len(c.Hier.PVRanges) > 0:
+		return fmt.Errorf("sim: Hier.PVRanges is derived from the predictor; set Prefetch instead")
+	case c.Hier.OnChipOnlyPV:
+		return fmt.Errorf("sim: Hier.OnChipOnlyPV is derived from the predictor; set Prefetch.OnChipOnly instead")
+	case c.Hier.ModelBankContention:
+		return fmt.Errorf("sim: Hier.ModelBankContention is derived; set Timing (with Hier.L2Banks > 0) instead")
 	}
 	if len(c.Cores) > 0 {
 		if len(c.Cores) != c.Hier.Cores {

@@ -38,11 +38,10 @@ func (c Config) Signature() string {
 
 // hierSig renders the hierarchy fields the base format leaves out, each
 // only where it differs from memsys.DefaultConfig. Cache names only label.
-// Hier.PVRanges and Hier.OnChipOnlyPV are not read: a build derives them
-// from Prefetch. ModelBankContention is derived from Timing and L2Banks
-// today, but a config that sets it is still keyed apart. Every Runner
-// transition computes a signature, so this appends with strconv rather
-// than formatting with fmt.
+// Hier.PVRanges, Hier.OnChipOnlyPV and Hier.ModelBankContention are not
+// keyed: a build derives them, and Validate rejects a caller-set value.
+// Every Runner transition computes a signature, so this appends with
+// strconv rather than formatting with fmt.
 func (c Config) hierSig() string {
 	h, d := c.Hier, memsys.DefaultConfig()
 	b := make([]byte, 0, 96)
@@ -64,9 +63,6 @@ func (c Config) hierSig() string {
 	}
 	if h.NextLineIPrefetch != d.NextLineIPrefetch {
 		b = strconv.AppendBool(append(b, "|nlip="...), h.NextLineIPrefetch)
-	}
-	if h.ModelBankContention != d.ModelBankContention {
-		b = strconv.AppendBool(append(b, "|bankc="...), h.ModelBankContention)
 	}
 	if h.BankServiceCycles != d.BankServiceCycles {
 		b = appendSig(b, "banksvc", int64(h.BankServiceCycles))

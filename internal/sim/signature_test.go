@@ -14,14 +14,15 @@ import (
 // with the reason no simulation reads it. A field path matches an entry
 // equal to it or nested below it; slice elements appear as "[]".
 var signatureExempt = map[string]string{
-	"Hier.L1I.Name":        "a cache name only labels errors",
-	"Hier.L1D.Name":        "a cache name only labels errors",
-	"Hier.L2.Name":         "a cache name only labels errors",
-	"Hier.PVRanges":        "a build sets the PV ranges from Prefetch",
-	"Hier.OnChipOnlyPV":    "a build sets it from Prefetch.OnChipOnly",
-	"Workload.Class":       "Table 2 text only",
-	"Workload.Description": "Table 2 text only",
-	"Cores[].Label":        "a core trace's label only names it in errors",
+	"Hier.L1I.Name":            "a cache name only labels errors",
+	"Hier.L1D.Name":            "a cache name only labels errors",
+	"Hier.L2.Name":             "a cache name only labels errors",
+	"Hier.PVRanges":            "Validate rejects a caller-set value",
+	"Hier.OnChipOnlyPV":        "Validate rejects a caller-set value",
+	"Hier.ModelBankContention": "Validate rejects a caller-set value",
+	"Workload.Class":           "Table 2 text only",
+	"Workload.Description":     "Table 2 text only",
+	"Cores[].Label":            "a core trace's label only names it in errors",
 }
 
 // homogeneousExempt adds what only a homogeneous run ignores.

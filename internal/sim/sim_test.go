@@ -70,6 +70,37 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsDerivedHier pins that Validate refuses the
+// hierarchy fields a build overwrites, naming the field and the Config
+// field to set instead, rather than silently ignoring them.
+func TestConfigValidateRejectsDerivedHier(t *testing.T) {
+	for _, tc := range []struct {
+		field, instead string
+		set            func(*memsys.Config)
+	}{
+		{"Hier.PVRanges", "Prefetch", func(h *memsys.Config) {
+			h.PVRanges = []memsys.AddrRange{{Start: PVStart(0), End: PVStart(0) + 4096}}
+		}},
+		{"Hier.OnChipOnlyPV", "Prefetch.OnChipOnly", func(h *memsys.Config) { h.OnChipOnlyPV = true }},
+		{"Hier.ModelBankContention", "Timing", func(h *memsys.Config) { h.ModelBankContention = true }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := quickConfig(t, "Apache")
+			cfg.Prefetch = PV8
+			tc.set(&cfg.Hier)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatalf("%s set by the caller accepted", tc.field)
+			}
+			for _, want := range []string{tc.field, "set " + tc.instead + " "} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestPrefetcherLabels(t *testing.T) {
 	cases := map[string]PrefetcherConfig{
 		"none":        Baseline,

@@ -2,12 +2,14 @@ package trace
 
 import "fmt"
 
-// Source is a Stream that can be rewound to its beginning. Generator and
-// Phased both implement it; sim.System drives its per-core streams through
-// this interface so a core runs a steady workload or a phased one with the
-// same wiring.
+// Source is a rewindable access stream, the one way the simulator produces
+// accesses. Generator and Phased both implement it; sim.System drives its
+// per-core streams through this interface so a core runs a steady workload
+// or a phased one with the same wiring.
 type Source interface {
-	Stream
+	// Next returns the stream's next access.
+	Next() Access
+	// Reset rewinds the stream to its beginning.
 	Reset()
 }
 
