@@ -1,8 +1,11 @@
 package memsys
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 )
 
 // CacheConfig describes one set-associative cache.
@@ -95,21 +98,27 @@ type CacheStats struct {
 // used" bit so the harness can account overpredictions exactly as Figure 4
 // does.
 //
-// Line state is split by how often it is read. tags holds each way's
-// tag<<1|1 (0 for an empty way) and is the only array a lookup scans;
-// lastUse holds the LRU stamps and flags the dirty/prefetched bits, both
-// touched only on a hit, fill or invalidation. All three are sets*ways
-// long, set-major.
+// Line state is split by how often it is read. Each way's tag word is
+// tag<<1|1 (0 for an empty way). tags holds its low 32 bits and is the
+// only array a lookup scans. tagsHi holds its high 32 bits; the first fill
+// whose word needs them allocates it, so it stays nil while every address
+// is narrow (below 2^43 for the Table 1 hierarchy), and a lookup reads it
+// only after a low-half match. lastUse holds 32-bit LRU stamps (see
+// renumber) and flags the dirty/prefetched bits, both touched only on a
+// hit, fill or invalidation. That is 9 B per way without tagsHi, 13 B with
+// it. Every array is sets*ways long, set-major.
 type Cache struct {
 	cfg       CacheConfig
 	blockBits uint
 	setBits   uint
+	keyShift  uint // blockBits + setBits - 1; see locate
 	setMask   uint64
 	ways      int
-	tags      []uint64
-	lastUse   []uint64
+	tags      []uint32
+	tagsHi    []uint32
+	lastUse   []uint32
 	flags     []uint8
-	tick      uint64
+	tick      uint32
 
 	// onEvict, when set, fires for every valid line that leaves the cache
 	// (replacement or invalidation), before the replacement completes.
@@ -126,14 +135,17 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	sets := cfg.Sets()
 	n := sets * cfg.Ways
+	blockBits := uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
+	setBits := uint(bits.TrailingZeros(uint(sets)))
 	return &Cache{
 		cfg:       cfg,
-		blockBits: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
-		setBits:   uint(bits.TrailingZeros(uint(sets))),
+		blockBits: blockBits,
+		setBits:   setBits,
+		keyShift:  blockBits + setBits - 1, // Validate rejects blockBits+setBits == 0
 		setMask:   uint64(sets - 1),
 		ways:      cfg.Ways,
-		tags:      make([]uint64, n),
-		lastUse:   make([]uint64, n),
+		tags:      make([]uint32, n),
+		lastUse:   make([]uint32, n),
 		flags:     make([]uint8, n),
 	}
 }
@@ -151,27 +163,56 @@ func (c *Cache) BlockAddr(a Addr) Addr {
 }
 
 // locate returns the index of a's set's first way and the tag word a's
-// block would be stored under.
+// block would be stored under, tag<<1|1. Shifting one bit less than the
+// block and set bits leaves a set-index bit below the tag, which the OR
+// overwrites with the valid bit.
 func (c *Cache) locate(a Addr) (base int, key uint64) {
-	block := uint64(a) >> c.blockBits
-	return int(block&c.setMask) * c.ways, block>>c.setBits<<1 | 1
+	return int(uint64(a)>>c.blockBits&c.setMask) * c.ways, uint64(a)>>c.keyShift | 1
 }
 
 // find returns the index of the way holding key in the set starting at
-// base, or -1 when the block is absent.
+// base, or -1 when the block is absent. find and Contains must stay
+// inlinable (go build -gcflags=-m=2): a call in their place slows the
+// hierarchy by several percent. After a low-half match it compares the
+// rebuilt word with key rather than shifting key, which keeps the scan
+// loop free of register copies.
 func (c *Cache) find(base int, key uint64) int {
 	for i, t := range c.tags[base : base+c.ways] {
-		if t == key {
+		if t == uint32(key) && uint64(c.hiAt(base+i))<<32|uint64(t) == key {
 			return base + i
 		}
 	}
 	return -1
 }
 
+// hiAt returns the high half of way i's tag word.
+func (c *Cache) hiAt(i int) uint32 {
+	if c.tagsHi == nil {
+		return 0
+	}
+	return c.tagsHi[i]
+}
+
+// wordAt returns way i's whole tag word.
+func (c *Cache) wordAt(i int) uint64 { return uint64(c.hiAt(i))<<32 | uint64(c.tags[i]) }
+
+// setTag stores key as way i's tag word, allocating the high halves the
+// first time a word needs them.
+func (c *Cache) setTag(i int, key uint64) {
+	hi := uint32(key >> 32)
+	if hi != 0 && c.tagsHi == nil {
+		c.tagsHi = make([]uint32, len(c.tags))
+	}
+	c.tags[i] = uint32(key)
+	if c.tagsHi != nil {
+		c.tagsHi[i] = hi
+	}
+}
+
 // victimAt describes the valid line at index i as a Victim, rebuilding
 // its block-aligned address from the tag word and the set index.
 func (c *Cache) victimAt(i int) Victim {
-	block := c.tags[i]>>1<<c.setBits | uint64(i/c.ways)
+	block := c.wordAt(i)>>1<<c.setBits | uint64(i/c.ways)
 	f := c.flags[i]
 	return Victim{
 		Addr:           Addr(block << c.blockBits),
@@ -179,6 +220,38 @@ func (c *Cache) victimAt(i int) Victim {
 		Dirty:          f&flagDirty != 0,
 		UnusedPrefetch: f&flagPrefetched != 0,
 	}
+}
+
+// stamp advances the LRU clock and returns the new stamp, renumbering the
+// stamps first when the clock is about to wrap.
+func (c *Cache) stamp() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renumber rewrites each set's valid stamps as their ranks within the set
+// (1 for the least recent) and restarts the clock above every rank. LRU
+// compares stamps only among one set's ways, where they are distinct, so
+// the cache picks exactly the victims it would have with a clock that
+// never wraps.
+func (c *Cache) renumber() {
+	order := make([]int, 0, c.ways)
+	for base := 0; base < len(c.tags); base += c.ways {
+		order = order[:0]
+		for i := base; i < base+c.ways; i++ {
+			if c.tags[i] != 0 {
+				order = append(order, i)
+			}
+		}
+		slices.SortFunc(order, func(x, y int) int { return cmp.Compare(c.lastUse[x], c.lastUse[y]) })
+		for r, i := range order {
+			c.lastUse[i] = uint32(r + 1)
+		}
+	}
+	c.tick = uint32(c.ways)
 }
 
 // LookupResult reports the outcome of a demand lookup.
@@ -190,7 +263,7 @@ type LookupResult struct {
 // Lookup performs a demand access. On a hit the line's LRU state is updated,
 // the dirty bit is set for writes, and the prefetched bit is consumed.
 func (c *Cache) Lookup(a Addr, write bool) LookupResult {
-	c.tick++
+	now := c.stamp()
 	i := c.find(c.locate(a))
 	if i < 0 {
 		c.Stats.Misses++
@@ -199,7 +272,7 @@ func (c *Cache) Lookup(a Addr, write bool) LookupResult {
 		}
 		return LookupResult{}
 	}
-	c.lastUse[i] = c.tick
+	c.lastUse[i] = now
 	f := c.flags[i]
 	first := f&flagPrefetched != 0
 	if first {
@@ -215,9 +288,10 @@ func (c *Cache) Lookup(a Addr, write bool) LookupResult {
 	return LookupResult{Hit: true, FirstUseOfPF: first}
 }
 
-// Contains reports presence without disturbing LRU or prefetch state.
+// Contains reports presence without disturbing LRU or prefetch state. It
+// spells out locate to stay within the inlining budget.
 func (c *Cache) Contains(a Addr) bool {
-	return c.find(c.locate(a)) >= 0
+	return c.find(int(uint64(a)>>c.blockBits&c.setMask)*c.ways, uint64(a)>>c.keyShift|1) >= 0
 }
 
 // Touch updates LRU state for a resident block without other side effects.
@@ -227,8 +301,7 @@ func (c *Cache) Touch(a Addr) bool {
 	if i < 0 {
 		return false
 	}
-	c.tick++
-	c.lastUse[i] = c.tick
+	c.lastUse[i] = c.stamp()
 	return true
 }
 
@@ -236,7 +309,7 @@ func (c *Cache) Touch(a Addr) bool {
 // fill only merges flags (a dirty fill marks the line dirty). Otherwise the
 // LRU way is displaced and returned as the victim.
 func (c *Cache) Fill(a Addr, dirty, prefetch bool) Victim {
-	c.tick++
+	now := c.stamp()
 	base, key := c.locate(a)
 
 	// Merge into an existing line if present (e.g. a writeback arriving for
@@ -245,7 +318,7 @@ func (c *Cache) Fill(a Addr, dirty, prefetch bool) Victim {
 		if dirty {
 			c.flags[i] |= flagDirty
 		}
-		c.lastUse[i] = c.tick
+		c.lastUse[i] = now
 		return Victim{}
 	}
 
@@ -280,7 +353,8 @@ func (c *Cache) Fill(a Addr, dirty, prefetch bool) Victim {
 		f |= flagPrefetched
 		c.Stats.PrefetchFills++
 	}
-	c.tags[w], c.lastUse[w], c.flags[w] = key, c.tick, f
+	c.setTag(w, key)
+	c.lastUse[w], c.flags[w] = now, f
 	c.Stats.Fills++
 	return v
 }
@@ -300,7 +374,8 @@ func (c *Cache) Invalidate(a Addr) Victim {
 	if c.onEvict != nil {
 		c.onEvict(v.Addr, CauseInvalidation)
 	}
-	c.tags[i], c.lastUse[i], c.flags[i] = 0, 0, 0
+	c.setTag(i, 0)
+	c.lastUse[i], c.flags[i] = 0, 0
 	return v
 }
 
@@ -308,6 +383,7 @@ func (c *Cache) Invalidate(a Addr) Victim {
 // to its post-construction state without reallocating the line arrays.
 func (c *Cache) Reset() {
 	clear(c.tags)
+	clear(c.tagsHi)
 	clear(c.lastUse)
 	clear(c.flags)
 	c.tick = 0
@@ -326,16 +402,17 @@ func (c *Cache) ResidentBlocks() int {
 }
 
 // CheckInvariants verifies internal consistency: no duplicate tags within a
-// set and no flags on empty ways. It is used by property tests.
+// set and no flags or high tag half on empty ways. It is used by property
+// tests.
 func (c *Cache) CheckInvariants() error {
 	for base := 0; base < len(c.tags); base += c.ways {
 		set := base / c.ways
 		seen := make(map[uint64]bool, c.ways)
 		for i := base; i < base+c.ways; i++ {
-			t := c.tags[i]
-			if t == 0 {
-				if c.flags[i] != 0 {
-					return fmt.Errorf("cache %s set %d: empty way with flags %#x", c.cfg.Name, set, c.flags[i])
+			t := c.wordAt(i)
+			if c.tags[i] == 0 {
+				if t != 0 || c.flags[i] != 0 {
+					return fmt.Errorf("cache %s set %d: empty way with tag %#x, flags %#x", c.cfg.Name, set, t, c.flags[i])
 				}
 				continue
 			}

@@ -3,6 +3,7 @@ package memsys
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -536,6 +537,72 @@ func FuzzCacheOps(f *testing.F) {
 		}
 		p := newCachePair(diffGeometries[int(data[0])%len(diffGeometries)])
 		for data = data[1:]; len(data) >= 9; data = data[9:] {
+			if err := p.step(data[0], binary.LittleEndian.Uint64(data[1:9])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// jumpClock moves the packed cache's LRU clock forward to t, never back,
+// so its stamps keep the reference's order.
+func (p *cachePair) jumpClock(t uint32) { p.got.tick = max(p.got.tick, t) }
+
+// TestCacheStampWrap is TestCacheMatchesReference with the packed cache's
+// 32-bit clock jumped to within 500 of the wrap every 2,500 operations, so
+// every stretch crosses the wrap and renumbers its stamps. Resets, which
+// restart the clock, are skipped.
+func TestCacheStampWrap(t *testing.T) {
+	const stretch = 2500
+	for _, cfg := range diffGeometries {
+		for seed := int64(1); seed <= 4; seed++ {
+			p := newCachePair(cfg)
+			rng := rand.New(rand.NewSource(seed))
+			wraps := 0
+			for i := 0; i < 20000; i++ {
+				if i%stretch == 0 {
+					p.jumpClock(math.MaxUint32 - uint32(rng.Intn(500)))
+				}
+				before := p.got.tick
+				if err := p.step(uint8(rng.Intn(15)), rng.Uint64()); err != nil {
+					t.Fatalf("%d-way seed %d step %d: %v", cfg.Ways, seed, i, err)
+				}
+				if p.got.tick < before {
+					wraps++
+				}
+			}
+			if wraps != 20000/stretch {
+				t.Fatalf("%d-way seed %d: clock wrapped %d times, want %d", cfg.Ways, seed, wraps, 20000/stretch)
+			}
+		}
+	}
+}
+
+// FuzzCacheStampWrap is FuzzCacheOps with the packed cache's clock started
+// within 2^16 of the wrap: after the geometry byte, two little-endian bytes
+// give the distance, then come FuzzCacheOps' 9-byte records. Reset records
+// are skipped, as in TestCacheStampWrap. Each seed starts 40 ticks short
+// of the wrap and runs 100 operations, so it renumbers with full sets.
+func FuzzCacheStampWrap(f *testing.F) {
+	for g := range len(diffGeometries) {
+		rng := rand.New(rand.NewSource(int64(g)))
+		seed := []byte{byte(g), 40, 0}
+		for range 100 {
+			seed = append(seed, byte(rng.Intn(15)))
+			seed = binary.LittleEndian.AppendUint64(seed, rng.Uint64())
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		p := newCachePair(diffGeometries[int(data[0])%len(diffGeometries)])
+		p.jumpClock(math.MaxUint32 - uint32(binary.LittleEndian.Uint16(data[1:3])))
+		for data = data[3:]; len(data) >= 9; data = data[9:] {
+			if data[0]%16 == 15 {
+				continue
+			}
 			if err := p.step(data[0], binary.LittleEndian.Uint64(data[1:9])); err != nil {
 				t.Fatal(err)
 			}

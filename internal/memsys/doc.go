@@ -23,8 +23,10 @@
 // # Components
 //
 //   - Cache (cache.go): one set-associative write-back LRU cache with
-//     per-line dirty and "prefetched, unused" bits, its line state split
-//     into a scanned tag array and separate LRU and flag arrays.
+//     per-line dirty and "prefetched, unused" bits, 9 B per line: a
+//     scanned array of 32-bit low tag halves, high halves allocated only
+//     for addresses that need them, 32-bit LRU stamps renumbered by rank
+//     before the clock wraps, and a flag byte.
 //   - Hierarchy (hierarchy.go): wires L1s, the banked L2 and main-memory
 //     latency; exposes demand (Data/Fetch), prefetch, and PV entry points.
 //     A store invalidates the block in every other core's L1D: the L1D

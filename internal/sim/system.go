@@ -321,7 +321,7 @@ func (s *System) Step(c int) {
 		core.OnFetch(fres.Latency)
 		core.OnAccess(res.Latency, extra)
 		s.clock[c] = uint64(core.Cycles())
-		if s.inflight[c].Len() > inflightPruneAt {
+		if s.inflight[c].Len() > inflightHint {
 			s.pruneInflight(c)
 		}
 	}
@@ -350,14 +350,15 @@ func (s *System) Step(c int) {
 	}
 }
 
-// inflightPruneAt is the per-core in-flight record count past which
-// completed records are pruned. inflightHint presizes each core's table: a
-// timing run's population is typically a few thousand records, so the
-// table starts small and doubles on demand, and Reset keeps what it grew.
-const (
-	inflightPruneAt = 1 << 15
-	inflightHint    = 256
-)
+// inflightHint presizes each core's in-flight table and is the record
+// count past which completed records are pruned. A timing run has at most
+// a few dozen prefetches still in flight per core (72 at -scale 0.25 over
+// all eight workloads with 1K-11a, 16-11a, stride-1K and PV-8), so
+// pruning keeps the table at its presized cells and its probe chains
+// short. More than inflightHint records in flight at once would prune on
+// every step, and more than twice as many would grow the table; both cost
+// time only, never a result.
+const inflightHint = 256
 
 // pruneInflight drops completed prefetch records to bound memory. Dropping
 // them changes no result: a record whose ready time has passed adds no

@@ -63,10 +63,12 @@ type DedicatedPHT struct {
 	Stats PHTStats
 }
 
+// phtEntry's fields run from widest to narrowest, so tag and valid share
+// one 8-byte word: 24 B per entry, not 32.
 type phtEntry struct {
-	tag     uint32
 	pat     Pattern
 	lastUse uint64
+	tag     uint32
 	valid   bool
 }
 

@@ -3,6 +3,7 @@ package sms
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInfinitePHT(t *testing.T) {
@@ -80,6 +81,14 @@ func TestDedicatedPHTUpdateInPlace(t *testing.T) {
 	pat, _, _ := pht.Lookup(0, 9)
 	if pat != 2 {
 		t.Errorf("pattern = %v", pat)
+	}
+}
+
+// TestPHTEntrySize pins the dedicated PHT's entry at 24 B: a 1K-11a table
+// holds 11,264 of them per core.
+func TestPHTEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(phtEntry{}); n != 24 {
+		t.Errorf("phtEntry is %d B, want 24", n)
 	}
 }
 
