@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,10 +50,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if code := exitCode(err); code != 0 {
 		fmt.Fprintln(os.Stderr, "pvsim:", err)
-		os.Exit(1)
+		os.Exit(code)
 	}
+}
+
+// exitCode maps run's error to the process exit status: 0 on success and
+// when -h asked for the usage (flag.ErrHelp), 1 otherwise.
+func exitCode(err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 1
 }
 
 func run(args []string, stdout io.Writer) error {

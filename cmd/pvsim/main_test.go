@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,5 +150,25 @@ func TestRunOutputFileKeptOnBadID(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("-o file rewritten on a bad id: %q, want %q", got, want)
+	}
+}
+
+// TestHelpExitsZero checks that -h on the experiment command and on every
+// subcommand makes run return flag.ErrHelp, which exits 0, while a real
+// error still exits 1.
+func TestHelpExitsZero(t *testing.T) {
+	for _, args := range [][]string{
+		{"-h"}, {"sweep", "-h"}, {"serve", "-h"}, {"shard", "-h"}, {"mc", "-h"},
+	} {
+		err := run(args, &bytes.Buffer{})
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("pvsim %s returned %v, want flag.ErrHelp", strings.Join(args, " "), err)
+		}
+		if code := exitCode(err); code != 0 {
+			t.Errorf("pvsim %s exits %d, want 0", strings.Join(args, " "), code)
+		}
+	}
+	if code := exitCode(errors.New("no experiment given")); code != 1 {
+		t.Errorf("a real error exits %d, want 1", code)
 	}
 }

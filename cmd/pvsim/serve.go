@@ -28,7 +28,6 @@ func runServe(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pvsim serve", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8321", "listen address")
 	parallel := fs.Int("p", 0, "max parallel simulations per sweep")
-	maxSystems := fs.Int("pool", 0, "max pooled systems (0 = default, negative = unbounded)")
 	workers := fs.Int("workers", 0, "max concurrently running sweeps (0 = default 2)")
 	queueDepth := fs.Int("queue-depth", 0, "max queued sweeps before 429 backpressure (0 = default 16)")
 	dataDir := fs.String("data-dir", "", "persistence dir: finished results + queue state survive restarts (empty = memory only)")
@@ -46,7 +45,7 @@ func runServe(args []string, stdout io.Writer) error {
 	}
 
 	opts := service.Options{
-		Engine:       sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems},
+		Engine:       sweep.Options{Parallel: *parallel},
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
 		DataDir:      *dataDir,

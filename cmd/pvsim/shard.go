@@ -28,7 +28,6 @@ func runShard(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pvsim shard", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8331", "listen address")
 	parallel := fs.Int("p", 0, "max parallel simulations per shard")
-	maxSystems := fs.Int("pool", 0, "max pooled systems (0 = default, negative = unbounded)")
 	join := fs.String("join", "", "coordinator base URL to register with (POST /workers)")
 	advertise := fs.String("advertise", "", "URL the coordinator should dispatch to (default http://<addr>)")
 	verbose := fs.Bool("v", false, "log per-shard progress to stderr")
@@ -39,7 +38,7 @@ func runShard(args []string, stdout io.Writer) error {
 		return fmt.Errorf("shard: unexpected arguments %v", fs.Args())
 	}
 
-	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems}
+	opts := sweep.Options{Parallel: *parallel}
 	var logf func(format string, a ...interface{})
 	if *verbose {
 		logf = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

@@ -32,7 +32,6 @@ func runSweep(args []string, stdout io.Writer) error {
 	outFile := fs.String("o", "", "output file (default stdout)")
 	verbose := fs.Bool("v", false, "log per-run progress to stderr")
 	parallel := fs.Int("p", 0, "max parallel simulations (output is identical at any value)")
-	maxSystems := fs.Int("pool", 0, "max pooled systems (0 = default, negative = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,7 +79,7 @@ func runSweep(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems}
+	opts := sweep.Options{Parallel: *parallel}
 	var progress sweep.Progress
 	if *verbose {
 		opts.Log = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

@@ -301,8 +301,8 @@ func (p *Proxy[S]) Flush() {
 // Reset discards all PVCache state and statistics without writebacks,
 // returning the proxy to its post-construction state. Entry payload buffers
 // are kept for reuse; every refill overwrites them completely via
-// ReadSetInto. System reuse (sim.System.Reset) uses this; a live run that
-// must not lose dirty predictor state wants Flush instead.
+// ReadSetInto. The phase-edge flush (sim.Config.PhaseFlush) uses this; a
+// live run that must not lose dirty predictor state wants Flush instead.
 func (p *Proxy[S]) Reset() {
 	for i := range p.entries {
 		e := &p.entries[i]

@@ -74,9 +74,6 @@ func (c *Core) OnFetch(latency uint64) {
 	}
 }
 
-// Reset rewinds the accumulators to zero (system reuse).
-func (c *Core) Reset() { c.cycles, c.instrs = 0, 0 }
-
 // Cycles returns elapsed cycles.
 func (c *Core) Cycles() float64 { return c.cycles }
 

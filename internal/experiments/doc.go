@@ -17,12 +17,11 @@
 // Runner.Run keys each sim.Config by its signature into a result cache,
 // bounds concurrent simulations with a semaphore, and simulates each
 // signature at most once at a time: a Run whose configuration another
-// caller is simulating waits for that result, without taking a slot. Every
-// runner retains built sim.Systems in a pool keyed by hierarchy geometry,
-// up to Parallel per geometry and MaxSystems in total. A run takes a
-// retained system of its geometry: the one that last ran the same
-// configuration is reset in place, any other is rebuilt around its
-// hierarchy's cache arrays (sim.System.Rebuild), so a run allocates cache
-// arrays only for its first wave. Reset forgets cached results (forcing
-// re-simulation) while keeping retained systems.
+// caller is simulating waits for that result, without taking a slot. The
+// result cache keeps the 4096 most recently used results. Every runner
+// retains up to Parallel built sim.Systems, of any geometries, in release
+// order. A run takes the least recently released system of its hierarchy
+// geometry and rebuilds it around its cache arrays (sim.System.Rebuild),
+// so a run allocates cache arrays only for its first wave; releasing a
+// system past Parallel drops the oldest.
 package experiments

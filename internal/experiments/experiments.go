@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
-	"pvsim/internal/memsys"
 	"pvsim/internal/report"
 	"pvsim/internal/sim"
 	"pvsim/internal/workloads"
@@ -23,27 +23,19 @@ type Options struct {
 	// standard seed 42. (Earlier versions silently rewrote 0 to 42, which
 	// made seed 0 unrunnable; TestSeedZeroIsARealSeed pins the fix.)
 	Seed uint64
-	// Parallel caps concurrent simulations (0 = GOMAXPROCS).
+	// Parallel caps concurrent simulations (0 = GOMAXPROCS) and the number
+	// of built systems the runner retains for reuse.
 	Parallel int
-	// MaxSystems bounds how many built systems the runner retains in
-	// total, across geometries (each holds its cache arrays — megabytes).
-	// The pool keeps at most Parallel systems per hierarchy geometry, so
-	// this bound binds only on runs that mix geometries; past it the
-	// least-recently-used system is dropped. 0 means DefaultMaxSystems,
-	// negative means unbounded.
-	MaxSystems int
-	// MaxResults bounds the result cache the same way (results are small —
-	// kilobytes of statistics — but an open-ended server accumulates one
-	// per distinct configuration forever). 0 means unbounded.
-	MaxResults int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
 }
 
-// DefaultMaxSystems bounds the system pool when Options.MaxSystems is
-// zero: enough for a few geometries at Parallel systems each, while an
-// open-ended sweep server that touches many geometries stays flat.
-const DefaultMaxSystems = 8
+// maxCachedResults bounds the result cache, least recently used first:
+// results are kilobytes of statistics each, so a few thousand keep a
+// long-lived server's memory flat while still deduplicating
+// configurations across overlapping grids. No experiment comes near it
+// (`pvsim all` runs about 300 simulations).
+const maxCachedResults = 4096
 
 // DefaultOptions runs at full scale with quiet logging.
 func DefaultOptions() Options {
@@ -56,9 +48,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxSystems == 0 {
-		o.MaxSystems = DefaultMaxSystems
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...interface{}) {}
@@ -73,25 +62,17 @@ func (o Options) normalized() Options {
 type Runner struct {
 	opts Options
 
-	mu    sync.Mutex
-	cache map[string]*cachedResult
+	mu      sync.Mutex
+	cache   map[string]*cachedResult
+	useTick uint64 // recency clock for the result cache's LRU eviction
 	// inflight maps each signature being simulated to the Twin its
 	// concurrent callers wait on; StoreResult resolves and removes it.
 	inflight map[string]*Twin
-	// systems is the system pool: per geometry, the retained systems in
-	// release order, so each list's first entry is its least recently
-	// used.
-	systems map[memsys.Geometry][]*retainedSystem
-	useTick uint64 // recency clock for LRU eviction
+	// systems is the system pool: at most Parallel retained systems of any
+	// geometries, in release order, so systems[0] is the least recently
+	// released.
+	systems []*sim.System
 	sem     chan struct{}
-}
-
-// retainedSystem is one pooled system, the signature of the config it
-// last ran, and the recency stamp MaxSystems eviction orders by.
-type retainedSystem struct {
-	sys     *sim.System
-	key     string
-	lastUse uint64
 }
 
 // Twin is a simulation in flight: the claim of the first caller that
@@ -108,30 +89,27 @@ func (t *Twin) Done() <-chan struct{} { return t.done }
 // Result is the twin's result; it is valid once Done is closed.
 func (t *Twin) Result() sim.Result { return t.res }
 
-// cachedResult is one cached result plus the recency stamp MaxResults
-// eviction orders by.
+// cachedResult is one cached result plus the recency stamp the result
+// cache's eviction orders by.
 type cachedResult struct {
 	res     sim.Result
 	lastUse uint64
 }
 
-// evictOldestResults drops least-recently-used results until the cache
-// fits MaxResults (0 means unbounded); the caller holds r.mu.
-func (r *Runner) evictOldestResults() {
-	max := r.opts.MaxResults
-	if max <= 0 {
+// evictOldestResult drops the least recently used result once the cache
+// holds more than maxCachedResults; the caller holds r.mu.
+func (r *Runner) evictOldestResult() {
+	if len(r.cache) <= maxCachedResults {
 		return
 	}
-	for len(r.cache) > max {
-		oldestKey := ""
-		oldest := uint64(0)
-		for k, e := range r.cache {
-			if oldestKey == "" || e.lastUse < oldest {
-				oldestKey, oldest = k, e.lastUse
-			}
+	oldestKey := ""
+	oldest := uint64(0)
+	for k, e := range r.cache {
+		if oldestKey == "" || e.lastUse < oldest {
+			oldestKey, oldest = k, e.lastUse
 		}
-		delete(r.cache, oldestKey)
 	}
+	delete(r.cache, oldestKey)
 }
 
 // NewRunner builds a runner.
@@ -141,19 +119,8 @@ func NewRunner(opts Options) *Runner {
 		opts:     o,
 		cache:    make(map[string]*cachedResult),
 		inflight: make(map[string]*Twin),
-		systems:  make(map[memsys.Geometry][]*retainedSystem),
 		sem:      make(chan struct{}, o.Parallel),
 	}
-}
-
-// Reset forgets every cached result, so subsequent Run calls re-simulate.
-// Retained systems survive: on their next use they are reset in place for
-// the configuration they last ran, or rebuilt around their hierarchy for
-// another of the same geometry.
-func (r *Runner) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clear(r.cache)
 }
 
 // Options returns the normalized options.
@@ -244,7 +211,7 @@ func (r *Runner) Run(cfg sim.Config) sim.Result {
 		return res
 	}
 	r.sem <- struct{}{}
-	res = r.simulate(key, cfg)
+	res = r.simulate(cfg)
 	<-r.sem
 	r.storeResult(key, res)
 	return res
@@ -292,7 +259,7 @@ func (r *Runner) storeResult(key string, res sim.Result) {
 	defer r.mu.Unlock()
 	r.useTick++
 	r.cache[key] = &cachedResult{res: res, lastUse: r.useTick}
-	r.evictOldestResults()
+	r.evictOldestResult()
 	if t := r.inflight[key]; t != nil {
 		t.res = res
 		delete(r.inflight, key)
@@ -301,153 +268,83 @@ func (r *Runner) storeResult(key string, res sim.Result) {
 }
 
 // AcquireSystem claims a system for cfg — the pool-take transition of
-// simulate. A retained system of cfg's geometry is claimed, preferring one
-// that last ran cfg: that one is Reset in place, any other is rebuilt
-// around its hierarchy. A pool miss builds fresh. Pair every call with
-// ReleaseSystem after the system's Run.
+// simulate. The least recently released system of cfg's geometry is
+// rebuilt around its hierarchy for cfg (sim.System.Rebuild); a pool miss
+// builds fresh. Pair every call with ReleaseSystem after the system's Run.
 func (r *Runner) AcquireSystem(cfg sim.Config) *sim.System {
-	return r.acquireSystem(cacheKey(cfg), cfg)
-}
-
-func (r *Runner) acquireSystem(key string, cfg sim.Config) *sim.System {
+	g := cfg.Hier.Geometry()
 	r.mu.Lock()
-	e := r.takeSystem(key, cfg.Hier.Geometry())
-	r.mu.Unlock()
-	switch {
-	case e == nil:
-		return sim.NewSystem(cfg)
-	case e.key == key:
-		e.sys.Reset()
-		return e.sys
-	}
-	return e.sys.Rebuild(cfg)
-}
-
-// takeSystem removes and returns a retained system of geometry g — the
-// one that last ran key if there is one, else the least recently used —
-// or nil. The caller holds r.mu.
-func (r *Runner) takeSystem(key string, g memsys.Geometry) *retainedSystem {
-	list := r.systems[g]
-	if len(list) == 0 {
-		return nil
-	}
-	pick := 0
-	for i, e := range list {
-		if e.key == key {
-			pick = i
+	var sys *sim.System
+	for i, s := range r.systems {
+		if s.Hier.Config().Geometry() == g {
+			sys = s
+			r.systems = slices.Delete(r.systems, i, i+1)
 			break
 		}
 	}
-	return r.dropSystem(g, pick)
-}
-
-// dropSystem removes and returns the i-th retained system of geometry g.
-// The caller holds r.mu.
-func (r *Runner) dropSystem(g memsys.Geometry, i int) *retainedSystem {
-	list := r.systems[g]
-	e := list[i]
-	if list = append(list[:i], list[i+1:]...); len(list) == 0 {
-		delete(r.systems, g)
-	} else {
-		r.systems[g] = list
+	r.mu.Unlock()
+	if sys == nil {
+		return sim.NewSystem(cfg)
 	}
-	return e
-}
-
-// retained counts the pooled systems across geometries. The caller holds
-// r.mu.
-func (r *Runner) retained() int {
-	n := 0
-	for _, list := range r.systems {
-		n += len(list)
-	}
-	return n
+	return sys.Rebuild(cfg)
 }
 
 // ReleaseSystem returns a claimed system to the pool — the pool-put
-// transition of simulate. A geometry keeps at most Parallel systems and
-// the pool at most MaxSystems; past either bound the least recently used
-// system is dropped.
-func (r *Runner) ReleaseSystem(cfg sim.Config, sys *sim.System) {
-	r.releaseSystem(cacheKey(cfg), cfg.Hier.Geometry(), sys)
-}
-
-func (r *Runner) releaseSystem(key string, g memsys.Geometry, sys *sim.System) {
+// transition of simulate. Past Parallel retained systems the least
+// recently released one is dropped.
+func (r *Runner) ReleaseSystem(sys *sim.System) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.useTick++
-	r.systems[g] = append(r.systems[g], &retainedSystem{sys: sys, key: key, lastUse: r.useTick})
-	if len(r.systems[g]) > r.opts.Parallel {
-		r.dropSystem(g, 0)
-	}
-	for max := r.opts.MaxSystems; max > 0 && r.retained() > max; {
-		var oldest memsys.Geometry
-		oldestUse := uint64(0)
-		for k, list := range r.systems {
-			if oldestUse == 0 || list[0].lastUse < oldestUse {
-				oldest, oldestUse = k, list[0].lastUse
-			}
-		}
-		r.dropSystem(oldest, 0)
+	r.systems = append(r.systems, sys)
+	if len(r.systems) > r.opts.Parallel {
+		r.systems = slices.Delete(r.systems, 0, 1)
 	}
 }
 
-// CheckPool verifies the system pool's structural invariants: occupancy
-// within the MaxSystems bound, at most Parallel systems per geometry, each
-// list in release order and filed under its own geometry, and no nil
-// retained system. The sweep schedule explorer asserts it after every
-// explored schedule — including cancelled ones — to prove scheduling can
-// never corrupt the pool.
+// CheckPool verifies the system pool's structural invariants: at most
+// Parallel retained systems, none nil and none retained twice. The sweep
+// schedule explorer asserts it after every explored schedule — including
+// cancelled ones — to prove scheduling can never corrupt the pool.
 func (r *Runner) CheckPool() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n, max := r.retained(), r.opts.MaxSystems; max > 0 && n > max {
-		return fmt.Errorf("experiments: system pool holds %d systems, bound is %d", n, max)
+	if n := len(r.systems); n > r.opts.Parallel {
+		return fmt.Errorf("experiments: system pool holds %d systems, bound is %d", n, r.opts.Parallel)
 	}
-	for g, list := range r.systems {
-		if len(list) == 0 || len(list) > r.opts.Parallel {
-			return fmt.Errorf("experiments: system pool holds %d systems of one geometry, bound is %d", len(list), r.opts.Parallel)
+	for i, sys := range r.systems {
+		if sys == nil {
+			return fmt.Errorf("experiments: system pool retains a nil system")
 		}
-		for i, e := range list {
-			if e == nil || e.sys == nil {
-				return fmt.Errorf("experiments: system pool retains a nil system under geometry %+v", g)
-			}
-			if e.sys.Hier.Config().Geometry() != g {
-				return fmt.Errorf("experiments: system pool files a system under another geometry (%q)", e.key)
-			}
-			if i > 0 && e.lastUse <= list[i-1].lastUse {
-				return fmt.Errorf("experiments: system pool list out of release order (%q)", e.key)
-			}
+		if slices.Index(r.systems[:i], sys) >= 0 {
+			return fmt.Errorf("experiments: system pool retains one system twice")
 		}
 	}
 	return nil
 }
 
-// CachedResults reports the result cache's occupancy (bounded by
-// MaxResults).
+// CachedResults reports the result cache's occupancy.
 func (r *Runner) CachedResults() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.cache)
 }
 
-// simulate executes cfg on a pooled system of cfg's geometry — reset or
-// rebuilt before the run, either of which is bit-identical to a fresh
-// build — and puts it back, evicting beyond the pool's bounds.
-func (r *Runner) simulate(key string, cfg sim.Config) sim.Result {
-	sys := r.acquireSystem(key, cfg)
+// simulate executes cfg on a pooled system of cfg's geometry — rebuilt
+// before the run, which is bit-identical to a fresh build — and puts it
+// back.
+func (r *Runner) simulate(cfg sim.Config) sim.Result {
+	sys := r.AcquireSystem(cfg)
 	res := sys.Run()
-	r.releaseSystem(key, cfg.Hier.Geometry(), sys)
+	r.ReleaseSystem(sys)
 	return res
 }
 
 // RetainedSystems reports how many built systems the runner currently
-// retains across geometries (pool occupancy; tests assert the MaxSystems
-// bound through it).
+// retains (pool occupancy, at most Parallel).
 func (r *Runner) RetainedSystems() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.retained()
+	return len(r.systems)
 }
 
 // RunAll simulates configurations concurrently, preserving order.

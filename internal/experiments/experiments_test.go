@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"pvsim/internal/sim"
 	"pvsim/internal/workloads"
+	"pvsim/pv"
 )
 
 func tinyRunner() *Runner {
@@ -64,30 +68,83 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
-// TestRunnerResultCacheBounded pins the MaxResults LRU: more distinct
-// configurations than the bound never leave more cached results behind.
+// TestRunnerResultCacheBounded pins the result cache's LRU: past
+// maxCachedResults the least recently used result is dropped, and a
+// bounded cache still caches.
 func TestRunnerResultCacheBounded(t *testing.T) {
-	r := NewRunner(Options{Scale: 0.0025, Seed: 42, MaxResults: 2})
-	for _, name := range []string{"Apache", "Qry1", "Zeus"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Run(r.baseConfig(w))
+	r := NewRunner(Options{Scale: 0.0025, Seed: 42})
+	for i := 0; i < maxCachedResults; i++ {
+		r.storeResult(strconv.Itoa(i), sim.Result{})
 	}
-	if got := r.CachedResults(); got > 2 {
-		t.Errorf("result cache holds %d entries, bound is 2", got)
+	r.lookup("0") // refresh: "1" is now the least recently used
+	r.storeResult("new", sim.Result{})
+	if got := r.CachedResults(); got != maxCachedResults {
+		t.Errorf("result cache holds %d entries, bound is %d", got, maxCachedResults)
 	}
-	// A bounded cache still caches: re-running the most recent config must
-	// not simulate again.
+	if _, ok := r.cache["1"]; ok {
+		t.Error("least recently used result survived eviction")
+	}
+	if _, ok := r.cache["0"]; !ok {
+		t.Error("a refreshed result was evicted")
+	}
+
+	// Re-running the most recent config must not simulate again.
 	var runs atomic.Int32
-	r2 := NewRunner(Options{Scale: 0.0025, Seed: 42, MaxResults: 2,
+	r2 := NewRunner(Options{Scale: 0.0025, Seed: 42,
 		Log: func(string, ...interface{}) { runs.Add(1) }})
 	w, _ := workloads.ByName("Apache")
 	r2.Run(r2.baseConfig(w))
 	r2.Run(r2.baseConfig(w))
 	if runs.Load() != 1 {
-		t.Errorf("bounded cache simulated %d times for one config, want 1", runs.Load())
+		t.Errorf("cache simulated %d times for one config, want 1", runs.Load())
+	}
+}
+
+// TestRunnerPoolBounded pins the system pool's one bound: a RunAll that
+// mixes four L2 sizes — four hierarchy geometries — never retains more
+// than Parallel systems, during the run or after it, and every result
+// equals a fresh build's.
+func TestRunnerPoolBounded(t *testing.T) {
+	w, err := workloads.ByName("Apache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []sim.Config
+	for _, l2 := range []int{1 << 20, 2 << 20, 4 << 20, 8 << 20} {
+		for _, spec := range []pv.Spec{{}, sim.PV8} {
+			cfg := ConfigFor(w, 0.0025, 42)
+			cfg.Hier.L2.SizeBytes = l2
+			cfg.Prefetch = spec
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("p%d", parallel), func(t *testing.T) {
+			var r *Runner
+			var bad atomic.Value
+			check := func() {
+				if n := r.RetainedSystems(); n > parallel {
+					bad.CompareAndSwap(nil, fmt.Sprintf("pool retains %d systems, bound is %d", n, parallel))
+				}
+				if err := r.CheckPool(); err != nil {
+					bad.CompareAndSwap(nil, err.Error())
+				}
+			}
+			// The runner logs each claimed simulation outside its lock, so
+			// the pool is checked while other simulations hold systems.
+			r = NewRunner(Options{Scale: 0.0025, Seed: 42, Parallel: parallel,
+				Log: func(string, ...interface{}) { check() }})
+			res := r.RunAll(cfgs)
+			check()
+			if msg := bad.Load(); msg != nil {
+				t.Fatal(msg)
+			}
+			for i, cfg := range cfgs {
+				if want := sim.Run(cfg); !reflect.DeepEqual(res[i], want) {
+					t.Fatalf("config %d on a pooled system diverges from a fresh build", i)
+				}
+			}
+		})
 	}
 }
 

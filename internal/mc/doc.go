@@ -13,7 +13,7 @@
 //     twin, simulate, pool put, merge are the atomic transitions),
 //     asserting the merged report bytes are identical to serial
 //     execution on every schedule, that every signature of the grid
-//     simulates exactly once, and that the LRU system pool survives
+//     simulates exactly once, and that the system pool survives
 //     every schedule — including schedules where cancellation is
 //     injected at an arbitrary yield point — intact and within bound.
 //

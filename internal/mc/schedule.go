@@ -40,10 +40,6 @@ type ScheduleOptions struct {
 	Cancel bool
 	// Budget caps explored schedules; 0 means DefaultBudget.
 	Budget int
-	// MaxSystems bounds the explored engines' LRU system pool; 0 means 2,
-	// intentionally smaller than the job count so eviction happens inside
-	// the explored schedules.
-	MaxSystems int
 	// Workload picks the grid's one workload; empty means "Apache".
 	Workload string
 	// Seeds is the grid's seed axis; empty means [42]. A repeated seed
@@ -73,9 +69,6 @@ func (o ScheduleOptions) withDefaults() ScheduleOptions {
 	}
 	if o.Budget == 0 {
 		o.Budget = DefaultBudget
-	}
-	if o.MaxSystems == 0 {
-		o.MaxSystems = 2
 	}
 	if o.Workload == "" {
 		o.Workload = "Apache"
@@ -155,10 +148,11 @@ func (s *mcSched) Choose(n int, label func(i int) string) int {
 // sequenced sweep worker pool and checks, per schedule: the report bytes
 // are identical to serial execution; progress fires exactly once per
 // merge transition; no signature is simulated twice (a job whose
-// configuration is in flight waits for it); the LRU system pool stays
-// within bound and structurally intact; and — on schedules with injected cancellation — no
-// result is published, and a deterministic re-run on the same engine
-// still reproduces the serial bytes (cancellation corrupts nothing).
+// configuration is in flight waits for it); the system pool stays within
+// its Workers bound and structurally intact; and — on schedules with
+// injected cancellation — no result is published, and a deterministic
+// re-run on the same engine still reproduces the serial bytes
+// (cancellation corrupts nothing).
 func ExploreSchedules(opts ScheduleOptions) (Report, error) {
 	opts = opts.withDefaults()
 	grid, err := opts.grid()
@@ -280,7 +274,7 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, sigs map[st
 			claims[sig]++
 		}
 	}
-	e := sweep.New(sweep.Options{Parallel: opts.Workers, MaxSystems: opts.MaxSystems, Sched: sched, Tweak: shrinkSim, Log: logf})
+	e := sweep.New(sweep.Options{Parallel: opts.Workers, Sched: sched, Tweak: shrinkSim, Log: logf})
 
 	progress := 0
 	res, err := e.Run(ctx, grid, func(done, total int) { progress++ })
@@ -324,7 +318,7 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, sigs map[st
 	if err := checkClaims(claims, sigs, !sched.cancelled); err != nil {
 		return err
 	}
-	if err := checkEnginePool(e, opts.MaxSystems); err != nil {
+	if err := e.CheckPool(); err != nil {
 		return err
 	}
 
@@ -347,7 +341,7 @@ func runSchedule(opts ScheduleOptions, grid sweep.Grid, want []byte, sigs map[st
 		if err := checkClaims(claims, sigs, true); err != nil {
 			return fmt.Errorf("after cancellation re-run: %w", err)
 		}
-		if err := checkEnginePool(e, opts.MaxSystems); err != nil {
+		if err := e.CheckPool(); err != nil {
 			return fmt.Errorf("after cancellation re-run: %w", err)
 		}
 	}
@@ -370,16 +364,6 @@ func checkClaims(claims map[string]int, sigs map[string]bool, complete bool) err
 	}
 	if complete && len(claims) != len(sigs) {
 		return fmt.Errorf("%d signatures simulated, the grid has %d", len(claims), len(sigs))
-	}
-	return nil
-}
-
-func checkEnginePool(e *sweep.Engine, bound int) error {
-	if err := e.CheckPool(); err != nil {
-		return err
-	}
-	if n := e.RetainedSystems(); n > bound {
-		return fmt.Errorf("system pool retains %d systems, bound is %d", n, bound)
 	}
 	return nil
 }

@@ -36,6 +36,7 @@
 //   - Addr/AddrRange/AccessKind/Class (addr.go): address and traffic
 //     taxonomy.
 //
-// All per-access paths are allocation-free, and Hierarchy.Reset /
-// Hierarchy.ResetStats restore a system in place for reuse across runs.
+// All per-access paths are allocation-free. Hierarchy.Retarget (through
+// Hierarchy.Reset) restores a hierarchy in place for reuse across runs,
+// and Hierarchy.ResetStats zeroes statistics after warmup.
 package memsys

@@ -174,12 +174,6 @@ func (s *Stats) L2MissesTotal() uint64 {
 	return t
 }
 
-// OffChipTotal returns total off-chip transactions (reads + writes).
-func (s *Stats) OffChipTotal() uint64 {
-	return s.OffChipReads[ClassApp] + s.OffChipReads[ClassPV] +
-		s.OffChipWrites[ClassApp] + s.OffChipWrites[ClassPV]
-}
-
 // Result describes one access's outcome.
 type Result struct {
 	Level   Level  // level that served the request

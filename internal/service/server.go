@@ -37,7 +37,7 @@ const (
 
 // Options configure the service.
 type Options struct {
-	// Engine tunes the shared sweep engine (Parallel, MaxSystems, ...).
+	// Engine tunes the shared sweep engine (Parallel, Log, ...).
 	Engine sweep.Options
 	// Workers bounds concurrently running sweeps: 0 means DefaultWorkers,
 	// negative means none — the queue admits but nothing drains, used by

@@ -12,7 +12,7 @@ import (
 // named by the grid hash, holding the exact Result.JSON() bytes the run
 // produced. A restarted server serves a stored grid without re-simulating
 // — and byte-identically, because the file *is* the canonical report.
-// Retention is bounded and rolling: past MaxResults files, the oldest
+// Retention is bounded and rolling: past max files, the oldest
 // (by modification time, then name) are evicted on the next Put.
 type Store struct {
 	mu  sync.Mutex

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -17,21 +19,11 @@ import (
 type feed struct {
 	mu      sync.Mutex
 	rows    []sweep.Row
-	jobs    int // expected row count, from StreamHeader
+	jobs    int // expected row count, from the admission plan
 	header  []byte
 	done    bool
 	errMsg  string // non-empty when the sweep failed or was cancelled
 	waiters []chan struct{}
-}
-
-// newFeed builds a feed for a validated grid, precomputing the framed
-// header so every subscriber shares the same bytes.
-func newFeed(g sweep.Grid) (*feed, error) {
-	header, jobs, err := sweep.StreamHeader(g)
-	if err != nil {
-		return nil, err
-	}
-	return &feed{jobs: jobs, header: header}, nil
 }
 
 // feedFromPlan builds a feed from an already-expanded admission plan —
@@ -147,43 +139,103 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	fr, ok := framingFor(format, f, id)
+	if !ok {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want json|ndjson|sse)", format))
+		return
+	}
+	w.Header().Set("Content-Type", fr.contentType)
+	if format == "sse" {
+		w.Header().Set("Cache-Control", "no-cache")
+	}
 	flush := func() {}
 	if fl, ok := w.(http.Flusher); ok {
 		flush = fl.Flush
 	}
-
-	switch format {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		s.streamFramed(w, flush, f, r)
-	case "ndjson":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		s.streamNDJSON(w, flush, f, id, r)
-	case "sse":
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		s.streamSSE(w, flush, f, id, r)
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want json|ndjson|sse)", format))
-	}
+	follow(r.Context(), w, flush, f, fr)
 }
 
-// streamFramed writes the framed-JSON stream: header, row chunks, footer.
-// Write errors (a disconnected client, typically) end the stream at once:
-// a blocked feed would otherwise hold the handler — and its goroutine —
-// until the sweep finished, writing rows nobody reads.
-func (s *Server) streamFramed(w http.ResponseWriter, flush func(), f *feed, r *http.Request) {
-	if _, err := w.Write(f.header); err != nil {
-		return
+// framing is one stream format: its Content-Type, the chunk that opens
+// the stream (none when empty), the bytes of row i, and the closing bytes
+// of a finished feed, whose errMsg is empty on success.
+type framing struct {
+	contentType string
+	open        []byte
+	row         func(row sweep.Row, i int) ([]byte, error)
+	finish      func(errMsg string) []byte
+}
+
+// framingFor returns the framing of format (json, ndjson or sse, as
+// handleStream describes them) for feed f of sweep id; ok is false for an
+// unknown format.
+func framingFor(format string, f *feed, id string) (fr framing, ok bool) {
+	rowLine := func(row sweep.Row, _ int) ([]byte, error) { return sweep.RowLine(row) }
+	switch format {
+	case "json":
+		return framing{
+			contentType: "application/json",
+			open:        f.header,
+			row:         sweep.StreamRow,
+			finish: func(errMsg string) []byte {
+				if errMsg != "" {
+					return nil
+				}
+				return sweep.StreamFooter(f.jobs)
+			},
+		}, true
+	case "ndjson":
+		return framing{
+			contentType: "application/x-ndjson",
+			row:         rowLine,
+			finish: func(errMsg string) []byte {
+				if errMsg != "" {
+					return fmt.Appendf(nil, "{\"id\":%q,\"error\":%q}\n", id, errMsg)
+				}
+				return fmt.Appendf(nil, "{\"id\":%q,\"jobs\":%d,\"done\":true}\n", id, f.jobs)
+			},
+		}, true
+	case "sse":
+		return framing{
+			contentType: "text/event-stream",
+			row: func(row sweep.Row, i int) ([]byte, error) {
+				line, err := rowLine(row, i)
+				if err != nil {
+					return nil, err
+				}
+				// line carries its own \n
+				return fmt.Appendf(nil, "event: row\ndata: %s\n", line), nil
+			},
+			finish: func(errMsg string) []byte {
+				if errMsg != "" {
+					return fmt.Appendf(nil, "event: error\ndata: {\"id\":%q,\"error\":%q}\n\n", id, errMsg)
+				}
+				return fmt.Appendf(nil, "event: done\ndata: {\"id\":%q,\"jobs\":%d}\n\n", id, f.jobs)
+			},
+		}, true
 	}
-	flush()
+	return framing{}, false
+}
+
+// follow writes feed f to w in framing fr: the opening chunk, every row
+// as it lands, and the closing bytes once the feed finishes. A write
+// error (a disconnected client, typically) ends the stream at once: a
+// blocked feed would otherwise hold the handler — and its goroutine —
+// until the sweep finished, writing rows nobody reads. Cancelling ctx
+// ends the stream too.
+func follow(ctx context.Context, w io.Writer, flush func(), f *feed, fr framing) {
+	if len(fr.open) > 0 {
+		if _, err := w.Write(fr.open); err != nil {
+			return
+		}
+		flush()
+	}
 	i := 0
 	for {
 		rows, done, errMsg, wait := f.next(i)
 		switch {
 		case len(rows) > 0:
 			for _, row := range rows {
-				chunk, err := sweep.StreamRow(row, i)
+				chunk, err := fr.row(row, i)
 				if err != nil {
 					return
 				}
@@ -194,93 +246,13 @@ func (s *Server) streamFramed(w http.ResponseWriter, flush func(), f *feed, r *h
 			}
 			flush()
 		case done:
-			if errMsg == "" {
-				w.Write(sweep.StreamFooter(f.jobs))
-			}
+			w.Write(fr.finish(errMsg))
 			flush()
 			return
 		default:
 			select {
 			case <-wait:
-			case <-r.Context().Done():
-				f.forget(wait)
-				return
-			}
-		}
-	}
-}
-
-// streamNDJSON writes one compact row per line plus a final status line.
-// Like streamFramed, a write error ends the stream immediately.
-func (s *Server) streamNDJSON(w http.ResponseWriter, flush func(), f *feed, id string, r *http.Request) {
-	i := 0
-	for {
-		rows, done, errMsg, wait := f.next(i)
-		switch {
-		case len(rows) > 0:
-			for _, row := range rows {
-				line, err := sweep.RowLine(row)
-				if err != nil {
-					return
-				}
-				if _, err := w.Write(line); err != nil {
-					return
-				}
-				i++
-			}
-			flush()
-		case done:
-			if errMsg == "" {
-				fmt.Fprintf(w, "{\"id\":%q,\"jobs\":%d,\"done\":true}\n", id, f.jobs)
-			} else {
-				fmt.Fprintf(w, "{\"id\":%q,\"error\":%q}\n", id, errMsg)
-			}
-			flush()
-			return
-		default:
-			select {
-			case <-wait:
-			case <-r.Context().Done():
-				f.forget(wait)
-				return
-			}
-		}
-	}
-}
-
-// streamSSE writes Server-Sent Events: one `row` event per row, then a
-// terminal `done` or `error` event. Like streamFramed, a write error ends
-// the stream immediately.
-func (s *Server) streamSSE(w http.ResponseWriter, flush func(), f *feed, id string, r *http.Request) {
-	i := 0
-	for {
-		rows, done, errMsg, wait := f.next(i)
-		switch {
-		case len(rows) > 0:
-			for _, row := range rows {
-				line, err := sweep.RowLine(row)
-				if err != nil {
-					return
-				}
-				// line carries its own \n
-				if _, err := fmt.Fprintf(w, "event: row\ndata: %s\n", line); err != nil {
-					return
-				}
-				i++
-			}
-			flush()
-		case done:
-			if errMsg == "" {
-				fmt.Fprintf(w, "event: done\ndata: {\"id\":%q,\"jobs\":%d}\n\n", id, f.jobs)
-			} else {
-				fmt.Fprintf(w, "event: error\ndata: {\"id\":%q,\"error\":%q}\n\n", id, errMsg)
-			}
-			flush()
-			return
-		default:
-			select {
-			case <-wait:
-			case <-r.Context().Done():
+			case <-ctx.Done():
 				f.forget(wait)
 				return
 			}

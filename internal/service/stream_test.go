@@ -1,9 +1,9 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -35,20 +35,16 @@ func (b *brokenWriter) Write(p []byte) (int, error) {
 // finishes, exactly so an un-fixed handler hangs the test's deadline).
 func TestStreamStopsOnWriteError(t *testing.T) {
 	g := sweep.Grid{Specs: []string{"none"}, Workloads: []string{"Apache"}, Scale: testScale}
-	svc, err := New(Options{Workers: -1})
+	plan, err := g.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	handlers := map[string]func(w http.ResponseWriter, f *feed, r *http.Request){
-		"json":   func(w http.ResponseWriter, f *feed, r *http.Request) { svc.streamFramed(w, func() {}, f, r) },
-		"ndjson": func(w http.ResponseWriter, f *feed, r *http.Request) { svc.streamNDJSON(w, func() {}, f, "id", r) },
-		"sse":    func(w http.ResponseWriter, f *feed, r *http.Request) { svc.streamSSE(w, func() {}, f, "id", r) },
-	}
-	for name, handler := range handlers {
-		t.Run(name, func(t *testing.T) {
-			f, err := newFeed(g)
-			if err != nil {
-				t.Fatal(err)
+	for _, format := range []string{"json", "ndjson", "sse"} {
+		t.Run(format, func(t *testing.T) {
+			f := feedFromPlan(plan)
+			fr, ok := framingFor(format, f, "id")
+			if !ok {
+				t.Fatalf("no framing for %q", format)
 			}
 			// Plenty of rows already published, none to come, no finish:
 			// a handler that shrugs off write errors drains all of them
@@ -59,7 +55,7 @@ func TestStreamStopsOnWriteError(t *testing.T) {
 			w := &brokenWriter{ok: 3}
 			done := make(chan struct{})
 			go func() {
-				handler(w, f, httptest.NewRequest("GET", "/sweeps/id/stream", nil))
+				follow(context.Background(), w, func() {}, f, fr)
 				close(done)
 			}()
 			select {

@@ -27,8 +27,9 @@
 // Run builds a System and executes warmup, a statistics reset, and the
 // measured phase, split into Windows measurement windows when Timing is on
 // (one IPC sample per window, the matched-pair input of §4.1's
-// methodology). The per-access path allocates nothing, and a
-// System can be Reset in place and re-Run with bit-identical results —
-// the re-run path benchmarks and sweep drivers use to avoid rebuilding
-// multi-megabyte cache arrays per run.
+// methodology). The per-access path allocates nothing, and
+// System.Rebuild wires another configuration of the same hierarchy
+// geometry around a used System's cache arrays with bit-identical results
+// — the path the system pool (experiments.Runner) uses to avoid
+// allocating multi-megabyte cache arrays per run.
 package sim

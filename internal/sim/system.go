@@ -242,13 +242,6 @@ func (s *System) EffectiveProxyConfig() (pvcore.ProxyConfig, bool) {
 // Core returns core c's timing model.
 func (s *System) Core(c int) *cpu.Core { return s.cores[c] }
 
-// Clock returns core c's current cycle.
-func (s *System) Clock(c int) uint64 { return s.clock[c] }
-
-// CostModel exposes the passive cost model (nil when cfg.Cost is
-// disabled); tests and live dashboards read it mid-run.
-func (s *System) CostModel() *timing.Model { return s.tm }
-
 // foldPVResidual folds proxy movement not yet attributed to any step:
 // work triggered on core c's proxy after c's own last step of the run
 // (e.g. an invalidation from a later core in the final round). Run calls
@@ -396,30 +389,5 @@ func (s *System) ResetStats() {
 	if s.tm != nil {
 		s.tm.Reset()
 		s.resyncProxySnapshots() // proxy counters just went to zero
-	}
-}
-
-// Reset returns the whole system to its post-construction state in place —
-// generators rewound, caches and predictor state emptied, clocks and
-// statistics zeroed — so the same System can run its configuration again
-// (or the same configuration can be re-run for benchmarking) without
-// rebuilding anything. A Reset system produces bit-identical results to a
-// freshly built one.
-func (s *System) Reset() {
-	s.Hier.Reset()
-	for c := range s.gens {
-		s.gens[c].Reset()
-		s.cores[c].Reset()
-		s.clock[c] = 0
-		s.inflight[c].Reset()
-		if s.preds[c] != nil {
-			// Instance.Reset also resets the backing PVTable; under §2.1
-			// sharing every core resets the same table, which is idempotent.
-			s.preds[c].Reset()
-		}
-	}
-	if s.tm != nil {
-		s.tm.Reset()
-		s.resyncProxySnapshots()
 	}
 }

@@ -41,5 +41,6 @@
 // bounds how many such delayed predictions may be in flight.
 //
 // Every structure here is allocation-free on the per-access path and
-// supports in-place Reset for system reuse (sim.System.Reset).
+// supports in-place Reset, which the phase-edge flush uses
+// (sim.Config.PhaseFlush).
 package sms

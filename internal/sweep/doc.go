@@ -2,10 +2,9 @@
 // serve`: it expands a declarative parameter grid — named predictor specs ×
 // workloads × PVCache sizes × seeds — into simulation jobs, schedules them
 // over a bounded worker pool backed by the experiments.Runner system pool
-// (keyed by hierarchy geometry: a job reuses a retained sim.System's cache
-// arrays, resetting it in place for a repeated configuration and rebuilding
-// around it otherwise, with least-recently-used eviction bounding memory),
-// and merges the results in deterministic job order.
+// (at most Parallel retained systems: a job rebuilds a retained sim.System
+// of its hierarchy geometry around its cache arrays), and merges the
+// results in deterministic job order.
 //
 // The engine's headline guarantee is that parallelism is unobservable:
 // running a grid at Parallel=8 produces byte-identical output — report

@@ -9,24 +9,12 @@ import (
 	"pvsim/internal/sim"
 )
 
-// DefaultMaxSystems bounds the system pool when Options.MaxSystems is
-// zero; it is the runner's bound (experiments.DefaultMaxSystems).
-const DefaultMaxSystems = experiments.DefaultMaxSystems
-
-// DefaultMaxResults bounds the result cache: results are kilobytes of
-// statistics each, so a few thousand keep a long-lived server's memory
-// flat while still deduplicating configurations across overlapping grids.
-const DefaultMaxResults = 4096
-
 // Options tune an Engine.
 type Options struct {
-	// Parallel caps concurrent simulations (0 = GOMAXPROCS). Output is
-	// byte-identical at every value.
+	// Parallel caps concurrent simulations (0 = GOMAXPROCS) and the
+	// systems the engine retains for reuse. Output is byte-identical at
+	// every value.
 	Parallel int
-	// MaxSystems bounds the system pool (keyed by hierarchy geometry, at
-	// most Parallel systems per geometry, LRU across all); 0 means
-	// DefaultMaxSystems, negative means unbounded.
-	MaxSystems int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
 	// Sched, when non-nil, replaces the goroutine worker pool with a
@@ -110,10 +98,8 @@ func (r *Releaser) Result(g Grid) (*Result, error) {
 
 // Engine runs sweeps. It is safe for concurrent use (the serve API runs
 // sweeps concurrently on one engine) and keeps its system pool across runs
-// and sweeps. The pool is keyed by hierarchy geometry, so every job of a
-// grid — whatever its predictor — reuses a retained system's cache arrays:
-// a system that last ran the job's configuration is reset in place, any
-// other is rebuilt around its hierarchy.
+// and sweeps. A job takes a retained system of its hierarchy geometry and
+// rebuilds it around its cache arrays, whatever the job's predictor.
 type Engine struct {
 	opts   Options
 	runner *experiments.Runner
@@ -124,26 +110,19 @@ func New(opts Options) *Engine {
 	return &Engine{
 		opts: opts,
 		runner: experiments.NewRunner(experiments.Options{
-			Scale:      1.0, // unused: the engine builds every config itself
-			Parallel:   opts.Parallel,
-			MaxSystems: opts.MaxSystems,
-			MaxResults: DefaultMaxResults,
-			Log:        opts.Log,
+			Scale:    1.0, // unused: the engine builds every config itself
+			Parallel: opts.Parallel,
+			Log:      opts.Log,
 		}),
 	}
 }
 
-// Reset forgets every cached result while keeping the pooled systems, so
-// the next Run of the same grid re-simulates on retained systems (the
-// benchmarked pooled re-run path).
-func (e *Engine) Reset() { e.runner.Reset() }
-
-// RetainedSystems reports the system pool's occupancy (bounded by
-// MaxSystems).
+// RetainedSystems reports the system pool's occupancy (at most
+// Parallel).
 func (e *Engine) RetainedSystems() int { return e.runner.RetainedSystems() }
 
-// CheckPool verifies the system pool's structural invariants — occupancy
-// within the configured bound, no nil retained system. The model checker
+// CheckPool verifies the system pool's structural invariants — at most
+// Parallel systems, none nil, none retained twice. The model checker
 // (internal/mc) calls it after every explored schedule, including
 // cancelled ones.
 func (e *Engine) CheckPool() error { return e.runner.CheckPool() }

@@ -171,7 +171,7 @@ func (e *Engine) waveSequenced(ctx context.Context, cfgs []sim.Config, out []sim
 			wk.res = wk.sys.Run()
 			wk.stage = stagePut
 		case stagePut:
-			e.runner.ReleaseSystem(cfgs[wk.job], wk.sys)
+			e.runner.ReleaseSystem(wk.sys)
 			e.runner.StoreResult(cfgs[wk.job], wk.res)
 			wk.sys = nil
 			wk.stage = stageMerge

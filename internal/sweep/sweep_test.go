@@ -444,7 +444,7 @@ func TestSweepCancelledDispatchesNothing(t *testing.T) {
 }
 
 // TestSweepCancelledEngineReusable pins that cancellation leaves the
-// engine — including its LRU system pool — fully usable: a cancelled run
+// engine — including its system pool — fully usable: a cancelled run
 // followed by an uncancelled run of the same grid must be byte-identical
 // to a fresh serial run.
 func TestSweepCancelledEngineReusable(t *testing.T) {
@@ -458,7 +458,7 @@ func TestSweepCancelledEngineReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(Options{Parallel: 2, MaxSystems: 2})
+	e := New(Options{Parallel: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Run(ctx, g, nil); err != context.Canceled {
@@ -480,26 +480,9 @@ func TestSweepCancelledEngineReusable(t *testing.T) {
 	}
 }
 
-// TestSweepPoolBounded pins the MaxSystems eviction: a grid with more
-// distinct configurations than the pool bound must not retain more systems
-// than the bound.
-func TestSweepPoolBounded(t *testing.T) {
-	e := New(Options{Parallel: 2, MaxSystems: 2})
-	res, err := e.Run(context.Background(), testGrid(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs <= 2 {
-		t.Fatalf("grid too small to exercise eviction: %d jobs", res.Jobs)
-	}
-	if got := e.RetainedSystems(); got > 2 {
-		t.Errorf("pool retains %d systems, bound is 2", got)
-	}
-}
-
-// TestSweepRerunIdentical pins the pooled re-run path: Reset clears cached
-// results but keeps systems, and the re-executed sweep must be
-// byte-identical (Reset system reuse cannot perturb results).
+// TestSweepRerunIdentical pins a re-run of one grid on one engine: the
+// second run is answered from the result cache and must be byte-identical
+// to the first (no later run writes through into an earlier result).
 func TestSweepRerunIdentical(t *testing.T) {
 	e := New(Options{Parallel: 2})
 	g := Grid{Specs: []string{"16-11a", "PV-8"}, Workloads: []string{"Apache"}, Seeds: []uint64{42}, Scale: testScale}
@@ -507,7 +490,6 @@ func TestSweepRerunIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Reset()
 	second, err := e.Run(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +501,7 @@ func TestSweepRerunIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepPoolHitsColdSweep pins the geometry-keyed pool on the
+// TestSweepPoolHitsColdSweep pins the system pool on the
 // benchmark's cold timing sweep: every job and baseline shares one
 // hierarchy geometry, so after the first wave a fresh engine rebuilds
 // retained systems around their cache arrays instead of allocating new
@@ -559,7 +541,7 @@ func TestSweepPoolHitsColdSweep(t *testing.T) {
 	buildAll() // the first builds also fill the shared Zipf tables
 	fresh := allocated(buildAll)
 
-	e := New(Options{Parallel: 2, MaxSystems: DefaultMaxSystems})
+	e := New(Options{Parallel: 2})
 	swept := allocated(func() {
 		if _, err := e.Run(context.Background(), g, nil); err != nil {
 			t.Fatal(err)
@@ -568,9 +550,6 @@ func TestSweepPoolHitsColdSweep(t *testing.T) {
 	t.Logf("16 fresh builds allocate %d KB; the cold sweep %d KB", fresh>>10, swept>>10)
 	if swept*2 >= fresh {
 		t.Errorf("cold sweep allocated %d KB, want under half of 16 fresh builds' %d KB", swept>>10, fresh>>10)
-	}
-	if n := e.RetainedSystems(); n > DefaultMaxSystems {
-		t.Errorf("pool retains %d systems, bound is %d", n, DefaultMaxSystems)
 	}
 	if err := e.CheckPool(); err != nil {
 		t.Error(err)

@@ -186,18 +186,6 @@ func NewGenerator(p Params, seed uint64, c int) *Generator {
 	return g
 }
 
-// Reset rewinds the generator to the start of its stream: the next Next()
-// call returns exactly what a freshly built Generator with the same
-// (Params, seed, core) would, but without reallocating episode buffers.
-func (g *Generator) Reset() {
-	s := g.seed ^ uint64(g.core+1)*0x9e3779b97f4a7c15
-	*g.rng = *NewRNG(SplitMix64(&s))
-	g.Emitted = 0
-	for i := range g.episodes {
-		g.refillEpisode(&g.episodes[i])
-	}
-}
-
 // Params returns the workload parameters.
 func (g *Generator) Params() Params { return g.p }
 

@@ -2,15 +2,13 @@ package trace
 
 import "fmt"
 
-// Source is a rewindable access stream, the one way the simulator produces
+// Source is an access stream, the one way the simulator produces
 // accesses. Generator and Phased both implement it; sim.System drives its
 // per-core streams through this interface so a core runs a steady workload
 // or a phased one with the same wiring.
 type Source interface {
 	// Next returns the stream's next access.
 	Next() Access
-	// Reset rewinds the stream to its beginning.
-	Reset()
 }
 
 // Phase is one segment of a phased access stream: a workload parameter set
@@ -113,15 +111,4 @@ func (p *Phased) Next() Access {
 	}
 	p.left--
 	return p.gens[p.cur].Next()
-}
-
-// Reset rewinds the stream to its start: phase 0, full budget, every
-// generator rewound. A reset Phased replays exactly the stream a freshly
-// built one would.
-func (p *Phased) Reset() {
-	p.cur = 0
-	p.left = p.phases[0].Accesses
-	for _, g := range p.gens {
-		g.Reset()
-	}
 }
