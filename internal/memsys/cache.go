@@ -170,19 +170,38 @@ func (c *Cache) locate(a Addr) (base int, key uint64) {
 	return int(uint64(a)>>c.blockBits&c.setMask) * c.ways, uint64(a)>>c.keyShift | 1
 }
 
-// find returns the index of the way holding key in the set starting at
-// base, or -1 when the block is absent. find and Contains must stay
-// inlinable (go build -gcflags=-m=2): a call in their place slows the
-// hierarchy by several percent. After a low-half match it compares the
-// rebuilt word with key rather than shifting key, which keeps the scan
-// loop free of register copies.
+// find returns the index of the lowest way holding key in the set
+// starting at base, or -1 when the block is absent. Only the empty word 0
+// can sit in more than one way, so the lowest match matters only to
+// Fill's find(base, 0), which must get the first empty way.
+//
+// While every tag word fits in 32 bits (no tagsHi, narrow key), a
+// low-half match is a whole match, and find scans every way with no early
+// exit, keeping the match in a conditional move: the simulated streams
+// hit a random way, so a branch that left the loop at the hit would
+// mispredict on most hits. The walk runs downwards, so the match it keeps
+// is the lowest. Once tagsHi exists, or the key is wide, two ways can
+// share a low half, and find takes the early-exit loop, which checks the
+// high half after each low-half match; it compares the rebuilt word with
+// key rather than shifting key, which keeps that loop free of register
+// copies.
 func (c *Cache) find(base int, key uint64) int {
-	for i, t := range c.tags[base : base+c.ways] {
-		if t == uint32(key) && uint64(c.hiAt(base+i))<<32|uint64(t) == key {
-			return base + i
+	tags := c.tags[base : base+c.ways]
+	if c.tagsHi != nil || key>>32 != 0 {
+		for i, t := range tags {
+			if t == uint32(key) && uint64(c.hiAt(base+i))<<32|uint64(t) == key {
+				return base + i
+			}
+		}
+		return -1
+	}
+	k, w := uint32(key), -1
+	for i := len(tags) - 1; i >= 0; i-- {
+		if tags[i] == k {
+			w = base + i
 		}
 	}
-	return -1
+	return w
 }
 
 // hiAt returns the high half of way i's tag word.

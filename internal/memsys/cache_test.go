@@ -609,3 +609,55 @@ func FuzzCacheStampWrap(f *testing.F) {
 		}
 	})
 }
+
+// TestCacheMatchesReferenceNarrow is TestCacheMatchesReference with every
+// address below 2^32, so the cache never allocates its high tag halves and
+// every operation takes find's branch-free scan. Bit 48 of each operand
+// keeps cachePair.addr from adding high address bits.
+func TestCacheMatchesReferenceNarrow(t *testing.T) {
+	for _, cfg := range diffGeometries {
+		for seed := int64(1); seed <= 4; seed++ {
+			p := newCachePair(cfg)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				if err := p.step(uint8(rng.Intn(16)), rng.Uint64()|1<<48); err != nil {
+					t.Fatalf("%d-way seed %d step %d: %v", cfg.Ways, seed, i, err)
+				}
+			}
+			if CacheHighHalf(p.got) {
+				t.Fatalf("%d-way seed %d: narrow addresses allocated high tag halves", cfg.Ways, seed)
+			}
+		}
+	}
+}
+
+// TestCacheFillTakesLowestEmptyWay fills one set, invalidates every way
+// but the first and last, and checks that two fills land in ways 1 and 2:
+// Fill takes the first empty way, which find(base, 0) must report.
+func TestCacheFillTakesLowestEmptyWay(t *testing.T) {
+	for _, cfg := range diffGeometries[1:] {
+		c := NewCache(cfg)
+		stride := Addr(cfg.Sets() * cfg.BlockBytes) // same set, next tag
+		way := func(a Addr) int { return c.find(c.locate(a)) }
+		for w := range cfg.Ways {
+			c.Fill(Addr(w)*stride, false, false)
+			if got := way(Addr(w) * stride); got != w {
+				t.Fatalf("%d-way: fill %d landed in way %d", cfg.Ways, w, got)
+			}
+		}
+		for w := 1; w < cfg.Ways-1; w++ {
+			c.Invalidate(Addr(w) * stride)
+		}
+		for i, a := range []Addr{Addr(cfg.Ways) * stride, Addr(cfg.Ways+1) * stride} {
+			if v := c.Fill(a, false, false); v.Valid {
+				t.Fatalf("%d-way: fill %#x evicted %#x with empty ways left", cfg.Ways, uint64(a), uint64(v.Addr))
+			}
+			if got := way(a); got != 1+i {
+				t.Errorf("%d-way: fill %d after invalidation landed in way %d, want %d", cfg.Ways, i, got, 1+i)
+			}
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

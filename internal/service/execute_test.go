@@ -44,12 +44,12 @@ type execution struct {
 // progress callback and the row sink see.
 func runObserved(t *testing.T, svc *Server, g sweep.Grid) *execution {
 	t.Helper()
-	header, jobs, err := sweep.StreamHeader(g)
+	p, err := g.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := &execution{}
-	x.stream.Write(header)
+	x.stream.Write(p.Header)
 	res, err := svc.runSharded(context.Background(), g, max(1, svc.dispatcher.healthy()), func(done, total int) {
 		x.mu.Lock()
 		defer x.mu.Unlock()
@@ -72,10 +72,10 @@ func runObserved(t *testing.T, svc *Server, g sweep.Grid) *execution {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(x.rowAt) != jobs {
-		t.Fatalf("sink received %d rows, want %d", len(x.rowAt), jobs)
+	if len(x.rowAt) != p.Jobs {
+		t.Fatalf("sink received %d rows, want %d", len(x.rowAt), p.Jobs)
 	}
-	x.stream.Write(sweep.StreamFooter(jobs))
+	x.stream.Write(sweep.StreamFooter(p.Jobs))
 	if x.result, err = res.JSON(); err != nil {
 		t.Fatal(err)
 	}

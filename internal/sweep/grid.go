@@ -346,7 +346,8 @@ func (g Grid) TotalSims() (int, error) {
 // derived from a single expansion. Grid.Plan exists so admitting a grid
 // costs one O(jobs) expansion instead of one per derived number.
 type Plan struct {
-	// Header is the framed-JSON stream's opening chunk (StreamHeader).
+	// Header is the framed-JSON stream's opening chunk: the Result's
+	// preamble up to and including the rows array's opening bracket.
 	Header []byte
 	// Jobs is the row count the finished sweep will carry.
 	Jobs int

@@ -274,25 +274,33 @@ func TestRunShardBadRange(t *testing.T) {
 }
 
 // TestPlanMatchesPieces pins Grid.Plan against the quantities it
-// replaces: StreamHeader's bytes and job count, and TotalSims.
+// summarizes, each derived here on its own: the zero-row Result encoding
+// cut after the rows array's bracket, the job expansion's length, and the
+// jobs plus one baseline per distinct (seed, scenario) cell.
 func TestPlanMatchesPieces(t *testing.T) {
 	g := testGrid()
 	plan, err := g.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, jobs, err := StreamHeader(g)
+	jobs, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := g.TotalSims()
+	n := g.normalized()
+	empty, err := (&Result{Grid: n, Hash: n.Hash(), Jobs: len(jobs), Rows: []Row{}}).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
+	header := empty[:bytes.LastIndex(empty, rowsArrayOpen)+len(rowsArrayOpen)]
 	if !bytes.Equal(plan.Header, header) {
-		t.Error("Plan.Header differs from StreamHeader")
+		t.Errorf("Plan.Header = %q, want %q", plan.Header, header)
 	}
-	if plan.Jobs != jobs || plan.TotalSims != total {
-		t.Errorf("Plan = {Jobs:%d TotalSims:%d}, want {%d %d}", plan.Jobs, plan.TotalSims, jobs, total)
+	cells := map[baselineCell]bool{}
+	for _, j := range jobs {
+		cells[baselineCell{j.Seed, j.Scenario}] = true
+	}
+	if plan.Jobs != len(jobs) || plan.TotalSims != len(jobs)+len(cells) {
+		t.Errorf("Plan = {Jobs:%d TotalSims:%d}, want {%d %d}", plan.Jobs, plan.TotalSims, len(jobs), len(jobs)+len(cells))
 	}
 }

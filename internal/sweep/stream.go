@@ -20,18 +20,10 @@ import (
 // Result.JSON(); the header chunk is everything up to and including it.
 var rowsArrayOpen = []byte(`"rows": [`)
 
-// StreamHeader renders the stream's opening chunk for a grid: the
-// Result's grid/hash/jobs preamble up to and including the opening
-// bracket of the rows array. The returned jobs count is the number of
-// StreamRow chunks the full stream will carry. The grid must Validate.
-func StreamHeader(g Grid) (header []byte, jobs int, err error) {
-	p, err := g.Plan()
-	return p.Header, p.Jobs, err
-}
-
-// streamHeaderForJobs renders the header chunk for a normalized grid
-// whose job count the caller already expanded — the expansion-free core
-// of Grid.Plan, and so of StreamHeader.
+// streamHeaderForJobs renders the stream's opening chunk for a normalized
+// grid whose job count the caller already expanded: the Result's
+// grid/hash/jobs preamble up to and including the opening bracket of the
+// rows array. It is the expansion-free core of Grid.Plan.
 func streamHeaderForJobs(g Grid, jobs int) ([]byte, error) {
 	// Encode the full Result skeleton with zero rows, then cut it at the
 	// rows array: because Rows is the struct's last field, everything

@@ -11,12 +11,12 @@ import (
 // streaming endpoint does.
 func frameSweep(t *testing.T, parallel int, g Grid) (streamed []byte, res *Result) {
 	t.Helper()
-	header, jobs, err := StreamHeader(g)
+	p, err := g.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	buf.Write(header)
+	buf.Write(p.Header)
 	i := 0
 	res, err = New(Options{Parallel: parallel}).RunRows(context.Background(), g, nil, func(row Row) {
 		chunk, err := StreamRow(row, i)
@@ -29,10 +29,10 @@ func frameSweep(t *testing.T, parallel int, g Grid) (streamed []byte, res *Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i != jobs {
-		t.Fatalf("sink received %d rows, StreamHeader promised %d", i, jobs)
+	if i != p.Jobs {
+		t.Fatalf("sink received %d rows, the plan promised %d", i, p.Jobs)
 	}
-	buf.Write(StreamFooter(jobs))
+	buf.Write(StreamFooter(p.Jobs))
 	return buf.Bytes(), res
 }
 

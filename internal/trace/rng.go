@@ -46,12 +46,18 @@ func (r *RNG) Uint64() uint64 {
 	return x + y
 }
 
-// Intn returns a value in [0, n); it panics for n <= 0.
+// Intn returns Uint64() % n; it panics for n <= 0. A power-of-two n,
+// the bound of every paper workload's draws, takes a mask, which gives
+// the same value without a division.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("trace: Intn with non-positive bound")
 	}
-	return int(r.Uint64() % uint64(n))
+	x := r.Uint64()
+	if n&(n-1) == 0 {
+		return int(x & uint64(n-1))
+	}
+	return int(x % uint64(n))
 }
 
 // Float64 returns a value in [0, 1).

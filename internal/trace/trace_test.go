@@ -57,6 +57,20 @@ func TestRNGIntnBounds(t *testing.T) {
 	r.Intn(0)
 }
 
+// TestIntnMatchesModulo pins Intn to Uint64() % n, for the power-of-two
+// bounds that take the mask and for others, so every generated stream
+// keeps its bytes.
+func TestIntnMatchesModulo(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 15, 32, 64, 1000, 1 << 16, 1 << 22} {
+		got, want := NewRNG(uint64(n)), NewRNG(uint64(n))
+		for i := range 100_000 {
+			if g, w := got.Intn(n), int(want.Uint64()%uint64(n)); g != w {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", n, i, g, w)
+			}
+		}
+	}
+}
+
 func TestRNGBoolProbability(t *testing.T) {
 	r := NewRNG(11)
 	n := 0
