@@ -43,6 +43,15 @@ func runServe(args []string, stdout io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve: unexpected arguments %v", fs.Args())
 	}
+	// service.Options reads a negative Workers as "start no workers", which
+	// would queue every sweep forever, and a negative QueueDepth as the
+	// default depth.
+	if *workers < 0 {
+		return fmt.Errorf("serve: -workers %d is negative", *workers)
+	}
+	if *queueDepth < 0 {
+		return fmt.Errorf("serve: -queue-depth %d is negative", *queueDepth)
+	}
 
 	opts := service.Options{
 		Engine:       sweep.Options{Parallel: *parallel},

@@ -129,6 +129,20 @@ func TestSweepErrors(t *testing.T) {
 	}
 }
 
+// TestServeRejectsNegativeFlags checks that serve names a negative
+// -workers or -queue-depth instead of starting a service that never runs
+// a sweep or silently uses the default depth. The unusable -addr makes a
+// serve that accepted the flag return a listen error rather than block.
+func TestServeRejectsNegativeFlags(t *testing.T) {
+	for _, flag := range []string{"-workers", "-queue-depth"} {
+		var out bytes.Buffer
+		err := run([]string{"serve", "-addr", "localhost:-1", flag, "-1"}, &out)
+		if err == nil || !strings.Contains(err.Error(), flag+" -1") {
+			t.Errorf("serve %s -1: error %v, want one naming %s", flag, err, flag)
+		}
+	}
+}
+
 // TestServeEndToEnd drives the serve surface the way a client would —
 // submit, poll, fetch — and requires the served bytes to equal the same
 // grid run in-process through the engine.

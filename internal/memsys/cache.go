@@ -170,50 +170,45 @@ func (c *Cache) locate(a Addr) (base int, key uint64) {
 	return int(uint64(a)>>c.blockBits&c.setMask) * c.ways, uint64(a)>>c.keyShift | 1
 }
 
-// find returns the index of the lowest way holding key in the set
-// starting at base, or -1 when the block is absent. Only the empty word 0
-// can sit in more than one way, so the lowest match matters only to
-// Fill's find(base, 0), which must get the first empty way.
+// find returns the index of the way holding key in the set starting at
+// base, or -1 when the block is absent. key is never the empty word 0, so
+// at most one way can hold it.
 //
 // While every tag word fits in 32 bits (no tagsHi, narrow key), a
 // low-half match is a whole match, and find scans every way with no early
 // exit, keeping the match in a conditional move: the simulated streams
 // hit a random way, so a branch that left the loop at the hit would
-// mispredict on most hits. The walk runs downwards, so the match it keeps
-// is the lowest. Once tagsHi exists, or the key is wide, two ways can
-// share a low half, and find takes the early-exit loop, which checks the
-// high half after each low-half match; it compares the rebuilt word with
-// key rather than shifting key, which keeps that loop free of register
-// copies.
+// mispredict on most hits. Once tagsHi exists, or the key is wide, two
+// ways can share a low half, and find takes the early-exit loop, which
+// checks the high half after each low-half match; it compares the rebuilt
+// word with key rather than shifting key, which keeps that loop free of
+// register copies.
 func (c *Cache) find(base int, key uint64) int {
 	tags := c.tags[base : base+c.ways]
 	if c.tagsHi != nil || key>>32 != 0 {
 		for i, t := range tags {
-			if t == uint32(key) && uint64(c.hiAt(base+i))<<32|uint64(t) == key {
+			if t == uint32(key) && c.wordAt(base+i) == key {
 				return base + i
 			}
 		}
 		return -1
 	}
 	k, w := uint32(key), -1
-	for i := len(tags) - 1; i >= 0; i-- {
-		if tags[i] == k {
+	for i, t := range tags {
+		if t == k {
 			w = base + i
 		}
 	}
 	return w
 }
 
-// hiAt returns the high half of way i's tag word.
-func (c *Cache) hiAt(i int) uint32 {
-	if c.tagsHi == nil {
-		return 0
-	}
-	return c.tagsHi[i]
-}
-
 // wordAt returns way i's whole tag word.
-func (c *Cache) wordAt(i int) uint64 { return uint64(c.hiAt(i))<<32 | uint64(c.tags[i]) }
+func (c *Cache) wordAt(i int) uint64 {
+	if c.tagsHi == nil {
+		return uint64(c.tags[i])
+	}
+	return uint64(c.tagsHi[i])<<32 | uint64(c.tags[i])
+}
 
 // setTag stores key as way i's tag word, allocating the high halves the
 // first time a word needs them.
@@ -326,32 +321,33 @@ func (c *Cache) Touch(a Addr) bool {
 
 // Fill installs the block containing a. If the block is already resident the
 // fill only merges flags (a dirty fill marks the line dirty). Otherwise the
-// LRU way is displaced and returned as the victim.
+// way with the least stamp, lowest on a tie, takes it, and its line, if
+// valid, is returned as the victim. An empty way holds stamp 0 and a valid
+// one a distinct stamp of at least 1 (see CheckInvariants), so that way is
+// the first empty way if there is one, else the LRU way.
 func (c *Cache) Fill(a Addr, dirty, prefetch bool) Victim {
 	now := c.stamp()
 	base, key := c.locate(a)
 
-	// Merge into an existing line if present (e.g. a writeback arriving for
-	// a block that is still resident).
-	if i := c.find(base, key); i >= 0 {
-		if dirty {
-			c.flags[i] |= flagDirty
+	// One pass looks for the block and keeps the least-stamp way. A match
+	// merges into the resident line (e.g. a writeback arriving for a block
+	// that is still resident).
+	w := base
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == uint32(key) && c.wordAt(i) == key {
+			if dirty {
+				c.flags[i] |= flagDirty
+			}
+			c.lastUse[i] = now
+			return Victim{}
 		}
-		c.lastUse[i] = now
-		return Victim{}
+		if c.lastUse[i] < c.lastUse[w] {
+			w = i
+		}
 	}
 
-	// The first empty way, else the least recently used one (lowest way on
-	// a tie).
-	w := c.find(base, 0)
 	var v Victim
-	if w < 0 {
-		w = base
-		for i := base + 1; i < base+c.ways; i++ {
-			if c.lastUse[i] < c.lastUse[w] {
-				w = i
-			}
-		}
+	if c.tags[w] != 0 {
 		v = c.victimAt(w)
 		c.Stats.Evictions++
 		if v.Dirty {
@@ -399,10 +395,12 @@ func (c *Cache) Invalidate(a Addr) Victim {
 }
 
 // Reset clears every line and all statistics in place, returning the cache
-// to its post-construction state without reallocating the line arrays.
+// to its post-construction state without reallocating the line arrays. It
+// drops the high tag halves, which a new cache does not have, so a reused
+// cache keeps find's branch-free scan until a wide fill needs them again.
 func (c *Cache) Reset() {
 	clear(c.tags)
-	clear(c.tagsHi)
+	c.tagsHi = nil
 	clear(c.lastUse)
 	clear(c.flags)
 	c.tick = 0
@@ -421,24 +419,26 @@ func (c *Cache) ResidentBlocks() int {
 }
 
 // CheckInvariants verifies internal consistency: no duplicate tags within a
-// set and no flags or high tag half on empty ways. It is used by property
-// tests.
+// set, no flags, high tag half or stamp on empty ways, and distinct
+// non-zero stamps on a set's valid ways, which makes Fill's least-stamp
+// way the first empty way, else the LRU way. It is used by property tests.
 func (c *Cache) CheckInvariants() error {
 	for base := 0; base < len(c.tags); base += c.ways {
 		set := base / c.ways
 		seen := make(map[uint64]bool, c.ways)
+		stamps := make(map[uint32]bool, c.ways)
 		for i := base; i < base+c.ways; i++ {
-			t := c.wordAt(i)
+			t, u := c.wordAt(i), c.lastUse[i]
 			if c.tags[i] == 0 {
-				if t != 0 || c.flags[i] != 0 {
-					return fmt.Errorf("cache %s set %d: empty way with tag %#x, flags %#x", c.cfg.Name, set, t, c.flags[i])
+				if t != 0 || c.flags[i] != 0 || u != 0 {
+					return fmt.Errorf("cache %s set %d: empty way with tag %#x, flags %#x, stamp %d", c.cfg.Name, set, t, c.flags[i], u)
 				}
 				continue
 			}
-			if seen[t] {
-				return fmt.Errorf("cache %s set %d: duplicate tag %#x", c.cfg.Name, set, t>>1)
+			if seen[t] || u == 0 || stamps[u] {
+				return fmt.Errorf("cache %s set %d: tag %#x with stamp %d repeats a tag or stamp, or has stamp 0", c.cfg.Name, set, t>>1, u)
 			}
-			seen[t] = true
+			seen[t], stamps[u] = true, true
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -633,7 +634,8 @@ func TestCacheMatchesReferenceNarrow(t *testing.T) {
 
 // TestCacheFillTakesLowestEmptyWay fills one set, invalidates every way
 // but the first and last, and checks that two fills land in ways 1 and 2:
-// Fill takes the first empty way, which find(base, 0) must report.
+// the empty ways tie at stamp 0, below every valid way, and Fill takes the
+// lowest way of the least stamp.
 func TestCacheFillTakesLowestEmptyWay(t *testing.T) {
 	for _, cfg := range diffGeometries[1:] {
 		c := NewCache(cfg)
@@ -658,6 +660,34 @@ func TestCacheFillTakesLowestEmptyWay(t *testing.T) {
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCacheInvariantsCatchBadStamps corrupts one stamp at a time and checks
+// that CheckInvariants names it: an empty way must hold stamp 0, and a
+// set's valid ways distinct non-zero stamps, or Fill's least-stamp way is
+// not the first empty way, else the LRU way.
+func TestCacheInvariantsCatchBadStamps(t *testing.T) {
+	cfg := diffGeometries[1]
+	stride := Addr(cfg.Sets() * cfg.BlockBytes) // same set, next tag
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+	}{
+		{"empty way with a stamp", func(c *Cache) { c.lastUse[2] = 7 }},
+		{"valid way with stamp 0", func(c *Cache) { c.lastUse[0] = 0 }},
+		{"repeated valid stamp", func(c *Cache) { c.lastUse[1] = c.lastUse[0] }},
+	} {
+		c := NewCache(cfg)
+		c.Fill(0, false, false)
+		c.Fill(stride, false, false)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: before corruption: %v", tc.name, err)
+		}
+		tc.corrupt(c)
+		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "stamp") {
+			t.Errorf("%s: CheckInvariants returned %v, want a stamp error", tc.name, err)
 		}
 	}
 }

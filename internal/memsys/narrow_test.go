@@ -11,7 +11,8 @@ import (
 // TestCacheNarrowAddressesNoHighHalf pins the memory claim of the packed
 // tag layout: the paper's workloads keep every address narrow, so a Table 1
 // hierarchy they drive never allocates a high tag half and holds 9 B of
-// line state per way. A wide fill afterwards must allocate it.
+// line state per way. A wide fill afterwards must allocate it, and a Reset
+// must drop it again, as a pooled system's Rebuild resets its caches.
 func TestCacheNarrowAddressesNoHighHalf(t *testing.T) {
 	cfg := memsys.DefaultConfig()
 	for _, name := range []string{"Apache", "Qry1"} {
@@ -50,6 +51,11 @@ func TestCacheNarrowAddressesNoHighHalf(t *testing.T) {
 		l2.Fill(0xFFFF_0000_0000_0000, false, false)
 		if !memsys.CacheHighHalf(l2) || memsys.CacheBytesPerWay(l2) != 13 {
 			t.Errorf("%s: a wide fill left high halves %v, %d B per way; want allocated, 13 B",
+				name, memsys.CacheHighHalf(l2), memsys.CacheBytesPerWay(l2))
+		}
+		l2.Reset()
+		if memsys.CacheHighHalf(l2) || memsys.CacheBytesPerWay(l2) != 9 {
+			t.Errorf("%s: Reset left high halves %v, %d B per way; want none, 9 B",
 				name, memsys.CacheHighHalf(l2), memsys.CacheBytesPerWay(l2))
 		}
 	}

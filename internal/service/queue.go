@@ -171,20 +171,9 @@ func sortPending(items []Pending) {
 	sort.Slice(items, func(i, j int) bool { return items[i].before(items[j]) })
 }
 
-// Save writes the queued sweeps to w as deterministic JSON (drain order),
-// the graceful-shutdown persistence `pvsim serve` writes on SIGTERM.
-func (q *Queue) Save(w io.Writer) error {
-	b, err := json.MarshalIndent(q.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: encoding queue: %w", err)
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
-}
-
-// LoadPending parses a queue file previously written by Save. Unknown
-// fields are rejected so a mangled file errors instead of silently
-// dropping work.
+// LoadPending parses a queue file previously written by
+// Server.persistQueue. Unknown fields are rejected so a mangled file
+// errors instead of silently dropping work.
 func LoadPending(r io.Reader) ([]Pending, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

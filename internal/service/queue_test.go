@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"os"
 	"testing"
 
 	"pvsim/internal/sweep"
@@ -88,17 +90,26 @@ func TestQueueCloseUnblocksPop(t *testing.T) {
 	}
 }
 
-// TestQueueSaveLoadRoundTrip pins persistence: Save writes drain order,
-// LoadPending reconstructs the same items.
+// TestQueueSaveLoadRoundTrip pins persistence: the queue file a server
+// writes on Close holds its queue in drain order, and LoadPending
+// reconstructs the same items.
 func TestQueueSaveLoadRoundTrip(t *testing.T) {
-	q := NewQueue(8)
-	q.Push(pend("a", 0, 0))
-	q.Push(pend("b", 1, 7))
-	var buf bytes.Buffer
-	if err := q.Save(&buf); err != nil {
+	dir := t.TempDir()
+	svc, err := New(Options{Workers: -1, DataDir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := LoadPending(&buf)
+	svc.queue.Push(pend("a", 0, 0))
+	svc.queue.Push(pend("b", 1, 7))
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(svc.queueFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	items, err := LoadPending(f)
 	if err != nil {
 		t.Fatal(err)
 	}
