@@ -101,34 +101,28 @@ func (c markovCodec) UnpackInto(src []byte, dst *markovSet) {
 type setStore interface {
 	access(now uint64, set int) (*markovSet, uint64)
 	markDirty(set int)
-	reset()
 	virt() *pvcore.Proxy[markovSet] // nil for the dedicated form
 }
 
 type dedStore struct {
 	sets []markovSet
-	ways int
 }
 
 func newDedStore(sets, ways int) *dedStore {
-	d := &dedStore{sets: make([]markovSet, sets), ways: ways}
-	d.reset()
+	d := &dedStore{sets: make([]markovSet, sets)}
+	for i := range d.sets {
+		d.sets[i] = markovSet{Tags: make([]uint32, ways), Next: make([]uint64, ways),
+			Conf: make([]uint8, ways), Valid: make([]bool, ways)}
+	}
 	return d
 }
 
 func (d *dedStore) access(now uint64, set int) (*markovSet, uint64) { return &d.sets[set], now }
 func (d *dedStore) markDirty(int)                                   {}
 func (d *dedStore) virt() *pvcore.Proxy[markovSet]                  { return nil }
-func (d *dedStore) reset() {
-	for i := range d.sets {
-		d.sets[i] = markovSet{Tags: make([]uint32, d.ways), Next: make([]uint64, d.ways),
-			Conf: make([]uint8, d.ways), Valid: make([]bool, d.ways)}
-	}
-}
 
 type pvStore struct {
 	proxy *pvcore.Proxy[markovSet]
-	table *pvcore.Table[markovSet]
 }
 
 func (p *pvStore) access(now uint64, set int) (*markovSet, uint64) {
@@ -137,10 +131,6 @@ func (p *pvStore) access(now uint64, set int) (*markovSet, uint64) {
 }
 func (p *pvStore) markDirty(set int)              { p.proxy.MarkDirty(set) }
 func (p *pvStore) virt() *pvcore.Proxy[markovSet] { return p.proxy }
-func (p *pvStore) reset() {
-	p.proxy.Reset()
-	p.table.Reset()
-}
 
 // markovStats counts engine events.
 type markovStats struct {
@@ -234,12 +224,6 @@ func (m *markovInstance) OnAccess(now uint64, _, addr memsys.Addr) {
 
 func (m *markovInstance) OnEvict(uint64, memsys.Addr) {}
 
-func (m *markovInstance) Reset() {
-	m.store.reset()
-	m.prev, m.prevValid = 0, false
-	m.stats = markovStats{}
-}
-
 func (m *markovInstance) ResetStats() {
 	m.stats = markovStats{}
 	if p := m.store.virt(); p != nil {
@@ -322,7 +306,7 @@ func (markovBuilder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
 		table := pvcore.NewTable[markovSet](pvcore.TableConfig{
 			Name: env.Proxy.Name, Start: env.Start, Sets: s.Sets, BlockBytes: env.L2BlockBytes,
 		}, codec)
-		inst.store = &pvStore{proxy: pvcore.NewProxy[markovSet](env.Proxy, table, env.Backend), table: table}
+		inst.store = &pvStore{proxy: pvcore.NewProxy[markovSet](env.Proxy, table, env.Backend)}
 	default:
 		return nil, fmt.Errorf("markov: unsupported mode %v", s.Mode)
 	}
@@ -395,5 +379,5 @@ func main() {
 	fmt.Printf("reserved memory: %dKB/core at %#x (vs %dKB of on-chip SRAM dedicated)\n",
 		8192*64/1024, uint64(pv.TableStart(0)), 8192*4*(1+tagBits+48+2)/8/1024)
 	fmt.Println("\nEverything above ran through the stock sim.System — the registry carried the")
-	fmt.Println("new family's construction, statistics, PV traffic classification and reset.")
+	fmt.Println("new family's construction, statistics and PV traffic classification.")
 }

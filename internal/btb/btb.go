@@ -184,12 +184,3 @@ func (b *Dedicated) Update(_ uint64, pc memsys.Addr, target memsys.Addr) {
 	}
 	s[victim] = dedEntry{tag: tag, target: b.cfg.truncTarget(target), lastUse: b.tick, valid: true}
 }
-
-// Reset returns the BTB to its post-construction state in place.
-func (b *Dedicated) Reset() {
-	for i := range b.entries {
-		b.entries[i] = dedEntry{}
-	}
-	b.tick = 0
-	b.Stats = Stats{}
-}

@@ -93,13 +93,7 @@ func (builder) Conformance() (dedicated, virtualized pv.Spec) {
 func (builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
 	cfg := DefaultConfig(s.Sets)
 	cfg.Ways = s.Ways
-	inst := &Instance{
-		p: streamParamsOf(s),
-		// Decorrelate per-core branch traces from each other and from the
-		// data-access generators while staying a pure function of the run
-		// seed.
-		seed: env.Seed ^ 0x9E3779B97F4A7C15*uint64(env.Core+1),
-	}
+	inst := &Instance{}
 	switch s.Mode {
 	case pv.Dedicated:
 		inst.pred = NewDedicated(cfg)
@@ -109,7 +103,9 @@ func (builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
 	default:
 		return nil, fmt.Errorf("btb: unsupported mode %v", s.Mode)
 	}
-	inst.stream = NewStream(inst.p, inst.seed)
+	// Decorrelate per-core branch traces from each other and from the
+	// data-access generators while staying a pure function of the run seed.
+	inst.stream = NewStream(streamParamsOf(s), env.Seed^0x9E3779B97F4A7C15*uint64(env.Core+1))
 	return inst, nil
 }
 
@@ -126,8 +122,6 @@ type StreamStats struct {
 type Instance struct {
 	pred   Predictor
 	virt   *Virtualized // nil when dedicated
-	p      StreamParams
-	seed   uint64
 	stream *Stream
 	sstats StreamStats
 }
@@ -148,18 +142,6 @@ func (i *Instance) OnAccess(now uint64, _, _ memsys.Addr) {
 
 // OnEvict implements pv.Predictor; BTBs do not observe data evictions.
 func (i *Instance) OnEvict(uint64, memsys.Addr) {}
-
-// Reset implements pv.Instance.
-func (i *Instance) Reset() {
-	i.stream = NewStream(i.p, i.seed)
-	i.sstats = StreamStats{}
-	switch p := i.pred.(type) {
-	case *Dedicated:
-		p.Reset()
-	case *Virtualized:
-		p.Reset()
-	}
-}
 
 // ResetStats implements pv.Instance.
 func (i *Instance) ResetStats() {

@@ -166,12 +166,3 @@ func (b *Virtualized) Update(now uint64, pc memsys.Addr, target memsys.Addr) {
 	s.Valid[way] = true
 	b.proxy.MarkDirty(set)
 }
-
-// Reset returns the virtualized BTB to its post-construction state in
-// place: PVCache dropped without writebacks, backing table forgotten,
-// statistics zeroed.
-func (b *Virtualized) Reset() {
-	b.proxy.Reset()
-	b.table.Reset()
-	b.Stats = Stats{}
-}

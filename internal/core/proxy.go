@@ -298,24 +298,6 @@ func (p *Proxy[S]) Flush() {
 	}
 }
 
-// Reset discards all PVCache state and statistics without writebacks,
-// returning the proxy to its post-construction state. Entry payload buffers
-// are kept for reuse; every refill overwrites them completely via
-// ReadSetInto. The phase-edge flush (sim.Config.PhaseFlush) uses this; a
-// live run that must not lose dirty predictor state wants Flush instead.
-func (p *Proxy[S]) Reset() {
-	for i := range p.entries {
-		e := &p.entries[i]
-		e.set = 0
-		e.valid = false
-		e.dirty = false
-		e.lastUse = 0
-		e.readyAt = 0
-	}
-	p.tick = 0
-	p.Stats = ProxyStats{}
-}
-
 // Resident returns the number of valid PVCache entries.
 func (p *Proxy[S]) Resident() int {
 	n := 0

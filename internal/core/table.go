@@ -121,14 +121,6 @@ func (t *Table[S]) WriteSet(set int, s S) {
 	t.blocks[set] = dst
 }
 
-// Reset forgets every set in place, returning the table to its
-// post-construction state without reallocating the set directory.
-func (t *Table[S]) Reset() {
-	for i := range t.blocks {
-		t.blocks[i] = nil
-	}
-}
-
 // RawBytes returns the packed bytes of a set (nil if never written). The
 // §2.3 "software can update predictor entries by writing memory" pathway
 // uses this together with WriteRawBytes.

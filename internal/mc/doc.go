@@ -19,7 +19,7 @@
 //
 //   - ExploreStates drives a tiny PVProxy (2–4 entries, a handful of
 //     accesses) through every reachable ordering of demand accesses, PV
-//     fetch completions, evictions/invalidations, dirty marks and phase
+//     fetch completions, evictions/invalidations, dirty marks and
 //     flushes, pruning revisited control states by hash. After every
 //     transition it checks the internal/simtest conservation laws, an
 //     exact shadow model of the proxy's statistics and MSHR issue rule,

@@ -193,10 +193,10 @@ func TestStateExplorerDefaultGeometry(t *testing.T) {
 
 func TestStateExplorerGeometries(t *testing.T) {
 	for _, tc := range []StateOptions{
-		{Sets: 4, Entries: 2, MSHRs: 2, Accesses: 6},            // MSHRs == entries: all-in-flight victim fallback reachable
-		{Sets: 4, Entries: 3, MSHRs: 1, Accesses: 6},            // deep stall pressure
-		{Sets: 4, Entries: 4, MSHRs: 2, Accesses: 5},            // cache as large as the table: steady-state all-hit
-		{Sets: 3, Entries: 2, MSHRs: 1, Accesses: 7, Resets: 2}, // double reset exercises the monoSub restart path twice
+		{Sets: 4, Entries: 2, MSHRs: 2, Accesses: 6}, // MSHRs == entries: all-in-flight victim fallback reachable
+		{Sets: 4, Entries: 3, MSHRs: 1, Accesses: 6}, // deep stall pressure
+		{Sets: 4, Entries: 4, MSHRs: 2, Accesses: 5}, // cache as large as the table: steady-state all-hit
+		{Sets: 3, Entries: 2, MSHRs: 1, Accesses: 7}, // a table barely larger than the PVCache: near-constant eviction
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("s%de%dm%da%d", tc.Sets, tc.Entries, tc.MSHRs, tc.Accesses), func(t *testing.T) {

@@ -29,13 +29,12 @@ type StateOptions struct {
 	TraceSeed uint64
 	// Budget caps distinct explored control states; 0 means DefaultBudget.
 	Budget int
-	// Dirties, Invals, Flushes and Resets budget how many of each
-	// perturbation the explorer may interleave into one path; -1 disables
-	// the event, 0 means the default (1 each).
+	// Dirties, Invals and Flushes budget how many of each perturbation
+	// the explorer may interleave into one path; -1 disables the event, 0
+	// means the default (1 each).
 	Dirties int
 	Invals  int
 	Flushes int
-	Resets  int
 	// Fault injects a deliberate defect for self-tests: "leak-hit" bumps
 	// the proxy's hit counter behind the shadow model's back on the
 	// second access; "drop-writeback" swallows a writeback count at the
@@ -73,7 +72,7 @@ func (o StateOptions) withDefaults() StateOptions {
 		}
 		return v
 	}
-	o.Dirties, o.Invals, o.Flushes, o.Resets = norm(o.Dirties), norm(o.Invals), norm(o.Flushes), norm(o.Resets)
+	o.Dirties, o.Invals, o.Flushes = norm(o.Dirties), norm(o.Invals), norm(o.Flushes)
 	return o
 }
 
@@ -143,7 +142,6 @@ const (
 	evDirty
 	evInval
 	evFlush
-	evReset
 )
 
 type stateEvent struct {
@@ -154,9 +152,8 @@ type stateEvent struct {
 
 // machine is one explored path's subject plus its shadow model: a tiny
 // PVProxy over a real table and the counting backend, an independent
-// re-implementation of the proxy's statistics and MSHR issue rule, the
-// accumulated timing.PVDelta fold, and cumulative (reset-surviving)
-// counters the backend is checked against.
+// re-implementation of the proxy's statistics and MSHR issue rule, and the
+// accumulated timing.PVDelta fold.
 type machine struct {
 	opts  StateOptions
 	trace []int
@@ -168,10 +165,9 @@ type machine struct {
 	now uint64
 	pos int
 
-	dirties, invals, flushes, resets int
+	dirties, invals, flushes int
 
-	exp      core.ProxyStats // expected proxy stats, this epoch
-	cum      core.ProxyStats // expected totals across resets
+	exp      core.ProxyStats // expected proxy stats
 	prevSnap core.ProxyStats // last stats snapshot, for the PVDelta fold
 	fold     timing.PVEvents // accumulated fold, as the timing model sees it
 
@@ -191,7 +187,6 @@ func newMachine(opts StateOptions) *machine {
 		dirties: opts.Dirties,
 		invals:  opts.Invals,
 		flushes: opts.Flushes,
-		resets:  opts.Resets,
 	}
 }
 
@@ -216,7 +211,7 @@ func outstanding(snap []core.EntryState, now uint64) (busy int, earliest uint64)
 // enabled lists the events applicable in the current state, in fixed
 // order: the next trace access, a clock tick to the next fetch
 // completion, then the budgeted perturbations (dirty/invalidate per
-// resident slot, flush, reset).
+// resident slot, flush).
 func (m *machine) enabled() []stateEvent {
 	var out []stateEvent
 	snap := m.proxy.Snapshot()
@@ -242,9 +237,6 @@ func (m *machine) enabled() []stateEvent {
 	}
 	if m.flushes > 0 && m.proxy.Resident() > 0 {
 		out = append(out, stateEvent{kind: evFlush, label: "flush"})
-	}
-	if m.resets > 0 && m.proxy.Stats.Lookups > 0 {
-		out = append(out, stateEvent{kind: evReset, label: "reset"})
 	}
 	return out
 }
@@ -306,7 +298,6 @@ func (m *machine) apply(ev stateEvent) error {
 		m.proxy.Invalidate(snap[ev.slot].Set)
 		m.invals--
 		m.exp.Invalidations++
-		m.cum.Invalidations++
 		if got := m.proxy.Snapshot()[ev.slot]; got.Valid {
 			return fmt.Errorf("Invalidate(slot %d) left entry valid", ev.slot)
 		}
@@ -318,10 +309,8 @@ func (m *machine) apply(ev stateEvent) error {
 			}
 			if e.Dirty {
 				m.exp.Writebacks++
-				m.cum.Writebacks++
 			} else {
 				m.exp.CleanEvictions++
-				m.cum.CleanEvictions++
 			}
 		}
 		m.proxy.Flush()
@@ -334,14 +323,6 @@ func (m *machine) apply(ev stateEvent) error {
 		}
 		if busy, _ := outstanding(m.proxy.Snapshot(), m.now); busy != 0 {
 			return fmt.Errorf("flush left %d fetches outstanding", busy)
-		}
-	case evReset:
-		m.proxy.Reset()
-		m.resets--
-		m.exp = core.ProxyStats{}
-		m.prevSnap = core.ProxyStats{}
-		if n := m.proxy.Resident(); n != 0 {
-			return fmt.Errorf("reset left %d entries resident", n)
 		}
 	default:
 		return fmt.Errorf("unknown event kind %d", ev.kind)
@@ -367,22 +348,18 @@ func (m *machine) applyAccess() error {
 	}
 
 	m.exp.Lookups++
-	m.cum.Lookups++
 	var wantReady uint64
 	wantHit := hitIdx >= 0
 	victim := -1
 	if wantHit {
 		m.exp.Hits++
-		m.cum.Hits++
 		wantReady = m.now
 		if snap[hitIdx].ReadyAt > m.now {
 			m.exp.InFlightMerges++
-			m.cum.InFlightMerges++
 			wantReady = snap[hitIdx].ReadyAt
 		}
 	} else {
 		m.exp.Misses++
-		m.cum.Misses++
 		// The MSHR issue rule: a miss issues immediately while an MSHR is
 		// free, otherwise it issues when the earliest outstanding fetch
 		// completes (and counts one stall).
@@ -390,33 +367,27 @@ func (m *machine) applyAccess() error {
 		if busy >= m.opts.MSHRs {
 			issueAt = earliest
 			m.exp.MSHRStalls++
-			m.cum.MSHRStalls++
 		}
 		victim = predictVictim(snap, m.now)
 		if snap[victim].Valid {
 			if snap[victim].Dirty {
 				m.exp.Writebacks++
-				m.cum.Writebacks++
 			} else {
 				m.exp.CleanEvictions++
-				m.cum.CleanEvictions++
 			}
 		}
 		m.exp.Fetches++
-		m.cum.Fetches++
 		lvl, lat := m.be.classify(m.table.AddrOf(set))
 		if lvl == memsys.LevelL2 {
 			m.exp.FilledByL2++
-			m.cum.FilledByL2++
 		} else {
 			m.exp.FilledByMem++
-			m.cum.FilledByMem++
 		}
 		wantReady = issueAt + lat
 	}
 
 	_, ready, hit := m.proxy.Access(m.now, set)
-	if m.opts.Fault == "leak-hit" && m.cum.Lookups == 2 {
+	if m.opts.Fault == "leak-hit" && m.exp.Lookups == 2 {
 		m.proxy.Stats.Hits++
 	}
 	if hit != wantHit {
@@ -438,7 +409,7 @@ func (m *machine) applyAccess() error {
 // checkStep runs every per-transition invariant: the exact shadow-stats
 // match, the simtest conservation laws, entry conservation, the MSHR
 // occupancy bound, the backend cross-check, and the PVDelta fold's exact
-// agreement with the shadow's cumulative counters.
+// agreement with the shadow model's counters.
 func (m *machine) checkStep() error {
 	if m.proxy.Stats != m.exp {
 		return fmt.Errorf("proxy stats diverged from shadow model:\n  proxy  %+v\n  shadow %+v", m.proxy.Stats, m.exp)
@@ -450,9 +421,9 @@ func (m *machine) checkStep() error {
 	if err := simtest.Check(&res); err != nil {
 		return err
 	}
-	// Entry conservation, per epoch: every fetch installed exactly one
-	// entry, and every installed entry was written back, dropped clean,
-	// invalidated, or is still resident.
+	// Entry conservation: every fetch installed exactly one entry, and
+	// every installed entry was written back, dropped clean, invalidated,
+	// or is still resident.
 	s := m.proxy.Stats
 	if disposed := s.Writebacks + s.CleanEvictions + s.Invalidations + uint64(m.proxy.Resident()); s.Fetches != disposed {
 		return fmt.Errorf("entry conservation: %d fetches != %d writebacks + %d clean + %d invalidated + %d resident",
@@ -461,18 +432,17 @@ func (m *machine) checkStep() error {
 	if busy, _ := outstanding(m.proxy.Snapshot(), m.now); busy > m.opts.Entries {
 		return fmt.Errorf("%d fetches outstanding with only %d PVCache entries", busy, m.opts.Entries)
 	}
-	// Backend cross-check against reset-surviving totals: the backend has
-	// no reset, so it must have seen exactly the cumulative traffic.
-	if m.be.reads != m.cum.Fetches || m.be.readsL2 != m.cum.FilledByL2 || m.be.readsMem != m.cum.FilledByMem {
+	// Backend cross-check: the backend must have seen exactly the traffic
+	// the shadow model accounted.
+	if m.be.reads != m.exp.Fetches || m.be.readsL2 != m.exp.FilledByL2 || m.be.readsMem != m.exp.FilledByMem {
 		return fmt.Errorf("backend saw %d reads (%d L2 / %d mem), proxy accounted %d fetches (%d / %d)",
-			m.be.reads, m.be.readsL2, m.be.readsMem, m.cum.Fetches, m.cum.FilledByL2, m.cum.FilledByMem)
+			m.be.reads, m.be.readsL2, m.be.readsMem, m.exp.Fetches, m.exp.FilledByL2, m.exp.FilledByMem)
 	}
-	if m.be.writes != m.cum.Writebacks {
-		return fmt.Errorf("backend saw %d writes, proxy accounted %d writebacks", m.be.writes, m.cum.Writebacks)
+	if m.be.writes != m.exp.Writebacks {
+		return fmt.Errorf("backend saw %d writes, proxy accounted %d writebacks", m.be.writes, m.exp.Writebacks)
 	}
 	// Fold the stats movement exactly as the timing model does and require
-	// exact agreement with the shadow totals: monotone across resets,
-	// event for event.
+	// exact agreement with the shadow totals, event for event.
 	d := timing.PVDelta(m.prevSnap, m.proxy.Stats)
 	m.prevSnap = m.proxy.Stats
 	m.fold.Hits += d.Hits
@@ -482,12 +452,12 @@ func (m *machine) checkStep() error {
 	m.fold.L2Requests += d.L2Requests
 	m.fold.Invalidated += d.Invalidated
 	want := timing.PVEvents{
-		Hits:        m.cum.Hits,
-		MissesL2:    m.cum.FilledByL2,
-		MissesMem:   m.cum.FilledByMem,
-		MSHRStalls:  m.cum.MSHRStalls,
-		L2Requests:  m.cum.Fetches + m.cum.Writebacks,
-		Invalidated: m.cum.Invalidations,
+		Hits:        m.exp.Hits,
+		MissesL2:    m.exp.FilledByL2,
+		MissesMem:   m.exp.FilledByMem,
+		MSHRStalls:  m.exp.MSHRStalls,
+		L2Requests:  m.exp.Fetches + m.exp.Writebacks,
+		Invalidated: m.exp.Invalidations,
 	}
 	if m.fold != want {
 		return fmt.Errorf("PVDelta fold diverged from shadow totals:\n  fold   %+v\n  shadow %+v", m.fold, want)
@@ -532,7 +502,7 @@ func (m *machine) hash() string {
 		rank[i] = r + 1
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "p%d|b%d.%d.%d.%d|", m.pos, m.dirties, m.invals, m.flushes, m.resets)
+	fmt.Fprintf(&b, "p%d|b%d.%d.%d|", m.pos, m.dirties, m.invals, m.flushes)
 	for i, e := range snap {
 		if !e.Valid {
 			b.WriteString("-;")

@@ -154,9 +154,3 @@ func (t *AddrTable[K, V]) Retain(keep func(k K, v V) bool) {
 
 // Len returns the number of live bindings.
 func (t *AddrTable[K, V]) Len() int { return t.live }
-
-// Reset removes every binding, keeping the cells for reuse.
-func (t *AddrTable[K, V]) Reset() {
-	clear(t.cells)
-	t.live = 0
-}

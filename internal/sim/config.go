@@ -92,10 +92,11 @@ type Config struct {
 	// way.
 	Cores []workloads.CoreTrace
 
-	// PhaseFlush resets each core's predictor state (engine, tables, and
-	// for virtualized predictors the backing PVTable) at its phase
-	// boundaries, modeling an OS that flushes predictor state on context
-	// switch. Meaningful only for multi-phase core traces.
+	// PhaseFlush rebuilds each core's predictor (engine, tables, and for
+	// virtualized predictors the backing PVTable) at its phase boundaries,
+	// modeling an OS that flushes predictor state on context switch.
+	// Meaningful only for multi-phase core traces; Validate rejects it with
+	// Prefetch.SharedTable, where one core's table is every core's.
 	PhaseFlush bool
 
 	// Seed makes runs reproducible; runs with equal Workload+Seed see
@@ -179,6 +180,11 @@ func (c Config) Validate() error {
 	}
 	if err := c.Prefetch.Validate(); err != nil {
 		return err
+	}
+	if c.PhaseFlush && c.Prefetch.SharedTable {
+		// One core's context switch would discard the table the other
+		// cores' PVCaches still cache; no per-process flush does that.
+		return fmt.Errorf("sim: PhaseFlush with Prefetch.SharedTable: a shared PVTable belongs to no one core's context")
 	}
 	if err := c.Cost.Validate(); err != nil {
 		return err

@@ -127,8 +127,8 @@ func Run(cfg Config) Result {
 
 // Run executes the system's configured phases — warmup, stats reset,
 // measured windows — and collects a Result. It must start from pristine
-// microarchitectural state: call it once on a freshly built system, or
-// again after Reset. The per-window snapshot buffers live on the System,
+// microarchitectural state: call it once on a system NewSystem or Rebuild
+// returned. The per-window snapshot buffers live on the System,
 // so the measurement loop itself allocates nothing.
 func (sys *System) Run() Result {
 	cfg := sys.cfg
@@ -188,8 +188,8 @@ func (sys *System) Run() Result {
 
 // collectStats copies predictor/proxy statistics from a finished system
 // into res through the pv contract alone. Everything is deep-copied: the
-// system may be Reset and reused after the Result escapes, so the Result
-// must not alias live simulator state.
+// system's hierarchy may be rebuilt and reused after the Result escapes,
+// so the Result must not alias live simulator state.
 func collectStats(sys *System, res *Result) {
 	res.Mem = sys.Hier.Stats
 	res.Mem.Core = append([]memsys.CoreStats(nil), sys.Hier.Stats.Core...)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pvsim/internal/workloads"
+	"pvsim/pv"
 )
 
 // mixConfig builds a small run of the given mix spec.
@@ -118,6 +119,28 @@ func TestPhaseFlushFlushesPredictorOnly(t *testing.T) {
 	if b.PrefetchIssued() > a.PrefetchIssued() {
 		t.Errorf("flushing run issued more prefetches (%d) than the retaining one (%d)",
 			b.PrefetchIssued(), a.PrefetchIssued())
+	}
+}
+
+// TestPhaseFlushRebuildsPredictor: a phase edge under PhaseFlush replaces
+// every core's predictor with a freshly built instance, while a run without
+// the flush keeps the instances NewSystem built.
+func TestPhaseFlushRebuildsPredictor(t *testing.T) {
+	for _, flush := range []bool{false, true} {
+		cfg := mixConfig(t, "DB2@2000+Apache@2000")
+		cfg.Prefetch = PV8
+		cfg.PhaseFlush = flush
+		sys := NewSystem(cfg)
+		built := make([]pv.Instance, cfg.Hier.Cores)
+		for c := range built {
+			built[c] = sys.Predictor(c)
+		}
+		sys.Run()
+		for c, inst := range built {
+			if rebuilt := sys.Predictor(c) != inst; rebuilt != flush {
+				t.Errorf("PhaseFlush=%v: core %d predictor replaced = %v, want %v", flush, c, rebuilt, flush)
+			}
+		}
 	}
 }
 

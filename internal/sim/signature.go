@@ -16,8 +16,7 @@ import (
 // Signature renders every behaviour-affecting field of the configuration
 // into one canonical string: two configs whose signatures match simulate
 // identically. It is the key under which experiments.Runner caches
-// results and waits on a simulation in flight, and its system pool resets
-// a retained system in place only for the signature that system last ran.
+// results and waits on a simulation in flight.
 // Labels are family-owned and compress geometry; the raw spec fields
 // disambiguate families whose labels overlap and carry the params map.
 // Fields added after the first format are suffixes present only when they

@@ -29,44 +29,53 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.Measure = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero measure accepted")
-	}
-	bad = cfg
-	bad.Prefetch = pv.Spec{Name: "sms", Mode: pv.Dedicated}
-	if err := bad.Validate(); err == nil {
-		t.Error("dedicated without geometry accepted")
-	}
-	bad = cfg
-	bad.Prefetch = pv.Spec{Name: "sms", Mode: pv.Virtualized, Sets: 1024, Ways: 11}
-	if err := bad.Validate(); err == nil {
-		t.Error("virtualized without PVCache size accepted")
-	}
-	bad = cfg
-	bad.Prefetch = pv.Spec{Name: "sms", Mode: pv.Mode(9), Sets: 16, Ways: 2}
-	if err := bad.Validate(); err == nil {
-		t.Error("out-of-range mode accepted")
-	}
-	bad = cfg
-	// 32K sets x 64B = 2MB per core: overflows the 1MB PVStart spacing and
-	// would overlap the next core's reserved range.
-	bad.Prefetch = pv.Spec{Name: "sms", Mode: pv.Virtualized, Sets: 32768, Ways: 11, PVCacheEntries: 8}
-	if err := bad.Validate(); err == nil {
-		t.Error("PVTable larger than the PVStart spacing accepted")
-	}
-	bad = cfg
-	bad.Prefetch = pv.Spec{Name: "no-such-predictor", Mode: pv.Dedicated, Sets: 16, Ways: 2}
-	err := bad.Validate()
-	if err == nil {
-		t.Fatal("unregistered predictor accepted")
-	}
-	// The error must name the registered alternatives, not just "unknown".
-	for _, want := range []string{"sms", "stride", "btb"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("unknown-predictor error %q does not list %q", err, want)
-		}
+	phased := mixConfig(t, "DB2@2000+Apache@2000")
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want []string // substrings the error must contain
+	}{
+		{"zero measure", func(c *Config) { c.Measure = 0 }, nil},
+		{"dedicated without geometry", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "sms", Mode: pv.Dedicated}
+		}, nil},
+		{"virtualized without PVCache size", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "sms", Mode: pv.Virtualized, Sets: 1024, Ways: 11}
+		}, nil},
+		{"out-of-range mode", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "sms", Mode: pv.Mode(9), Sets: 16, Ways: 2}
+		}, nil},
+		// 32K sets x 64B = 2MB per core: overflows the 1MB PVStart spacing
+		// and would overlap the next core's reserved range.
+		{"PVTable larger than the PVStart spacing", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "sms", Mode: pv.Virtualized, Sets: 32768, Ways: 11, PVCacheEntries: 8}
+		}, nil},
+		// The error must name the registered alternatives, not just
+		// "unknown".
+		{"unregistered predictor", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "no-such-predictor", Mode: pv.Dedicated, Sets: 16, Ways: 2}
+		}, []string{"sms", "stride", "btb"}},
+		// One core's phase edge must not discard a table every core uses.
+		{"phase flush with a shared table", func(c *Config) {
+			c.Cores = phased.Cores
+			c.Prefetch = PV8
+			c.Prefetch.SharedTable = true
+			c.PhaseFlush = true
+		}, []string{"PhaseFlush", "Prefetch.SharedTable"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := cfg
+			tc.set(&bad)
+			err := bad.Validate()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }
 

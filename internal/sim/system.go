@@ -187,29 +187,18 @@ func build(cfg Config, hier *memsys.Hierarchy) *System {
 		if cfg.Prefetch.Mode == pv.Virtualized {
 			env.Proxy, _ = pv.ProxyConfigFor(cfg.Prefetch, fmt.Sprintf("%s.%d", cfg.Prefetch.Name, c))
 		}
-		inst, err := builder.New(cfg.Prefetch, env)
-		if err != nil {
-			panic(err)
-		}
-		sys.preds[c] = inst
-		if v, ok := inst.(pv.Virtualizable); ok && sys.tm != nil {
-			sys.proxyLive[c] = v.ProxyStats()
-		}
-		c := c
-		sys.Hier.SetL1DEvictHook(c, func(addr memsys.Addr, _ memsys.EvictCause) {
-			inst.OnEvict(sys.clock[c], addr)
-		})
+		sys.newPredictor(c, builder, env)
 		if phased != nil && cfg.PhaseFlush {
-			// Context-switch model: the OS flushes this core's predictor
+			// Context-switch model: the OS discards this core's predictor
 			// state — engine, tables, and (virtualized) the backing PVTable —
-			// at every phase edge. pv/pvtest pins that a Reset instance is
-			// bit-identical to a fresh one, so the flush is exactly a cold
-			// start. The cost fold attributes the core's un-folded proxy
-			// movement first (Reset destroys the counters) and rebases its
-			// snapshot after, so flush-run cost accounting stays exact.
+			// at every phase edge, so the core restarts on a freshly built
+			// instance: exactly a cold start. The cost fold attributes the
+			// old instance's un-folded proxy movement first and rebases its
+			// snapshot on the new instance's counters after, so flush-run
+			// cost accounting stays exact.
 			phased.SetEdgeHook(func(int) {
 				sys.foldPVResidualCore(c)
-				inst.Reset()
+				sys.newPredictor(c, builder, env)
 				sys.rebaseProxySnapshot(c)
 			})
 		}
@@ -225,6 +214,24 @@ func build(cfg Config, hier *memsys.Hierarchy) *System {
 		})
 	}
 	return sys
+}
+
+// newPredictor builds core c's predictor in env and wires it in: the
+// predictor slot, the L1D eviction hook and the cost fold's live PVProxy
+// counters. build calls it once per core; a PhaseFlush phase edge calls it
+// again to replace the core's instance with a cold one.
+func (s *System) newPredictor(c int, b pv.Builder, env pv.Env) {
+	inst, err := b.New(s.cfg.Prefetch, env)
+	if err != nil {
+		panic(err)
+	}
+	s.preds[c] = inst
+	if v, ok := inst.(pv.Virtualizable); ok && s.tm != nil {
+		s.proxyLive[c] = v.ProxyStats()
+	}
+	s.Hier.SetL1DEvictHook(c, func(addr memsys.Addr, _ memsys.EvictCause) {
+		inst.OnEvict(s.clock[c], addr)
+	})
 }
 
 // Predictor returns core c's predictor instance (nil without one). Callers
@@ -257,8 +264,8 @@ func (s *System) foldPVResidual() {
 }
 
 // foldPVResidualCore folds one core's proxy movement since its snapshot;
-// the phase-edge flush hook calls it before Instance.Reset destroys the
-// counters.
+// the phase-edge flush hook calls it before the core's instance, and with
+// it the counters, is replaced.
 func (s *System) foldPVResidualCore(c int) {
 	if s.tm == nil {
 		return
@@ -271,7 +278,7 @@ func (s *System) foldPVResidualCore(c int) {
 }
 
 // rebaseProxySnapshot re-bases one core's delta snapshot on the live
-// counters (zero right after an Instance.Reset).
+// counters (zero right after a phase edge rebuilt the instance).
 func (s *System) rebaseProxySnapshot(c int) {
 	if s.tm == nil {
 		return

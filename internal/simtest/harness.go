@@ -122,8 +122,9 @@ func CheckCost(res *sim.Result) error {
 	// The fold and the PVProxy count the same events independently; for
 	// flush-free runs they must agree exactly. A PhaseFlush run restarts
 	// the proxy counters at every phase edge while the fold keeps the
-	// whole history (the flush hook folds pre-flush movement before the
-	// Reset destroys it), so there the fold dominates field-wise.
+	// whole history (the flush hook folds the old instance's movement
+	// before the rebuild replaces it), so there the fold dominates
+	// field-wise.
 	for c, proxy := range res.Proxies {
 		cc := res.Cost.Core[c]
 		if res.Config.PhaseFlush {

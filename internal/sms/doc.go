@@ -40,7 +40,5 @@
 // memory hierarchy, and the §4.6 pattern buffer (Config.PatternBufEntries)
 // bounds how many such delayed predictions may be in flight.
 //
-// Every structure here is allocation-free on the per-access path and
-// supports in-place Reset, which the phase-edge flush uses
-// (sim.Config.PhaseFlush).
+// Every structure here is allocation-free on the per-access path.
 package sms

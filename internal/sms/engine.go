@@ -318,24 +318,6 @@ func (e *Engine) ActiveGenerations() (filter, accum int) {
 	return e.filterIdx.Len(), e.accumIdx.Len()
 }
 
-// Reset returns the engine to its post-construction state in place, so a
-// reused sim.System behaves bit-identically to a freshly built one.
-func (e *Engine) Reset() {
-	for i := range e.filter {
-		e.filter[i] = filterEntry{}
-	}
-	for i := range e.accum {
-		e.accum[i] = accumEntry{}
-	}
-	e.filterIdx.Reset()
-	e.accumIdx.Reset()
-	e.tick = 0
-	if e.patternBuf != nil {
-		e.patternBuf = e.patternBuf[:0]
-	}
-	e.Stats = EngineStats{}
-}
-
 // CheckInvariants validates index/array consistency both ways: every index
 // binding points at a valid entry with the same tag, and every valid entry
 // is findable through its index.

@@ -48,9 +48,6 @@ func (t *InfinitePHT) Name() string { return "Infinite" }
 // Len returns the number of recorded patterns.
 func (t *InfinitePHT) Len() int { return len(t.m) }
 
-// Reset forgets every pattern, keeping map capacity (system reuse).
-func (t *InfinitePHT) Reset() { clear(t.m) }
-
 // DedicatedPHT is the conventional on-chip PHT: a set-associative LRU table
 // of (tag, pattern) pairs, indexed by the low bits of the 21-bit key.
 type DedicatedPHT struct {
@@ -151,15 +148,6 @@ func (t *DedicatedPHT) Store(_ uint64, key uint32, pat Pattern) {
 		t.Stats.Evicts++
 	}
 	s[victim] = phtEntry{tag: tag, pat: pat, lastUse: t.tick, valid: true}
-}
-
-// Reset clears every entry and all statistics in place (system reuse).
-func (t *DedicatedPHT) Reset() {
-	for i := range t.entries {
-		t.entries[i] = phtEntry{}
-	}
-	t.tick = 0
-	t.Stats = PHTStats{}
 }
 
 // Len returns the number of valid entries.

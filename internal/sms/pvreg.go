@@ -128,21 +128,6 @@ func (i *Instance) OnAccess(now uint64, pc, addr memsys.Addr) { i.eng.OnAccess(n
 // OnEvict implements pv.Predictor.
 func (i *Instance) OnEvict(now uint64, addr memsys.Addr) { i.eng.OnEvict(now, addr) }
 
-// Reset implements pv.Instance. Resetting a shared backing table once per
-// proxy is idempotent, so §2.1 shared-table systems need no dedup here.
-func (i *Instance) Reset() {
-	i.eng.Reset()
-	switch pht := i.eng.PHT().(type) {
-	case *DedicatedPHT:
-		pht.Reset()
-	case *InfinitePHT:
-		pht.Reset()
-	case *VirtualizedPHT:
-		pht.Reset()
-		pht.Table().Reset()
-	}
-}
-
 // ResetStats implements pv.Instance.
 func (i *Instance) ResetStats() {
 	i.eng.Stats = EngineStats{}

@@ -239,15 +239,6 @@ func (t *VirtualizedPHT) Store(now uint64, key uint32, pat Pattern) {
 	t.proxy.MarkDirty(set)
 }
 
-// Reset returns the virtualized PHT to its post-construction state: PVCache
-// dropped (no writebacks), statistics zeroed. The backing PVTable is shared
-// state and is reset separately by the system owner (it may serve several
-// proxies under §2.1 sharing).
-func (t *VirtualizedPHT) Reset() {
-	t.proxy.Reset()
-	t.Stats = PHTStats{}
-}
-
 // SwitchTable retargets the proxy at a different backing table — the §2.1
 // per-process scheme where a context switch reprograms PVStart: the old
 // process's dirty sets are flushed to its table, and lookups resume against

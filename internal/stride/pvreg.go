@@ -75,9 +75,6 @@ func (i *Instance) OnAccess(now uint64, pc, addr memsys.Addr) { i.eng.OnAccess(n
 // OnEvict implements pv.Predictor.
 func (i *Instance) OnEvict(now uint64, addr memsys.Addr) { i.eng.OnEvict(now, addr) }
 
-// Reset implements pv.Instance.
-func (i *Instance) Reset() { i.eng.Reset() }
-
 // ResetStats implements pv.Instance.
 func (i *Instance) ResetStats() {
 	i.eng.Stats = Stats{}

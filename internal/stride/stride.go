@@ -111,8 +111,6 @@ type table interface {
 	// access missed).
 	update(e Entry)
 	name() string
-	// reset returns the table to its post-construction state in place.
-	reset()
 }
 
 // Engine trains on the L1D access stream and issues stride prefetches.
@@ -196,10 +194,3 @@ func (e *Engine) OnAccess(now uint64, pc, addr memsys.Addr) {
 // OnEvict is a no-op: stride predictors have no generation concept. It
 // exists to satisfy the sim.DataPrefetcher contract.
 func (e *Engine) OnEvict(uint64, memsys.Addr) {}
-
-// Reset returns the engine and its table to their post-construction state
-// in place (system reuse).
-func (e *Engine) Reset() {
-	e.tbl.reset()
-	e.Stats = Stats{}
-}

@@ -51,15 +51,6 @@ func (t *dedicatedTable) access(now uint64, pc memsys.Addr) (Entry, uint64) {
 
 func (t *dedicatedTable) update(e Entry) { t.entries[t.lastSlot] = e }
 
-func (t *dedicatedTable) reset() {
-	for i := range t.entries {
-		t.entries[i] = Entry{}
-		t.lastUse[i] = 0
-	}
-	t.tick = 0
-	t.lastSlot = 0
-}
-
 // Set is the decoded PVTable form of one virtualized stride set.
 type Set struct {
 	Entries []Entry
@@ -201,10 +192,4 @@ func (t *VirtualTable) update(e Entry) {
 	}
 	s.Entries[way] = e
 	t.proxy.MarkDirty(t.lastSetIdx)
-}
-
-func (t *VirtualTable) reset() {
-	t.proxy.Reset()
-	t.table.Reset()
-	t.lastSet, t.lastSetIdx, t.lastWay = nil, 0, 0
 }

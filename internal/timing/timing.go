@@ -119,13 +119,13 @@ type PVEvents struct {
 
 // PVDelta folds the difference between two PVProxy statistics snapshots
 // into events. Counters are cumulative within a predictor lifetime; a
-// mid-run Instance.Reset (the PhaseFlush context-switch model) restarts
-// them from zero, and the simulator folds the pre-flush movement and
-// rebases its snapshot at the flush edge, so deltas stay exact across
-// flushes. monoSub is the safety net for resets the simulator did not
-// orchestrate (e.g. a third-party instance resetting its own proxy): a
-// shrunken counter is treated as a restart and contributes its new
-// absolute value rather than wrapping.
+// PhaseFlush edge replaces the core's instance with a fresh one whose
+// counters start from zero, and the simulator folds the old instance's
+// movement and rebases its snapshot at the edge, so deltas stay exact
+// across flushes. monoSub is the safety net for restarts the simulator
+// did not orchestrate (e.g. a third-party instance zeroing its own proxy
+// counters): a shrunken counter is treated as a restart and contributes
+// its new absolute value rather than wrapping.
 func PVDelta(prev, cur core.ProxyStats) PVEvents {
 	return PVEvents{
 		Hits:        monoSub(cur.Hits, prev.Hits),
@@ -253,8 +253,8 @@ func (m *Model) Core(c int) Counters { return m.cores[c] }
 // Cores returns the core count.
 func (m *Model) Cores() int { return len(m.cores) }
 
-// Reset zeroes every accumulator in place (stats reset after warmup, and
-// system reuse), allocating nothing.
+// Reset zeroes every accumulator in place (the stats reset after warmup),
+// allocating nothing.
 func (m *Model) Reset() {
 	for i := range m.cores {
 		m.cores[i] = Counters{}

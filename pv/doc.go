@@ -13,7 +13,8 @@
 //   - Builder is what a predictor family registers: it labels, validates
 //     and constructs instances in dedicated, infinite or virtualized form.
 //   - Instance is the per-core contract the simulator drives: OnAccess /
-//     OnEvict observations, in-place Reset, and a statistics snapshot.
+//     OnEvict observations, ResetStats, and a statistics snapshot. A cold
+//     start is always a fresh Builder.New.
 //   - Virtualizable is the extra surface of a virtualized instance: its
 //     reserved table range, live PVProxy statistics, and the Drop hook the
 //     on-chip-only mode needs.
@@ -26,6 +27,5 @@
 //
 // The pv/pvtest package holds a generic conformance suite every registered
 // family must pass: a virtualized instance whose PVCache covers the whole
-// table must behave exactly like the dedicated form, and Reset must be
-// bit-identical to a fresh build.
+// table must behave exactly like the dedicated form.
 package pv

@@ -3,6 +3,7 @@ package pv_test
 import (
 	"testing"
 
+	"pvsim/internal/core"
 	"pvsim/internal/memsys"
 	"pvsim/pv"
 
@@ -80,13 +81,27 @@ func FuzzSpecValidate(f *testing.F) {
 		if inst == nil {
 			t.Fatalf("New returned a nil instance for %s", clamped.Label())
 		}
-		// The instance must be minimally usable: observe, snapshot, reset.
+		// The instance must be minimally usable: observe, snapshot, and
+		// zero its statistics. sim.System.ResetStats relies on the last
+		// after warmup: every counter, the PVProxy's included, reads zero.
 		for i := 0; i < 8; i++ {
 			inst.OnAccess(uint64(i), 0x1000, memsys.Addr(0x10_0000+i*64))
 		}
 		inst.OnEvict(8, 0x10_0000)
 		_ = inst.Stats()
-		inst.Reset()
+		inst.ResetStats()
+		for _, g := range inst.Stats().Groups {
+			for _, c := range g.Counters {
+				if c.Value != 0 {
+					t.Errorf("%s: %s.%s = %d after ResetStats", clamped.Label(), g.Name, c.Name, c.Value)
+				}
+			}
+		}
+		if v, ok := inst.(pv.Virtualizable); ok {
+			if ps := v.ProxyStats(); ps != nil && *ps != (core.ProxyStats{}) {
+				t.Errorf("%s: proxy stats %+v after ResetStats", clamped.Label(), *ps)
+			}
+		}
 	})
 }
 

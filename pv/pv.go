@@ -187,15 +187,11 @@ type Predictor interface {
 // Instance is one per-core predictor as the simulator drives it.
 type Instance interface {
 	Predictor
-	// Reset returns the instance (engine state, tables, PVCache,
-	// statistics) to its post-construction state in place; a Reset instance
-	// must behave bit-identically to a freshly built one.
-	Reset()
 	// ResetStats zeroes every statistic while leaving microarchitectural
 	// state warm (called after the warmup phase).
 	ResetStats()
 	// Stats returns a deep-copied snapshot of the instance's counters; the
-	// snapshot must stay valid after the instance is Reset or mutated.
+	// snapshot must stay valid after the instance is mutated.
 	Stats() Stats
 }
 
@@ -241,8 +237,8 @@ type Env struct {
 	Backend core.Backend
 	// Sink receives predictions.
 	Sink Sink
-	// Shared is scratch storage alive for one system build; builders use it
-	// to hand one PVTable to every core under Spec.SharedTable.
+	// Shared is scratch storage alive as long as the system; builders use
+	// it to hand one PVTable to every core under Spec.SharedTable.
 	Shared map[string]any
 }
 

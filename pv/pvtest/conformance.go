@@ -62,69 +62,36 @@ func build(t *testing.T, s pv.Spec) (pv.Instance, *recorder) {
 	return inst, rec
 }
 
-// phaseStream describes one phase of the synthetic conformance stream: two
-// trigger PCs walking eight 2KB regions from a base address. The working
-// set is deliberately tiny — at most two distinct keys per table set — so
+// drive feeds the synthetic conformance stream: two trigger PCs walking
+// eight 2KB regions, each region walked block by block and each walk
+// closed by an eviction of its first block. The working set is
+// deliberately tiny — at most two distinct keys per table set — so
 // dedicated-LRU and virtualized-round-robin replacement can never diverge
-// and any stream difference is a real conformance failure.
-type phaseStream struct {
-	pcs  [2]memsys.Addr
-	base memsys.Addr
-}
-
-// streamA is the suite's original stream; streamB is a disjoint second
-// phase (different trigger PCs, different regions) the phased harness
-// switches to.
-var (
-	streamA = phaseStream{pcs: [2]memsys.Addr{0x1000, 0x2000}, base: 0x10_0000}
-	streamB = phaseStream{pcs: [2]memsys.Addr{0x5000, 0x6000}, base: 0x40_0000}
-)
-
-// drive feeds streamA: each region walked block by block, each walk closed
-// by an eviction of its first block. Predictors that ignore the access
-// stream (the BTB replays its own branch trace) are still stepped once per
-// access, with the same determinism requirement.
+// and any stream difference is a real conformance failure. Predictors that
+// ignore the access stream (the BTB replays its own branch trace) are
+// still stepped once per access, with the same determinism requirement.
 func drive(inst pv.Instance, rec *recorder) ([]prediction, pv.Stats) {
-	return drivePhase(inst, rec, streamA)
-}
-
-// drivePhase feeds one phase's stream.
-func drivePhase(inst pv.Instance, rec *recorder, ps phaseStream) ([]prediction, pv.Stats) {
-	rec.preds = nil
 	const (
 		regionBytes = 2048 // 32 x 64B blocks, the default SMS region
 		rounds      = 400
+		base        = memsys.Addr(0x10_0000)
 	)
+	pcs := [2]memsys.Addr{0x1000, 0x2000}
 	for r := 0; r < rounds; r++ {
-		pc := ps.pcs[r%len(ps.pcs)]
-		region := ps.base + memsys.Addr(r%8)*regionBytes
+		pc := pcs[r%len(pcs)]
+		region := base + memsys.Addr(r%8)*regionBytes
 		for b := 0; b < 6; b++ {
 			inst.OnAccess(0, pc, region+memsys.Addr(b*64))
 		}
 		inst.OnEvict(0, region)
 	}
-	return append([]prediction(nil), rec.preds...), inst.Stats()
-}
-
-// proxySnapshot deep-copies the PVProxy statistics of a virtualized
-// instance (zero value for dedicated ones).
-func proxySnapshot(inst pv.Instance) core.ProxyStats {
-	if v, ok := inst.(pv.Virtualizable); ok {
-		if ps := v.ProxyStats(); ps != nil {
-			return *ps
-		}
-	}
-	return core.ProxyStats{}
+	return rec.preds, inst.Stats()
 }
 
 // Run executes the conformance suite against every registered predictor
-// family:
-//
-//  1. Equivalence: the dedicated spec and the virtualized spec with a
-//     PVCache as large as the table must produce identical prediction
-//     streams and identical predictor statistics.
-//  2. Reset: for both specs, Reset followed by a re-run must reproduce the
-//     first run bit for bit (stream, stats, and proxy stats).
+// family: the dedicated spec and the virtualized spec with a PVCache as
+// large as the table must produce identical prediction streams and
+// identical predictor statistics.
 //
 // Register the families first (import pvsim/pv/predictors, or the
 // packages under test).
@@ -164,78 +131,6 @@ func Run(t *testing.T) {
 					t.Fatalf("statistics diverge:\nded:  %+v\nvirt: %+v", dstats, vstats)
 				}
 			})
-
-			for _, s := range []pv.Spec{ded, virt} {
-				t.Run("reset-"+s.Mode.String(), func(t *testing.T) {
-					inst, rec := build(t, s)
-					s1, st1 := drive(inst, rec)
-					p1 := proxySnapshot(inst)
-					inst.Reset()
-					s2, st2 := drive(inst, rec)
-					p2 := proxySnapshot(inst)
-					if !reflect.DeepEqual(s1, s2) {
-						t.Fatalf("reset re-run stream diverges (%d vs %d events)", len(s1), len(s2))
-					}
-					if !reflect.DeepEqual(st1, st2) {
-						t.Fatalf("reset re-run stats diverge:\nfirst: %+v\nrerun: %+v", st1, st2)
-					}
-					if p1 != p2 {
-						t.Fatalf("reset re-run proxy stats diverge:\nfirst: %+v\nrerun: %+v", p1, p2)
-					}
-					fresh, frec := build(t, s)
-					s3, st3 := drive(fresh, frec)
-					if !reflect.DeepEqual(s1, s3) || !reflect.DeepEqual(st1, st3) {
-						t.Fatal("reset instance diverges from a freshly built one")
-					}
-				})
-			}
-		})
-	}
-}
-
-// RunPhased executes the phased-trace harness against every registered
-// predictor family, in both conformance forms. It models the scenario
-// subsystem's context-switch flush (sim.Config.PhaseFlush): an instance
-// that trained on one phase's stream and was Reset at the phase edge must
-// behave bit-identically — prediction stream, statistics, proxy statistics
-// — to a freshly built instance seeing only the new phase. This is the
-// property that makes the flush exactly a cold start, and it must hold for
-// every family, dedicated and virtualized alike.
-func RunPhased(t *testing.T) {
-	names := pv.Names()
-	if len(names) == 0 {
-		t.Fatal("no predictors registered; import pvsim/pv/predictors")
-	}
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			b, _ := pv.Lookup(name)
-			ded, virt := b.Conformance()
-			for _, s := range []pv.Spec{ded, virt} {
-				t.Run(s.Mode.String(), func(t *testing.T) {
-					// Phase 1 trains the instance; the phase edge flushes it.
-					switched, srec := build(t, s)
-					drivePhase(switched, srec, streamA)
-					switched.Reset()
-					s1, st1 := drivePhase(switched, srec, streamB)
-					p1 := proxySnapshot(switched)
-
-					// The reference never saw phase 1.
-					fresh, frec := build(t, s)
-					s2, st2 := drivePhase(fresh, frec, streamB)
-					p2 := proxySnapshot(fresh)
-
-					if !reflect.DeepEqual(s1, s2) {
-						t.Fatalf("post-flush stream diverges from a fresh instance (%d vs %d events)\nflushed: %v\nfresh:   %v",
-							len(s1), len(s2), head(s1), head(s2))
-					}
-					if !reflect.DeepEqual(st1, st2) {
-						t.Fatalf("post-flush stats diverge:\nflushed: %+v\nfresh:   %+v", st1, st2)
-					}
-					if p1 != p2 {
-						t.Fatalf("post-flush proxy stats diverge:\nflushed: %+v\nfresh:   %+v", p1, p2)
-					}
-				})
-			}
 		})
 	}
 }

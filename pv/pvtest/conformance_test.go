@@ -12,10 +12,3 @@ import (
 func TestConformance(t *testing.T) {
 	Run(t)
 }
-
-// TestPhasedConformance runs the phased-trace harness: Reset at a phase
-// boundary must be bit-identical to a fresh instance, for every family —
-// the property sim.Config.PhaseFlush builds on.
-func TestPhasedConformance(t *testing.T) {
-	RunPhased(t)
-}
