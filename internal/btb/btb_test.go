@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +256,26 @@ func fullBTBSet(cfg Config) Set {
 		s.Valid[i] = true
 	}
 	return s
+}
+
+// TestSetCodecZeroBlockIntoUsedSet: UnpackInto of the all-zero block, a
+// never-written set, into a set holding decoded entries must leave it
+// equal to Unpack of the zero block, as the Codec contract requires.
+func TestSetCodecZeroBlockIntoUsedSet(t *testing.T) {
+	cfg := DefaultConfig(1024)
+	codec, err := NewSetCodec(cfg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	codec.Pack(fullBTBSet(cfg), buf)
+	var dst Set
+	codec.UnpackInto(buf, &dst)
+	zero := make([]byte, 64)
+	codec.UnpackInto(zero, &dst)
+	if want := codec.Unpack(zero); !reflect.DeepEqual(dst, want) {
+		t.Fatalf("UnpackInto(zero) over a used set = %+v, want %+v", dst, want)
+	}
 }
 
 // BenchmarkSetCodecUnpack decodes one packed BTB set into a reused set, the

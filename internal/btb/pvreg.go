@@ -71,12 +71,23 @@ func (builder) Validate(s pv.Spec) error {
 	if s.SharedTable {
 		return fmt.Errorf("btb: shared tables unsupported (branch streams are per-core)")
 	}
-	cfg := DefaultConfig(s.Sets)
-	cfg.Ways = s.Ways
-	if err := cfg.Validate(); err != nil {
+	if err := configOf(s).Validate(); err != nil {
 		return err
 	}
 	return streamParamsOf(s).Validate()
+}
+
+// ValidateBlock implements pv.BlockValidator.
+func (builder) ValidateBlock(s pv.Spec, blockBytes int) error {
+	_, err := NewSetCodec(configOf(s), blockBytes)
+	return err
+}
+
+// configOf is the table configuration of a spec's geometry.
+func configOf(s pv.Spec) Config {
+	cfg := DefaultConfig(s.Sets)
+	cfg.Ways = s.Ways
+	return cfg
 }
 
 // Conformance implements pv.Builder: eight branch sites spread over 16
@@ -90,14 +101,16 @@ func (builder) Conformance() (dedicated, virtualized pv.Spec) {
 }
 
 // New implements pv.Builder.
-func (builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
-	cfg := DefaultConfig(s.Sets)
-	cfg.Ways = s.Ways
+func (b builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
+	cfg := configOf(s)
 	inst := &Instance{}
 	switch s.Mode {
 	case pv.Dedicated:
 		inst.pred = NewDedicated(cfg)
 	case pv.Virtualized:
+		if err := b.ValidateBlock(s, env.L2BlockBytes); err != nil {
+			return nil, err
+		}
 		inst.virt = NewVirtualized(cfg, env.Proxy, env.Start, env.L2BlockBytes, env.Backend)
 		inst.pred = inst.virt
 	default:

@@ -75,6 +75,13 @@ func (c SetCodec) UnpackInto(src []byte, dst *Set) {
 	if len(dst.Valid) != c.Ways {
 		dst.Valid = make([]bool, c.Ways)
 	}
+	if core.AllZero(src) {
+		clear(dst.Tags)
+		clear(dst.Targets)
+		clear(dst.Valid)
+		dst.Victim = 0
+		return
+	}
 	r := core.NewBitReader(src)
 	for i := 0; i < c.Ways; i++ {
 		dst.Valid[i] = r.Read(1) == 1

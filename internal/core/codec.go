@@ -36,6 +36,23 @@ type Codec[S any] interface {
 	UnpackInto(src []byte, dst *S)
 }
 
+// AllZero reports whether every byte of b is zero. The shipped codecs'
+// UnpackInto test their source with it and decode an all-zero block, the
+// never-written set, to the cleared set without reading a field.
+func AllZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // BitWriter packs bit fields little-endian-within-bytes into a byte slice;
 // predictor codecs use it to lay entries out exactly as Figure 3a does
 // (11 entries x 43 bits leaves trailing unused bits in a 64-byte block).

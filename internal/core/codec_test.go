@@ -215,6 +215,24 @@ func TestBitWriterMasksHighBits(t *testing.T) {
 	}
 }
 
+// TestAllZero: every length up to two words and a tail, with no set byte
+// and with one set byte at each position.
+func TestAllZero(t *testing.T) {
+	for n := 0; n <= 19; n++ {
+		b := make([]byte, n)
+		if !AllZero(b) {
+			t.Fatalf("AllZero(%d zero bytes) = false", n)
+		}
+		for i := range b {
+			b[i] = 0x10
+			if AllZero(b) {
+				t.Fatalf("AllZero of %d bytes with byte %d set = true", n, i)
+			}
+			b[i] = 0
+		}
+	}
+}
+
 // TestBitReaderZeroBlock: every field of a zero block reads as zero, the
 // property behind the codec's zero-is-empty law.
 func TestBitReaderZeroBlock(t *testing.T) {

@@ -178,9 +178,10 @@ func (s *Stats) L2MissesTotal() uint64 {
 type Result struct {
 	Level   Level  // level that served the request
 	Latency uint64 // cycles from issue to data delivery
-	// CoveredMiss is set for demand reads that would have missed but were
-	// served by a line a prefetch brought in.
-	CoveredMiss bool
+	// PrefetchUse is set when a demand access, read or write, is the
+	// first to use a line a prefetch brought in. A read that does so is a
+	// covered miss (CoreStats.L1DPrefetchHits).
+	PrefetchUse bool
 }
 
 // Hierarchy wires per-core L1s, the shared L2 and main memory together.
@@ -455,12 +456,10 @@ func (h *Hierarchy) Data(core int, a Addr, write bool) Result {
 	}
 
 	if r := l1.Lookup(a, write); r.Hit {
-		res := Result{Level: LevelL1, Latency: h.cfg.L1Latency}
 		if r.FirstUseOfPF && !write {
 			cs.L1DPrefetchHits++
-			res.CoveredMiss = true
 		}
-		return res
+		return Result{Level: LevelL1, Latency: h.cfg.L1Latency, PrefetchUse: r.FirstUseOfPF}
 	}
 
 	if write {

@@ -129,14 +129,25 @@ func TestPrefetchIntoL1(t *testing.T) {
 		t.Errorf("PrefetchIssued = %d, want 1", h.Stats.Core[0].PrefetchIssued)
 	}
 	r := h.Data(0, 0x3000, false)
-	if r.Level != LevelL1 || !r.CoveredMiss {
+	if r.Level != LevelL1 || !r.PrefetchUse {
 		t.Errorf("demand after prefetch = %+v, want covered L1 hit", r)
+	}
+	if r := h.Data(0, 0x3000, false); r.Level != LevelL1 || r.PrefetchUse {
+		t.Errorf("second demand after prefetch = %+v, want a plain L1 hit", r)
 	}
 	if h.Stats.Core[0].L1DPrefetchHits != 1 {
 		t.Errorf("L1DPrefetchHits = %d, want 1", h.Stats.Core[0].L1DPrefetchHits)
 	}
 	if h.Stats.L2Requests[DPrefetch] != 1 {
 		t.Errorf("L2 prefetch requests = %d, want 1", h.Stats.L2Requests[DPrefetch])
+	}
+	// A write is also a first use of a prefetched line, but no covered miss.
+	h.Prefetch(0, 0x5000)
+	if r := h.Data(0, 0x5000, true); r.Level != LevelL1 || !r.PrefetchUse {
+		t.Errorf("write after prefetch = %+v, want an L1 hit using the prefetch", r)
+	}
+	if h.Stats.Core[0].L1DPrefetchHits != 1 {
+		t.Errorf("L1DPrefetchHits = %d after a write used a prefetch, want 1", h.Stats.Core[0].L1DPrefetchHits)
 	}
 }
 

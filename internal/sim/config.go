@@ -181,6 +181,9 @@ func (c Config) Validate() error {
 	if err := c.Prefetch.Validate(); err != nil {
 		return err
 	}
+	if err := c.Prefetch.ValidateBlock(c.Hier.L2.BlockBytes); err != nil {
+		return fmt.Errorf("sim: a %s set does not fit one %dB L2 block: %w", c.Prefetch.Label(), c.Hier.L2.BlockBytes, err)
+	}
 	if c.PhaseFlush && c.Prefetch.SharedTable {
 		// One core's context switch would discard the table the other
 		// cores' PVCaches still cache; no per-process flush does that.

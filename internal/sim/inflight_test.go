@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"pvsim/internal/memsys"
+	"pvsim/internal/trace"
 )
 
 // inflightEntries sums outstanding in-flight prefetch records across cores.
@@ -75,5 +77,92 @@ func TestPruneInflightMatchesMapLoop(t *testing.T) {
 		if got, ok := tb.Get(b); !ok || got != ready {
 			t.Fatalf("record %#x: got %d, %v; want %d", b, got, ok, ready)
 		}
+	}
+}
+
+// scripted is an access stream the test sets one access at a time.
+type scripted struct{ next trace.Access }
+
+func (s *scripted) Next() trace.Access { return s.next }
+
+// TestLatePrefetchCharging pins which demand accesses take an in-flight
+// record. A prefetch through the sink a predictor is given, with a future
+// availableAt, puts one. The first demand access to the line before it is
+// ready pays the residual stall, whether a read or a write uses the line
+// in the L1D, or a read misses on it after it was evicted unused. A plain
+// L1 hit leaves the table untouched. The stall is measured against the
+// same script on a twin system whose record the test deletes first.
+func TestLatePrefetchCharging(t *testing.T) {
+	cfg := quickConfig(t, "Apache")
+	cfg.Timing = true
+	l1 := cfg.Hier.L1D
+	const pc = memsys.Addr(0x40_0000)
+	target := memsys.Addr(0x100_0000)
+	hot := target + memsys.Addr(l1.BlockBytes) // another set: plain hits
+	setStride := memsys.Addr(l1.Sets() * l1.BlockBytes)
+
+	for _, tc := range []struct {
+		name         string
+		write, evict bool
+	}{
+		{"read uses the line", false, false},
+		{"write uses the line", true, false},
+		{"read after the line was evicted", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// run plays the script and returns the demand step's cycles
+			// and the residual its record held (ready - now).
+			run := func(dropRecord bool) (cycles float64, residual uint64) {
+				sys := NewSystem(cfg)
+				src := &scripted{}
+				sys.gens[0] = src
+				step := func(a memsys.Addr, write bool) float64 {
+					src.next = trace.Access{PC: pc, Addr: a, Write: write}
+					before := sys.cores[0].Cycles()
+					sys.Step(0)
+					return sys.cores[0].Cycles() - before
+				}
+				tb := &sys.inflight[0]
+				step(hot, false) // fills hot and the PC's instruction block
+				prefetchSink{sys: sys, core: 0}.Prefetch(target, sys.clock[0]+100_000)
+				ready, ok := tb.Get(target)
+				if !ok || tb.Len() != 1 {
+					t.Fatalf("prefetch left %d records, target's found = %v", tb.Len(), ok)
+				}
+				step(hot, false)
+				if got, ok := tb.Get(target); !ok || got != ready || tb.Len() != 1 {
+					t.Fatalf("a plain L1 hit changed the table: %d records, target %d/%v, want %d", tb.Len(), got, ok, ready)
+				}
+				if tc.evict {
+					for k := 1; k <= l1.Ways; k++ {
+						step(target+memsys.Addr(k)*setStride, false)
+					}
+					if sys.Hier.L1D(0).Contains(target) {
+						t.Fatal("conflict misses did not evict the prefetched line")
+					}
+					if _, ok := tb.Get(target); !ok {
+						t.Fatal("the record was lost before its block was demanded")
+					}
+				}
+				if dropRecord {
+					tb.Delete(target)
+				}
+				now := sys.clock[0]
+				cycles = step(target, tc.write)
+				if _, ok := tb.Get(target); ok {
+					t.Fatal("the record survived the first demand access to its block")
+				}
+				return cycles, ready - now
+			}
+			late, residual := run(false)
+			onTime, _ := run(true)
+			if residual == 0 || residual > 1<<40 {
+				t.Fatalf("residual %d: the prefetch was not late at its first use", residual)
+			}
+			want := float64(residual) / cfg.Workload.Params.MLP
+			if got := late - onTime; math.Abs(got-want) > 1e-6 {
+				t.Errorf("late first use paid %.3f stall cycles, want residual %d / MLP = %.3f", got, residual, want)
+			}
+		})
 	}
 }

@@ -168,7 +168,7 @@ func (sys *System) Run() Result {
 	}
 
 	res := Result{Config: cfg, WindowIPC: windowIPC}
-	sys.foldPVResidual()    // attribute trailing cross-core proxy work
+	sys.foldProxies()       // the PVProxy counters, folded once per run
 	collectStats(sys, &res) // fills Mem with a deep copy
 	if cfg.Timing {
 		snapshotsInto(sys, sys.snapCur)

@@ -55,6 +55,18 @@ func TestConfigValidate(t *testing.T) {
 		{"unregistered predictor", func(c *Config) {
 			c.Prefetch = pv.Spec{Name: "no-such-predictor", Mode: pv.Dedicated, Sets: 16, Ways: 2}
 		}, []string{"sms", "stride", "btb"}},
+		// A virtualized set must pack into one 64-byte L2 block; each
+		// family's first overflowing width at 1024 sets is named with its
+		// ways and bits (New would otherwise panic building the codec).
+		{"sms set wider than the L2 block", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "sms", Mode: pv.Virtualized, Sets: 1024, Ways: 12, PVCacheEntries: 8}
+		}, []string{"sms", "12 ways", "520 bits", "64B L2 block"}},
+		{"stride set wider than the L2 block", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "stride", Mode: pv.Virtualized, Sets: 1024, Ways: 9, PVCacheEntries: 8}
+		}, []string{"stride", "9 ways", "57 bits"}},
+		{"btb set wider than the L2 block", func(c *Config) {
+			c.Prefetch = pv.Spec{Name: "btb", Mode: pv.Virtualized, Sets: 1024, Ways: 11, PVCacheEntries: 8}
+		}, []string{"btb", "11 ways", "543 bits"}},
 		// One core's phase edge must not discard a table every core uses.
 		{"phase flush with a shared table", func(c *Config) {
 			c.Cores = phased.Cores

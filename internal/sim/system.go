@@ -29,7 +29,9 @@ type System struct {
 	cores []*cpu.Core
 	clock []uint64
 	// inflight tracks outstanding prefetch completion times per core for
-	// timeliness modeling (timing runs only), keyed by block address.
+	// timeliness modeling (timing runs only), keyed by block address. A
+	// record exists only for a block a prefetch filled and no demand
+	// access has used yet (see Step).
 	inflight []memsys.AddrTable[memsys.Addr, uint64]
 
 	// proxyCfg/proxyClamped record the effective PVProxy configuration
@@ -43,16 +45,17 @@ type System struct {
 	// system), so windowed timing collection allocates nothing.
 	snapStart, snapPrev, snapCur []cpu.Snapshot
 
-	// tm is the passive cost model (nil unless cfg.Cost.Enabled). It folds
-	// each step's outcome — demand/fetch serving levels plus the per-core
-	// PVProxy counter movement since the core's previous step — into cycle
-	// accumulators, without feeding anything back into the simulation.
+	// tm is the passive cost model (nil unless cfg.Cost.Enabled). Step
+	// folds each access's demand/fetch serving levels into it. A core's
+	// PVProxy counters are folded whole, only where they stop counting:
+	// at a PhaseFlush phase edge, before the rebuild replaces them, and at
+	// the end of Run (foldProxy). That equals folding them step by step:
+	// OnPV is linear, the counters restart from zero only where tm does
+	// (ResetStats) or right after a fold, and only collectStats reads tm.
 	// proxyLive holds each core's live PVProxy statistics pointer (nil for
-	// dedicated/baseline cores) and prevProxy the snapshot the next delta
-	// is taken against; both are fixed-size, so the fold allocates nothing.
+	// dedicated/baseline cores).
 	tm        *timing.Model
 	proxyLive []*pvcore.ProxyStats
-	prevProxy []pvcore.ProxyStats
 }
 
 // prefetchSink routes one core's predictions into the hierarchy and the
@@ -128,7 +131,6 @@ func build(cfg Config, hier *memsys.Hierarchy) *System {
 		}
 		sys.tm = timing.NewModel(params, n)
 		sys.proxyLive = make([]*pvcore.ProxyStats, n)
-		sys.prevProxy = make([]pvcore.ProxyStats, n)
 	}
 
 	var builder pv.Builder
@@ -192,14 +194,12 @@ func build(cfg Config, hier *memsys.Hierarchy) *System {
 			// Context-switch model: the OS discards this core's predictor
 			// state — engine, tables, and (virtualized) the backing PVTable —
 			// at every phase edge, so the core restarts on a freshly built
-			// instance: exactly a cold start. The cost fold attributes the
-			// old instance's un-folded proxy movement first and rebases its
-			// snapshot on the new instance's counters after, so flush-run
-			// cost accounting stays exact.
+			// instance: exactly a cold start. The cost fold takes the old
+			// instance's proxy counters first; the new instance's count
+			// from zero, so flush-run cost accounting stays exact.
 			phased.SetEdgeHook(func(int) {
-				sys.foldPVResidualCore(c)
+				sys.foldProxy(c)
 				sys.newPredictor(c, builder, env)
-				sys.rebaseProxySnapshot(c)
 			})
 		}
 	}
@@ -249,55 +249,31 @@ func (s *System) EffectiveProxyConfig() (pvcore.ProxyConfig, bool) {
 // Core returns core c's timing model.
 func (s *System) Core(c int) *cpu.Core { return s.cores[c] }
 
-// foldPVResidual folds proxy movement not yet attributed to any step:
-// work triggered on core c's proxy after c's own last step of the run
-// (e.g. an invalidation from a later core in the final round). Run calls
-// it before collecting stats so the fold's totals conserve exactly against
-// the final ProxyStats counters (internal/simtest pins this).
-func (s *System) foldPVResidual() {
+// foldProxies folds every core's PVProxy counters into the cost model.
+// Run calls it once, before collecting stats, so the fold's totals
+// conserve exactly against the final ProxyStats counters (internal/simtest
+// pins this).
+func (s *System) foldProxies() {
 	if s.tm == nil {
 		return
 	}
-	for c := range s.prevProxy {
-		s.foldPVResidualCore(c)
+	for c := range s.proxyLive {
+		s.foldProxy(c)
 	}
 }
 
-// foldPVResidualCore folds one core's proxy movement since its snapshot;
-// the phase-edge flush hook calls it before the core's instance, and with
-// it the counters, is replaced.
-func (s *System) foldPVResidualCore(c int) {
+// foldProxy folds core c's PVProxy counters whole: everything they
+// counted since the core's predictor was built or the warmup ResetStats
+// zeroed them, work other cores' steps triggered on this proxy (e.g. an
+// invalidation) included. The caller must not fold the same counts again:
+// the phase-edge flush hook replaces the instance, and with it the
+// counters, right after.
+func (s *System) foldProxy(c int) {
 	if s.tm == nil {
 		return
 	}
 	if live := s.proxyLive[c]; live != nil {
-		cur := *live
-		s.tm.OnPV(c, timing.PVDelta(s.prevProxy[c], cur))
-		s.prevProxy[c] = cur
-	}
-}
-
-// rebaseProxySnapshot re-bases one core's delta snapshot on the live
-// counters (zero right after a phase edge rebuilt the instance).
-func (s *System) rebaseProxySnapshot(c int) {
-	if s.tm == nil {
-		return
-	}
-	if live := s.proxyLive[c]; live != nil {
-		s.prevProxy[c] = *live
-	} else {
-		s.prevProxy[c] = pvcore.ProxyStats{}
-	}
-}
-
-// resyncProxySnapshots re-bases every core's PVProxy delta snapshot on the
-// live counters, so the next fold step observes only its own movement.
-func (s *System) resyncProxySnapshots() {
-	if s.tm == nil {
-		return
-	}
-	for c := range s.prevProxy {
-		s.rebaseProxySnapshot(c)
+		s.tm.OnPV(c, timing.PVDelta(pvcore.ProxyStats{}, *live))
 	}
 }
 
@@ -312,10 +288,16 @@ func (s *System) Step(c int) {
 	res := s.Hier.Data(c, acc.Addr, acc.Write)
 
 	if s.cfg.Timing {
+		// Only a prefetch that fills an absent block puts a record, and
+		// the first demand access to the block takes it: an L1D hit that
+		// Data reports as a PrefetchUse, or a miss if the line was evicted
+		// unused. Any other L1D hit has no record to take.
 		var extra uint64
-		block := s.Hier.L1D(c).BlockAddr(acc.Addr)
-		if ready, ok := s.inflight[c].Delete(block); ok && ready > now {
-			extra = ready - now // prefetch was late: pay the residual
+		if res.Level != memsys.LevelL1 || res.PrefetchUse {
+			block := s.Hier.L1D(c).BlockAddr(acc.Addr)
+			if ready, ok := s.inflight[c].Delete(block); ok && ready > now {
+				extra = ready - now // prefetch was late: pay the residual
+			}
 		}
 		core := s.cores[c]
 		core.OnFetch(fres.Latency)
@@ -331,22 +313,12 @@ func (s *System) Step(c int) {
 	}
 
 	if s.tm != nil {
-		// The passive cost fold: demand/fetch outcomes by serving level,
-		// plus this core's PVProxy counter movement since its previous
-		// step (which also captures proxy work triggered from other cores'
-		// steps via eviction/invalidation hooks — it is this core's proxy).
+		// The passive cost fold of demand/fetch outcomes by serving level.
 		// Unlike the IPC model it is not gated on cfg.Timing: every step
-		// computes its outcome either way, and folding them all keeps the
-		// fold exactly conserving against the proxy counters
-		// (internal/simtest pins the equality).
+		// computes its outcome either way. It stays per step because
+		// OnAccess divides per event and truncates. The PVProxy counters
+		// are folded at run boundaries instead (see System.tm).
 		s.tm.OnAccess(c, fres.Level, res.Level)
-		// Most steps move no proxy counter; an unchanged snapshot folds a
-		// zero delta, so it is skipped.
-		if live := s.proxyLive[c]; live != nil && *live != s.prevProxy[c] {
-			cur := *live
-			s.tm.OnPV(c, timing.PVDelta(s.prevProxy[c], cur))
-			s.prevProxy[c] = cur
-		}
 	}
 }
 
@@ -354,10 +326,11 @@ func (s *System) Step(c int) {
 // count past which completed records are pruned. A timing run has at most
 // a few dozen prefetches still in flight per core (72 at -scale 0.25 over
 // all eight workloads with 1K-11a, 16-11a, stride-1K and PV-8), so
-// pruning keeps the table at its presized cells and its probe chains
-// short. More than inflightHint records in flight at once would prune on
-// every step, and more than twice as many would grow the table; both cost
-// time only, never a result.
+// pruning keeps the table at its presized cells and the probe chains of
+// Step's deletes (on L1D misses and first uses of a prefetched line)
+// short. More than inflightHint records in flight at once would
+// prune on every step, and more than twice as many would grow the table;
+// both cost time only, never a result.
 const inflightHint = 256
 
 // pruneInflight drops completed prefetch records to bound memory. Dropping
@@ -394,7 +367,6 @@ func (s *System) ResetStats() {
 		}
 	}
 	if s.tm != nil {
-		s.tm.Reset()
-		s.resyncProxySnapshots() // proxy counters just went to zero
+		s.tm.Reset() // the proxy counters just restarted from zero too
 	}
 }

@@ -46,6 +46,15 @@ func (builder) Validate(s pv.Spec) error {
 	return nil
 }
 
+// ValidateBlock implements pv.BlockValidator: ways x (tag + pattern) bits
+// plus the cursor must fit the block. The tag width depends on the set
+// count; the L1 block size does not enter the layout.
+func (builder) ValidateBlock(s pv.Spec, blockBytes int) error {
+	vcfg := VPHTConfig{Geom: DefaultGeometry(), Sets: s.Sets, Ways: s.Ways, BlockBytes: blockBytes}
+	_, err := vcfg.codec()
+	return err
+}
+
 // Conformance implements pv.Builder. Two trigger PCs over a 64-set table
 // leave every set far below its associativity, so the dedicated table's
 // LRU and the packed table's round-robin cursor never have to choose a
@@ -57,7 +66,7 @@ func (builder) Conformance() (dedicated, virtualized pv.Spec) {
 }
 
 // New implements pv.Builder.
-func (builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
+func (b builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
 	geom := DefaultGeometry()
 	geom.BlockBytes = env.L1BlockBytes
 	agt := AGTConfig{
@@ -82,6 +91,9 @@ func (builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
 	case pv.Dedicated:
 		pht = NewDedicatedPHT(s.Sets, s.Ways)
 	case pv.Virtualized:
+		if err := b.ValidateBlock(s, env.L2BlockBytes); err != nil {
+			return nil, err
+		}
 		vcfg := VPHTConfig{
 			Geom:       geom,
 			Sets:       s.Sets,

@@ -81,6 +81,12 @@ func (c SetCodec) UnpackInto(src []byte, dst *PHTSet) {
 	if len(dst.Pats) != c.Ways {
 		dst.Pats = make([]Pattern, c.Ways)
 	}
+	if core.AllZero(src) {
+		clear(dst.Tags)
+		clear(dst.Pats)
+		dst.Victim = 0
+		return
+	}
 	r := core.NewBitReader(src)
 	for i := 0; i < c.Ways; i++ {
 		dst.Tags[i] = uint32(r.Read(c.TagBits))
@@ -122,6 +128,12 @@ func (c VPHTConfig) TagBits() uint {
 	return c.Geom.IndexBits() - uint(bits.TrailingZeros(uint(c.Sets)))
 }
 
+// codec returns the set codec of the configured layout, or the error
+// naming the ways and bits when a set does not fit the block.
+func (c VPHTConfig) codec() (SetCodec, error) {
+	return NewSetCodec(c.Ways, c.TagBits(), uint(c.Geom.RegionBlocks), c.BlockBytes)
+}
+
 // TableRange returns the reserved physical range (needed for traffic
 // classification in the hierarchy).
 func (c VPHTConfig) TableRange() memsys.AddrRange {
@@ -144,7 +156,7 @@ type VirtualizedPHT struct {
 
 // NewVirtualizedPHT builds a virtualized PHT with its own private PVTable.
 func NewVirtualizedPHT(cfg VPHTConfig, be core.Backend) *VirtualizedPHT {
-	codec, err := NewSetCodec(cfg.Ways, cfg.TagBits(), uint(cfg.Geom.RegionBlocks), cfg.BlockBytes)
+	codec, err := cfg.codec()
 	if err != nil {
 		panic(err)
 	}

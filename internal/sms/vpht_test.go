@@ -1,6 +1,7 @@
 package sms
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -272,6 +273,25 @@ func fullPHTSet() PHTSet {
 		s.Pats[i] = Pattern(0x9E3779B9 * uint32(i+1))
 	}
 	return s
+}
+
+// TestSetCodecZeroBlockIntoUsedSet: UnpackInto of the all-zero block, a
+// never-written set, into a set holding decoded entries must leave it
+// equal to Unpack of the zero block, as the Codec contract requires.
+func TestSetCodecZeroBlockIntoUsedSet(t *testing.T) {
+	codec, err := NewSetCodec(11, 11, 32, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	codec.Pack(fullPHTSet(), buf)
+	var dst PHTSet
+	codec.UnpackInto(buf, &dst)
+	zero := make([]byte, 64)
+	codec.UnpackInto(zero, &dst)
+	if want := codec.Unpack(zero); !reflect.DeepEqual(dst, want) {
+		t.Fatalf("UnpackInto(zero) over a used set = %+v, want %+v", dst, want)
+	}
 }
 
 // BenchmarkSetCodecUnpack decodes one packed 11-way PHT set into a reused

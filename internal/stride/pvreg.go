@@ -33,9 +33,20 @@ func (builder) Validate(s pv.Spec) error {
 	if s.SharedTable {
 		return fmt.Errorf("stride: shared tables unsupported (strides are per-core streams)")
 	}
+	return configOf(s).Validate()
+}
+
+// ValidateBlock implements pv.BlockValidator.
+func (builder) ValidateBlock(s pv.Spec, blockBytes int) error {
+	_, err := NewSetCodec(configOf(s), blockBytes)
+	return err
+}
+
+// configOf is the engine configuration of a spec's geometry.
+func configOf(s pv.Spec) Config {
 	cfg := DefaultConfig(s.Sets)
 	cfg.Ways = s.Ways
-	return cfg.Validate()
+	return cfg
 }
 
 // Conformance implements pv.Builder: two trigger PCs over 16 sets of 4
@@ -48,14 +59,16 @@ func (builder) Conformance() (dedicated, virtualized pv.Spec) {
 }
 
 // New implements pv.Builder.
-func (builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
-	cfg := DefaultConfig(s.Sets)
-	cfg.Ways = s.Ways
+func (b builder) New(s pv.Spec, env pv.Env) (pv.Instance, error) {
+	cfg := configOf(s)
 	cfg.BlockBytes = env.L1BlockBytes
 	switch s.Mode {
 	case pv.Dedicated:
 		return &Instance{eng: NewDedicated(cfg, env.Sink)}, nil
 	case pv.Virtualized:
+		if err := b.ValidateBlock(s, env.L2BlockBytes); err != nil {
+			return nil, err
+		}
 		return &Instance{eng: NewVirtualized(cfg, env.Proxy, env.Start, env.L2BlockBytes, env.Backend, env.Sink)}, nil
 	}
 	return nil, fmt.Errorf("stride: unsupported mode %v", s.Mode)

@@ -1,6 +1,7 @@
 package stride
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -248,6 +249,26 @@ func fullStrideSet(cfg Config) Set {
 		}
 	}
 	return s
+}
+
+// TestSetCodecZeroBlockIntoUsedSet: UnpackInto of the all-zero block, a
+// never-written set, into a set holding decoded entries must leave it
+// equal to Unpack of the zero block, as the Codec contract requires.
+func TestSetCodecZeroBlockIntoUsedSet(t *testing.T) {
+	cfg := DefaultConfig(256)
+	codec, err := NewSetCodec(cfg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	codec.Pack(fullStrideSet(cfg), buf)
+	var dst Set
+	codec.UnpackInto(buf, &dst)
+	zero := make([]byte, 64)
+	codec.UnpackInto(zero, &dst)
+	if want := codec.Unpack(zero); !reflect.DeepEqual(dst, want) {
+		t.Fatalf("UnpackInto(zero) over a used set = %+v, want %+v", dst, want)
+	}
 }
 
 // BenchmarkSetCodecUnpack decodes one packed stride set into a reused set,

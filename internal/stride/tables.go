@@ -110,6 +110,11 @@ func (c SetCodec) UnpackInto(src []byte, dst *Set) {
 	if len(dst.Entries) != c.Ways {
 		dst.Entries = make([]Entry, c.Ways)
 	}
+	if core.AllZero(src) {
+		clear(dst.Entries)
+		dst.Victim = 0
+		return
+	}
 	r := core.NewBitReader(src)
 	for i := 0; i < c.Ways; i++ {
 		e := &dst.Entries[i]

@@ -118,12 +118,11 @@ type PVEvents struct {
 }
 
 // PVDelta folds the difference between two PVProxy statistics snapshots
-// into events. Counters are cumulative within a predictor lifetime; a
-// PhaseFlush edge replaces the core's instance with a fresh one whose
-// counters start from zero, and the simulator folds the old instance's
-// movement and rebases its snapshot at the edge, so deltas stay exact
-// across flushes. monoSub is the safety net for restarts the simulator
-// did not orchestrate (e.g. a third-party instance zeroing its own proxy
+// into events. Counters are cumulative within a predictor lifetime. With
+// a zero prev it folds a snapshot whole, as sim.System does with each
+// core's counters at a PhaseFlush edge (before a fresh instance replaces
+// them) and at the end of a run. monoSub is the safety net for restarts
+// the caller did not orchestrate (e.g. a third-party instance zeroing its own proxy
 // counters): a shrunken counter is treated as a restart and contributes
 // its new absolute value rather than wrapping.
 func PVDelta(prev, cur core.ProxyStats) PVEvents {
@@ -233,7 +232,9 @@ func (m *Model) OnAccess(core int, fetch, data memsys.Level) {
 	}
 }
 
-// OnPV folds one step's PVProxy events for a core.
+// OnPV folds a core's PVProxy events since its previous fold. It only
+// multiplies by constants and adds, so one fold of a span's summed events
+// equals folding the span's events piecewise.
 func (m *Model) OnPV(core int, ev PVEvents) {
 	p := &m.params
 	c := &m.cores[core]

@@ -12,6 +12,8 @@
 //     plain data; sim.Config embeds one instead of a closed enum.
 //   - Builder is what a predictor family registers: it labels, validates
 //     and constructs instances in dedicated, infinite or virtualized form.
+//     A family whose virtualized set packs into one L2 block also
+//     implements BlockValidator, which Spec.ValidateBlock calls.
 //   - Instance is the per-core contract the simulator drives: OnAccess /
 //     OnEvict observations, ResetStats, and a statistics snapshot. A cold
 //     start is always a fresh Builder.New.

@@ -26,10 +26,12 @@ func (s *fuzzSink) Prefetch(memsys.Addr, uint64) { s.n++ }
 //  1. Validate (and Label) never panic, whatever raw values a config file
 //     or API request carries — unknown names, absurd geometry, unknown
 //     modes all return errors, not crashes.
-//  2. Any spec Validate accepts can actually be built: builder.New must
-//     succeed and hand back a usable instance (geometry is clamped to
-//     allocation-sane ranges first; acceptance is what is under test, not
-//     the OOM killer).
+//  2. Any spec Validate and ValidateBlock (at the Env's 64-byte L2 block,
+//     the check sim.Config.Validate makes) accept can actually be built:
+//     builder.New must succeed and hand back a usable instance (geometry
+//     is clamped to allocation-sane ranges first; acceptance is what is
+//     under test, not the OOM killer). A virtualized set too wide for the
+//     block is a validation error, and New returns it rather than panic.
 func FuzzSpecValidate(f *testing.F) {
 	f.Add("sms", uint8(0), 1024, 11, 8, false, false)
 	f.Add("sms", uint8(2), 1024, 11, 8, true, true)
@@ -67,14 +69,20 @@ func FuzzSpecValidate(f *testing.F) {
 		if clamped.Mode == pv.Virtualized {
 			pcfg, _ = pv.ProxyConfigFor(clamped, clamped.Name+".fuzz")
 		}
-		sink := &fuzzSink{}
-		inst, err := b.New(clamped, pv.Env{
+		env := pv.Env{
 			Core: 0, Cores: 1, Seed: 42,
 			L1BlockBytes: 64, L2BlockBytes: 64,
 			Start: pv.TableStart(0), Proxy: pcfg,
-			Backend: fuzzBackend{}, Sink: sink,
+			Backend: fuzzBackend{}, Sink: &fuzzSink{},
 			Shared: map[string]any{},
-		})
+		}
+		if blockErr := clamped.ValidateBlock(env.L2BlockBytes); blockErr != nil {
+			if _, err := b.New(clamped, env); err == nil {
+				t.Fatalf("ValidateBlock rejected %s (%v) but New built it", clamped.Label(), blockErr)
+			}
+			return
+		}
+		inst, err := b.New(clamped, env)
 		if err != nil {
 			t.Fatalf("Validate accepted %s (%+v) but New failed: %v", clamped.Label(), clamped, err)
 		}

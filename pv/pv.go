@@ -122,6 +122,23 @@ func (s Spec) Validate() error {
 	return b.Validate(s)
 }
 
+// ValidateBlock checks that a virtualized spec's packed set fits one
+// blockBytes-byte L2 block, for a family whose builder implements
+// BlockValidator. Validate cannot check it, as it does not see the memory
+// system; sim.Config.Validate calls ValidateBlock with the hierarchy's L2
+// block size. Other specs, and unregistered names (which Validate
+// reports), pass.
+func (s Spec) ValidateBlock(blockBytes int) error {
+	if !s.Enabled() || s.Mode != Virtualized {
+		return nil
+	}
+	b, _ := Lookup(s.Name)
+	if v, ok := b.(BlockValidator); ok {
+		return v.ValidateBlock(s, blockBytes)
+	}
+	return nil
+}
+
 // tableStartBase places PVTables in reserved physical memory below 4GB
 // (the simulated machine has 3GB; the reservation is OS-invisible, §2.1).
 const tableStartBase = 0xF000_0000

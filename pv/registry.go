@@ -26,6 +26,15 @@ type Builder interface {
 	Conformance() (dedicated, virtualized Spec)
 }
 
+// BlockValidator is the optional Builder extension of a family whose
+// virtualized form packs one table set into one L2 block.
+type BlockValidator interface {
+	// ValidateBlock reports a virtualized spec whose packed set does not
+	// fit a blockBytes-byte block, naming the family, the ways and the
+	// bits. New must return the same error rather than panic.
+	ValidateBlock(s Spec, blockBytes int) error
+}
+
 var (
 	regMu    sync.RWMutex
 	builders = map[string]Builder{}
