@@ -176,6 +176,22 @@ func BenchmarkCacheLookupL2(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheFill is the victim pick: a full Table 1 L2 (8 MB, 16-way)
+// takes fills of absent blocks in hashed sets, so every fill misses all 16
+// ways, picks the LRU way among 16 valid ones and evicts it. The blocks
+// are distinct (an odd multiplier permutes 40-bit block numbers) and lie
+// above the warm-up blocks.
+func BenchmarkCacheFill(b *testing.B) {
+	c := memsys.NewCache(memsys.DefaultConfig().L2)
+	for i := 0; i < c.Config().Sets()*c.Config().Ways; i++ {
+		c.Fill(memsys.Addr(i)<<6, false, false)
+	}
+	for i := 0; b.Loop(); i++ {
+		block := 1<<40 | uint64(i)*0x9E3779B97F4A7C15&(1<<40-1)
+		c.Fill(memsys.Addr(block)<<6, false, false)
+	}
+}
+
 // BenchmarkHierarchyData reads 4096 random blocks of a 4 MB region, all
 // resident in the L2 once warmed, from four cores: about half the reads
 // hit the L1D and the rest hit the L2, each in an unpredictable way.

@@ -183,6 +183,12 @@ func (c *Cache) locate(a Addr) (base int, key uint64) {
 // checks the high half after each low-half match; it compares the rebuilt
 // word with key rather than shifting key, which keeps that loop free of
 // register copies.
+//
+// find stays out of line. Inlined into Lookup, Invalidate or Contains,
+// Go 1.24 compiles the narrow loop's select as a compare and branch
+// instead of a conditional move, and the branch mispredicts on most hits.
+//
+//go:noinline
 func (c *Cache) find(base int, key uint64) int {
 	tags := c.tags[base : base+c.ways]
 	if c.tagsHi != nil || key>>32 != 0 {
@@ -234,6 +240,25 @@ func (c *Cache) victimAt(i int) Victim {
 		Dirty:          f&flagDirty != 0,
 		UnusedPrefetch: f&flagPrefetched != 0,
 	}
+}
+
+// LeastStamp returns the index of the least stamp in stamps, the lowest
+// index on a tie; stamps must be non-empty and every stamp below 2^63.
+// The running minimum is kept by an arithmetic select, not a compare and
+// branch: LRU victims fall in unpredictable ways, and Go's branch
+// eliminator turns only one-value selects into conditional moves, so any
+// form that updates the minimum and its index under one condition
+// compiles to a branch that mispredicts on most picks.
+func LeastStamp[S ~uint32 | ~uint64](stamps []S) int {
+	m, w := uint64(stamps[0]), 0
+	for i, s := range stamps {
+		// mask is all ones when s < m: s-m wraps to a value with the top
+		// bit set, since both are below 2^63.
+		mask := uint64(int64(uint64(s)-m) >> 63)
+		m ^= (m ^ uint64(s)) & mask
+		w ^= (w ^ i) & int(mask)
+	}
+	return w
 }
 
 // stamp advances the LRU clock and returns the new stamp, renumbering the
@@ -319,33 +344,24 @@ func (c *Cache) Touch(a Addr) bool {
 	return true
 }
 
-// Fill installs the block containing a. If the block is already resident the
-// fill only merges flags (a dirty fill marks the line dirty). Otherwise the
-// way with the least stamp, lowest on a tie, takes it, and its line, if
+// Fill installs the block containing a. If the block is already resident
+// (e.g. a writeback arriving for a block that is still resident) the fill
+// only merges flags: a dirty fill marks the line dirty. Otherwise the way
+// with the least stamp, lowest on a tie, takes it, and its line, if
 // valid, is returned as the victim. An empty way holds stamp 0 and a valid
 // one a distinct stamp of at least 1 (see CheckInvariants), so that way is
 // the first empty way if there is one, else the LRU way.
 func (c *Cache) Fill(a Addr, dirty, prefetch bool) Victim {
 	now := c.stamp()
 	base, key := c.locate(a)
-
-	// One pass looks for the block and keeps the least-stamp way. A match
-	// merges into the resident line (e.g. a writeback arriving for a block
-	// that is still resident).
-	w := base
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == uint32(key) && c.wordAt(i) == key {
-			if dirty {
-				c.flags[i] |= flagDirty
-			}
-			c.lastUse[i] = now
-			return Victim{}
+	if i := c.find(base, key); i >= 0 {
+		if dirty {
+			c.flags[i] |= flagDirty
 		}
-		if c.lastUse[i] < c.lastUse[w] {
-			w = i
-		}
+		c.lastUse[i] = now
+		return Victim{}
 	}
-
+	w := base + LeastStamp(c.lastUse[base:base+c.ways])
 	var v Victim
 	if c.tags[w] != 0 {
 		v = c.victimAt(w)

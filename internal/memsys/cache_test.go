@@ -691,3 +691,78 @@ func TestCacheInvariantsCatchBadStamps(t *testing.T) {
 		}
 	}
 }
+
+// leastStampRef is the plain first-minimum loop LeastStamp must agree
+// with.
+func leastStampRef[S ~uint32 | ~uint64](stamps []S) int {
+	w := 0
+	for i, s := range stamps {
+		if s < stamps[w] {
+			w = i
+		}
+	}
+	return w
+}
+
+// TestLeastStamp checks LeastStamp against the reference on every length
+// from 1 to 64, with ties, zeros and stamps at the 2^63-1 bound, for both
+// stamp widths.
+func TestLeastStamp(t *testing.T) {
+	const top = 1<<63 - 1
+	rng := rand.New(rand.NewSource(1))
+	pools := [][]uint64{
+		{0, 1, 2, 3},                     // many ties, zeros
+		{0, top, top - 1, 1},             // the bound and both ends
+		{top, top - 1},                   // ties near the bound
+		{5, 1 << 31, 1<<32 - 1, 1 << 32}, // around the 32-bit edge
+	}
+	for n := 1; n <= 64; n++ {
+		for _, pool := range pools {
+			for range 200 {
+				s64 := make([]uint64, n)
+				s32 := make([]uint32, n)
+				for i := range s64 {
+					s64[i] = pool[rng.Intn(len(pool))]
+					s32[i] = uint32(s64[i])
+				}
+				if got, want := LeastStamp(s64), leastStampRef(s64); got != want {
+					t.Fatalf("LeastStamp(%v) = %d, want %d", s64, got, want)
+				}
+				if got, want := LeastStamp(s32), leastStampRef(s32); got != want {
+					t.Fatalf("LeastStamp(%v) = %d, want %d", s32, got, want)
+				}
+			}
+		}
+	}
+	if got := LeastStamp([]uint64{top, top, 0, 0}); got != 2 {
+		t.Errorf("LeastStamp(top, top, 0, 0) = %d, want 2", got)
+	}
+}
+
+// FuzzLeastStamp checks LeastStamp against the reference on arbitrary
+// stamps: each 8 bytes of input give one stamp, its top bit cleared to
+// keep it below 2^63, and at most 64 stamps are used. The 32-bit form is
+// checked on the low halves.
+func FuzzLeastStamp(f *testing.F) {
+	f.Add(binary.LittleEndian.AppendUint64(nil, 7))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<63-1), 0))
+	f.Add(make([]byte, 8*16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/8, 64)
+		if n == 0 {
+			return
+		}
+		s64 := make([]uint64, n)
+		s32 := make([]uint32, n)
+		for i := range s64 {
+			s64[i] = binary.LittleEndian.Uint64(data[8*i:]) &^ (1 << 63)
+			s32[i] = uint32(s64[i])
+		}
+		if got, want := LeastStamp(s64), leastStampRef(s64); got != want {
+			t.Fatalf("LeastStamp(%v) = %d, want %d", s64, got, want)
+		}
+		if got, want := LeastStamp(s32), leastStampRef(s32); got != want {
+			t.Fatalf("LeastStamp(%v) = %d, want %d", s32, got, want)
+		}
+	})
+}

@@ -337,15 +337,16 @@ func (h *Hierarchy) Tick(now uint64) {
 // Now returns the hierarchy clock (tests use it).
 func (h *Hierarchy) Now() uint64 { return h.now }
 
-// bankWait models arbitration for the L2 bank serving block a: the request
-// waits until the bank frees, PV requests losing one extra service slot to
-// application requests when PrioritizeAppOverPV is set (§2.2's arbitration
-// option). It returns the wait in cycles and books the bank.
+// bankWait models arbitration for the L2 bank serving block a, the banks
+// interleaved by L2 block: the request waits until the bank frees, PV
+// requests losing one extra service slot to application requests when
+// PrioritizeAppOverPV is set (§2.2's arbitration option). It returns the
+// wait in cycles and books the bank.
 func (h *Hierarchy) bankWait(a Addr, kind AccessKind) uint64 {
 	if !h.cfg.ModelBankContention {
 		return 0
 	}
-	bank := int(uint64(a)>>6) % len(h.bankFree)
+	bank := int(uint64(a)>>h.l2.blockBits) % len(h.bankFree)
 	start := h.now
 	if free := h.bankFree[bank]; free > start {
 		start = free

@@ -385,6 +385,31 @@ func TestBankContention(t *testing.T) {
 	}
 }
 
+// TestBankContentionWideBlocks pins bank interleaving to the L2 block
+// size: with 128-byte blocks, eight consecutive blocks map to all eight
+// banks, so none of the eight requests waits on another.
+func TestBankContentionWideBlocks(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, c := range []*CacheConfig{&cfg.L1I, &cfg.L1D, &cfg.L2} {
+		c.BlockBytes = 128
+	}
+	cfg.ModelBankContention = true
+	cfg.BankServiceCycles = 4
+	h := New(cfg)
+	h.Tick(100)
+	for b := range cfg.L2Banks {
+		h.Data(b%cfg.Cores, Addr(b*128), false)
+	}
+	if w := h.Stats.BankWaitCycles[Load]; w != 0 {
+		t.Errorf("%d consecutive 128 B blocks waited %d bank cycles, want 0", cfg.L2Banks, w)
+	}
+	for b, free := range h.bankFree {
+		if free != 100+cfg.BankServiceCycles {
+			t.Errorf("bank %d free at cycle %d, want %d (booked once)", b, free, 100+cfg.BankServiceCycles)
+		}
+	}
+}
+
 func TestBankContentionDisabledByDefault(t *testing.T) {
 	h := New(smallConfig())
 	h.Tick(50)

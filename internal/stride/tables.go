@@ -31,19 +31,17 @@ func (t *dedicatedTable) access(now uint64, pc memsys.Addr) (Entry, uint64) {
 	t.tick++
 	set, tag := t.cfg.index(pc)
 	base := set * t.cfg.Ways
-	victim := base
 	for i := base; i < base+t.cfg.Ways; i++ {
 		if t.entries[i].Valid && t.entries[i].Tag == tag {
 			t.lastUse[i] = t.tick
 			t.lastSlot = i
 			return t.entries[i], now
 		}
-		if !t.entries[i].Valid {
-			victim = i
-		} else if t.entries[victim].Valid && t.lastUse[i] < t.lastUse[victim] {
-			victim = i
-		}
 	}
+	// Every miss is followed by an update that fills the victim, so an
+	// empty way holds stamp 0 and a valid one a distinct stamp of at least
+	// 1: the least stamp is the first empty way, else the LRU way.
+	victim := base + memsys.LeastStamp(t.lastUse[base:base+t.cfg.Ways])
 	t.lastUse[victim] = t.tick
 	t.lastSlot = victim
 	return Entry{}, now

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"pvsim/internal/memsys"
@@ -93,6 +94,10 @@ func (p Params) Validate() error {
 	if p.NumPCs <= 0 || p.RegionPool <= 0 || p.ActiveEpisodes <= 0 {
 		return fmt.Errorf("trace %s: non-positive pool sizes", p.Name)
 	}
+	// Every float check below is written so NaN fails it, and the
+	// unbounded fields must be finite: the generator turns probabilities
+	// into integer thresholds (see bernoulli), exact only for values in
+	// [0, 1], and builds Zipf tables from the exponents.
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -101,15 +106,23 @@ func (p Params) Validate() error {
 		{"NoiseFrac", p.NoiseFrac}, {"WriteFrac", p.WriteFrac},
 		{"SharedFrac", p.SharedFrac}, {"SharedWriteFrac", p.SharedWriteFrac},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) {
 			return fmt.Errorf("trace %s: %s=%v outside [0,1]", p.Name, f.name, f.v)
 		}
 	}
 	if p.PatternDensity == 0 {
 		return fmt.Errorf("trace %s: zero pattern density", p.Name)
 	}
-	if p.MemRatio <= 0 || p.MemRatio > 1 || p.MLP < 1 {
+	if !(p.MemRatio > 0 && p.MemRatio <= 1) || !(p.MLP >= 1 && p.MLP <= math.MaxFloat64) {
 		return fmt.Errorf("trace %s: MemRatio=%v MLP=%v", p.Name, p.MemRatio, p.MLP)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"PCZipf", p.PCZipf}, {"RegionZipf", p.RegionZipf}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("trace %s: %s=%v is not a finite non-negative exponent", p.Name, f.name, f.v)
+		}
 	}
 	if p.BlockRepeat <= 0 {
 		return fmt.Errorf("trace %s: BlockRepeat=%d must be positive", p.Name, p.BlockRepeat)
@@ -132,21 +145,29 @@ func privateBase(c int) memsys.Addr { return memsys.Addr(c+0x10) << 36 }
 
 // episode is one in-progress spatial generation.
 type episode struct {
-	pc     memsys.Addr
-	base   memsys.Addr
-	order  []int // block offsets in access order; order[0] is the trigger
-	pos    int
-	reps   int // remaining accesses to the current block
-	first  bool
-	shared bool
+	pc    memsys.Addr
+	base  memsys.Addr
+	order []int // block offsets in access order; order[0] is the trigger
+	pos   int
+	reps  int // remaining accesses to the current block
+	first bool
+	// writeThr is the Bernoulli threshold of a store: SharedWriteFrac's in
+	// a shared region, WriteFrac's elsewhere.
+	writeThr uint64
 }
 
 // Generator produces one core's access stream.
+//
+// Its draws keep the per-access path short and free of unpredictable
+// branches: the RNG is held by value and Next works on a local copy, each
+// Bernoulli draw compares raw bits with a threshold precomputed from
+// Params (see bernoulli), giving exactly RNG.Bool's outcomes, and each
+// episode carries the store threshold of its region.
 type Generator struct {
 	p           Params
 	core        int
 	seed        uint64
-	rng         *RNG
+	rng         RNG
 	pcZipf      *Zipf
 	regionZipf  *Zipf
 	episodes    []episode
@@ -154,6 +175,10 @@ type Generator struct {
 	regionBytes memsys.Addr
 	offMask     uint64
 	blockShift  uint
+
+	// Bernoulli thresholds of NoiseFrac, PatternNoise, WriteFrac and
+	// SharedWriteFrac.
+	noiseThr, flipThr, writeThr, sharedWriteThr uint64
 
 	// Emitted counts some tests rely on.
 	Emitted uint64
@@ -170,13 +195,18 @@ func NewGenerator(p Params, seed uint64, c int) *Generator {
 		p:           p,
 		core:        c,
 		seed:        seed,
-		rng:         NewRNG(SplitMix64(&s)),
+		rng:         *NewRNG(SplitMix64(&s)),
 		pcZipf:      NewZipf(p.NumPCs, p.PCZipf),
 		regionZipf:  NewZipf(p.RegionPool, p.RegionZipf),
 		sharedCount: int(float64(p.RegionPool) * p.SharedFrac),
 		regionBytes: memsys.Addr(p.BlockBytes * p.RegionBlocks),
 		offMask:     uint64(p.RegionBlocks - 1),
 		blockShift:  uint(bits.TrailingZeros(uint(p.BlockBytes))),
+
+		noiseThr:       bernoulli(p.NoiseFrac),
+		flipThr:        bernoulli(p.PatternNoise),
+		writeThr:       bernoulli(p.WriteFrac),
+		sharedWriteThr: bernoulli(p.SharedWriteFrac),
 	}
 	g.episodes = make([]episode, p.ActiveEpisodes)
 	for i := range g.episodes {
@@ -185,6 +215,13 @@ func NewGenerator(p Params, seed uint64, c int) *Generator {
 	}
 	return g
 }
+
+// bernoulli returns the integer threshold of probability p in [0, 1]:
+// r.Uint64()>>11 < bernoulli(p) exactly when r.Bool(p) would be true.
+// Bool compares k/2^53 with p, where k = Uint64()>>11 < 2^53, and both
+// k/2^53 and p*2^53 are exact in float64, so k/2^53 < p holds exactly
+// when the integer k is below ceil(p*2^53).
+func bernoulli(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
 
 // Params returns the workload parameters.
 func (g *Generator) Params() Params { return g.p }
@@ -230,7 +267,7 @@ func (g *Generator) canonicalPattern(pcIdx int) (trigger int, pat uint64) {
 // pattern generation with a PC, a pooled region, and the canonical pattern
 // perturbed by PatternNoise.
 func (g *Generator) refillEpisode(e *episode) {
-	if g.rng.Bool(g.p.NoiseFrac) {
+	if g.rng.Uint64()>>11 < g.noiseThr {
 		g.refillNoiseVisit(e)
 		return
 	}
@@ -243,62 +280,63 @@ func (g *Generator) refillNoiseVisit(e *episode) {
 	base := noiseBase + (memsys.Addr(g.core)<<33)*8 + region*g.regionBytes
 	pc := memsys.Addr(noisePCBase) + memsys.Addr(g.rng.Intn(1<<16))*4
 	*e = episode{
-		pc:    pc,
-		base:  base,
-		order: append(e.order[:0], g.rng.Intn(g.p.RegionBlocks)),
-		first: true,
+		pc:       pc,
+		base:     base,
+		order:    append(e.order[:0], g.rng.Intn(g.p.RegionBlocks)),
+		first:    true,
+		writeThr: g.writeThr,
 	}
 }
 
 func (g *Generator) refillPatternEpisode(e *episode) {
-	pcIdx := g.pcZipf.Sample(g.rng)
+	pcIdx := g.pcZipf.Sample(&g.rng)
 	trigger, pat := g.canonicalPattern(pcIdx)
 
 	// Perturb: flip non-trigger blocks with probability PatternNoise.
 	for b := 0; b < g.p.RegionBlocks; b++ {
-		if b != trigger && g.rng.Bool(g.p.PatternNoise) {
+		if b != trigger && g.rng.Uint64()>>11 < g.flipThr {
 			pat ^= 1 << uint(b)
 		}
 	}
 
-	regionIdx := g.regionZipf.Sample(g.rng)
+	regionIdx := g.regionZipf.Sample(&g.rng)
 	var base memsys.Addr
-	shared := regionIdx < g.sharedCount
-	if shared {
-		base = sharedBase + memsys.Addr(regionIdx)*g.regionBytes
+	writeThr := g.writeThr
+	if regionIdx < g.sharedCount {
+		base, writeThr = sharedBase+memsys.Addr(regionIdx)*g.regionBytes, g.sharedWriteThr
 	} else {
 		base = privateBase(g.core) + memsys.Addr(regionIdx-g.sharedCount)*g.regionBytes
 	}
 
+	// The trigger first, then the pattern's other blocks in ascending
+	// order, walking the set bits.
 	order := append(e.order[:0], trigger)
-	for b := 0; b < g.p.RegionBlocks; b++ {
-		if b != trigger && pat&(1<<uint(b)) != 0 {
-			order = append(order, b)
-		}
+	for rest := pat &^ (1 << uint(trigger)); rest != 0; rest &= rest - 1 {
+		order = append(order, bits.TrailingZeros64(rest))
 	}
-	*e = episode{pc: pcAddr(pcIdx), base: base, order: order, first: true, shared: shared}
+	*e = episode{pc: pcAddr(pcIdx), base: base, order: order, first: true, writeThr: writeThr}
 }
 
-// Next returns the next access of this core's stream.
+// Next returns the next access of this core's stream. It draws from a
+// local copy of the RNG, so no draw stores through g, and stores the copy
+// back before an exhausted episode refills from g.rng.
 func (g *Generator) Next() Access {
 	g.Emitted++
-	i := g.rng.Intn(len(g.episodes))
+	r := g.rng
+	i := r.Intn(len(g.episodes))
 	e := &g.episodes[i]
 	if e.reps == 0 {
-		e.reps = 1 + g.rng.Intn(2*g.p.BlockRepeat-1)
+		e.reps = 1 + r.Intn(2*g.p.BlockRepeat-1)
 	}
 	off := e.order[e.pos]
 	e.reps--
 
-	writeFrac := g.p.WriteFrac
-	if e.shared {
-		writeFrac = g.p.SharedWriteFrac
-	}
 	a := Access{
 		PC:    e.pc,
-		Addr:  e.base + memsys.Addr(off<<g.blockShift) + memsys.Addr(g.rng.Intn(g.p.BlockBytes)&^7),
-		Write: !e.first && g.rng.Bool(writeFrac), // the trigger access is a read
+		Addr:  e.base + memsys.Addr(off<<g.blockShift) + memsys.Addr(r.Intn(g.p.BlockBytes)&^7),
+		Write: !e.first && r.Uint64()>>11 < e.writeThr, // the trigger access is a read
 	}
+	g.rng = r
 	e.first = false
 	if e.reps == 0 {
 		e.pos++

@@ -86,6 +86,30 @@ func TestRNGBoolProbability(t *testing.T) {
 	}
 }
 
+// TestBernoulliThreshold checks the generator's integer Bernoulli draw
+// against RNG.Bool on the same stream, over 10^6 draws per p, and at the
+// two raw values either side of each threshold, where a rounding error
+// would show.
+func TestBernoulliThreshold(t *testing.T) {
+	for _, p := range []float64{0, 0x1p-53, 0.05, 0.79, 1 - 0x1p-53, 1} {
+		thr := bernoulli(p)
+		a, b := NewRNG(17), NewRNG(17)
+		for i := range 1_000_000 {
+			if got, want := a.Uint64()>>11 < thr, b.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: threshold compare %v, Bool %v", p, i, got, want)
+			}
+		}
+		for _, k := range []uint64{thr - 1, thr} {
+			if k >= 1<<53 {
+				continue
+			}
+			if got, want := k < thr, float64(k)/(1<<53) < p; got != want {
+				t.Errorf("p=%v raw %d: threshold compare %v, Bool %v", p, k, got, want)
+			}
+		}
+	}
+}
+
 func TestSplitMix64Deterministic(t *testing.T) {
 	x1, x2 := uint64(99), uint64(99)
 	if SplitMix64(&x1) != SplitMix64(&x2) {
@@ -179,6 +203,23 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.ActiveEpisodes = 0 },
 		func(p *Params) { p.MemRatio = 0 },
 		func(p *Params) { p.MLP = 0.5 },
+		// NaN fails no plain range check, and the Bernoulli thresholds
+		// and Zipf tables need finite values.
+		func(p *Params) { p.PatternDensity = math.NaN() },
+		func(p *Params) { p.PatternNoise = math.NaN() },
+		func(p *Params) { p.NoiseFrac = math.NaN() },
+		func(p *Params) { p.WriteFrac = math.NaN() },
+		func(p *Params) { p.SharedFrac = math.NaN() },
+		func(p *Params) { p.SharedWriteFrac = math.NaN() },
+		func(p *Params) { p.MemRatio = math.NaN() },
+		func(p *Params) { p.MLP = math.NaN() },
+		func(p *Params) { p.MLP = math.Inf(1) },
+		func(p *Params) { p.PCZipf = math.NaN() },
+		func(p *Params) { p.PCZipf = math.Inf(1) },
+		func(p *Params) { p.PCZipf = -0.5 },
+		func(p *Params) { p.RegionZipf = math.NaN() },
+		func(p *Params) { p.RegionZipf = math.Inf(1) },
+		func(p *Params) { p.RegionZipf = -0.5 },
 	}
 	for i, m := range mutations {
 		p := testParams()

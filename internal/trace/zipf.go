@@ -3,7 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 )
 
@@ -18,6 +18,9 @@ import (
 type Zipf struct {
 	n   int
 	cdf []float64
+	// guide[j] is the first rank whose CDF is at least j/len(guide); see
+	// Sample. len(guide) is the least power of two >= n.
+	guide []uint32
 }
 
 // zipfKey identifies one table: the rank count and the exponent's bits (a
@@ -67,16 +70,36 @@ func buildZipf(n int, s float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{n: n, cdf: cdf}
+	guide := make([]uint32, 1<<bits.Len(uint(n-1)))
+	m, i := float64(len(guide)), 0
+	for j := range guide {
+		for cdf[i] < float64(j)/m {
+			i++
+		}
+		guide[j] = uint32(i)
+	}
+	return &Zipf{n: n, cdf: cdf, guide: guide}
 }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return z.n }
 
-// Sample draws a rank using r.
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+// Sample draws a rank using r: the first rank whose CDF is at least a
+// uniform u in [0, 1), the rank sort.SearchFloat64s(cdf, u) returns.
+func (z *Zipf) Sample(r *RNG) int { return z.search(r.Float64()) }
+
+// search returns the first rank whose CDF is at least u in [0, 1). The
+// guide bucket j = floor(u*m) holds the first rank whose CDF reaches j/m
+// <= u, where the answer cannot lie below, so the walk starts there. m is
+// a power of two, so u*m and j/m are exact. With m >= n buckets the walk
+// takes about one step on average, where a binary search takes log2(n)
+// unpredictable ones.
+func (z *Zipf) search(u float64) int {
+	i := int(z.guide[int(u*float64(len(z.guide)))])
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // P returns the probability of rank i (tests use it).

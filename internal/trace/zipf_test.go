@@ -2,6 +2,8 @@ package trace_test
 
 import (
 	"math"
+	"math/bits"
+	"sort"
 	"sync"
 	"testing"
 
@@ -68,5 +70,47 @@ func TestZipfConcurrentFirstBuild(t *testing.T) {
 	}
 	if z := trace.NewZipf(4099, 0.77); z != got[0] {
 		t.Fatal("a later call built a second table")
+	}
+}
+
+// TestZipfSampleMatchesSearch checks the guided search Sample uses
+// against sort.SearchFloat64s on the CDF, for every registered workload's
+// two tables and for tiny and large rank counts: at every guide bucket
+// edge j/m, at that edge's float64 neighbours, and at 10^5 uniform draws.
+// It also holds each guide to the least power of two >= n buckets.
+func TestZipfSampleMatchesSearch(t *testing.T) {
+	type table struct {
+		n int
+		s float64
+	}
+	tables := []table{{1, 0.8}, {2, 0.8}, {3, 0.8}, {3, 0}, {16384, 0.8}, {16384, 1.2}}
+	for _, w := range workloads.All() {
+		tables = append(tables, table{w.Params.NumPCs, w.Params.PCZipf}, table{w.Params.RegionPool, w.Params.RegionZipf})
+	}
+	for _, tc := range tables {
+		z := trace.NewZipf(tc.n, tc.s)
+		cdf := z.CDF()
+		m := z.GuideLen()
+		if want := 1 << bits.Len(uint(tc.n-1)); m != want {
+			t.Errorf("n=%d s=%v: %d guide buckets, want %d", tc.n, tc.s, m, want)
+		}
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return
+			}
+			if got, want := z.Search(u), sort.SearchFloat64s(cdf, u); got != want {
+				t.Fatalf("n=%d s=%v u=%v: guided search %d, binary search %d", tc.n, tc.s, u, got, want)
+			}
+		}
+		for j := range m {
+			edge := float64(j) / float64(m)
+			check(edge)
+			check(math.Nextafter(edge, -1))
+			check(math.Nextafter(edge, 2))
+		}
+		r := trace.NewRNG(uint64(tc.n))
+		for range 100_000 {
+			check(r.Float64())
+		}
 	}
 }
