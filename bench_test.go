@@ -177,18 +177,25 @@ func BenchmarkCacheLookupL2(b *testing.B) {
 }
 
 // BenchmarkCacheFill is the victim pick: a full Table 1 L2 (8 MB, 16-way)
-// takes fills of absent blocks in hashed sets, so every fill misses all 16
-// ways, picks the LRU way among 16 valid ones and evicts it. The blocks
-// are distinct (an odd multiplier permutes 40-bit block numbers) and lie
-// above the warm-up blocks.
+// takes fills of blocks drawn from a hashed stream over twice its
+// capacity. About half the fills find their block resident and only
+// refresh its stamp, in random order, so each set's LRU way lands
+// anywhere in the set, as hits leave it in the simulator. The rest miss
+// all 16 ways and evict the LRU way among 16 valid ones.
 func BenchmarkCacheFill(b *testing.B) {
 	c := memsys.NewCache(memsys.DefaultConfig().L2)
-	for i := 0; i < c.Config().Sets()*c.Config().Ways; i++ {
+	n := uint64(c.Config().Sets() * c.Config().Ways)
+	if n&(n-1) != 0 {
+		b.Fatalf("L2 holds %d lines, not a power of two", n)
+	}
+	for i := range n {
 		c.Fill(memsys.Addr(i)<<6, false, false)
 	}
-	for i := 0; b.Loop(); i++ {
-		block := 1<<40 | uint64(i)*0x9E3779B97F4A7C15&(1<<40-1)
-		c.Fill(memsys.Addr(block)<<6, false, false)
+	for i := uint64(0); b.Loop(); i++ {
+		// A 64-bit mixer (splitmix64's finalizer) on the fill count.
+		x := (i ^ i>>30) * 0xBF58476D1CE4E5B9
+		x = (x ^ x>>27) * 0x94D049BB133111EB
+		c.Fill(memsys.Addr((x^x>>31)&(2*n-1))<<6, false, false)
 	}
 }
 

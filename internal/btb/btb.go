@@ -102,12 +102,11 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// dedEntry is one way of the dedicated BTB.
+// dedEntry is one way of the dedicated BTB; its stamp lives in
+// Dedicated.lastUse.
 type dedEntry struct {
-	tag     uint32
-	target  uint64
-	lastUse uint64
-	valid   bool
+	tag    uint32
+	target uint64
 }
 
 // Dedicated is a conventional on-chip set-associative BTB with LRU
@@ -115,6 +114,9 @@ type dedEntry struct {
 type Dedicated struct {
 	cfg     Config
 	entries []dedEntry
+	// lastUse holds each way's LRU stamp, 0 for an empty way; tick
+	// advances before every stamp, as memsys.LeastStamp requires.
+	lastUse []uint64
 	tick    uint64
 
 	Stats Stats
@@ -125,7 +127,8 @@ func NewDedicated(cfg Config) *Dedicated {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Dedicated{cfg: cfg, entries: make([]dedEntry, cfg.Entries())}
+	n := cfg.Entries()
+	return &Dedicated{cfg: cfg, entries: make([]dedEntry, n), lastUse: make([]uint64, n)}
 }
 
 // Name implements Predictor.
@@ -136,22 +139,27 @@ func (b *Dedicated) Name() string {
 // Config returns the geometry.
 func (b *Dedicated) Config() Config { return b.cfg }
 
-func (b *Dedicated) set(i int) []dedEntry {
-	return b.entries[i*b.cfg.Ways : (i+1)*b.cfg.Ways]
+// find returns the first way of pc's set, pc's tag and the way holding
+// that tag, or -1.
+func (b *Dedicated) find(pc memsys.Addr) (base int, tag uint32, way int) {
+	set, tag := b.cfg.index(pc)
+	base = set * b.cfg.Ways
+	for i := base; i < base+b.cfg.Ways; i++ {
+		if b.lastUse[i] != 0 && b.entries[i].tag == tag {
+			return base, tag, i
+		}
+	}
+	return base, tag, -1
 }
 
 // Lookup implements Predictor.
 func (b *Dedicated) Lookup(now uint64, pc memsys.Addr) (memsys.Addr, uint64, bool) {
 	b.tick++
 	b.Stats.Lookups++
-	set, tag := b.cfg.index(pc)
-	s := b.set(set)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].lastUse = b.tick
-			b.Stats.Hits++
-			return memsys.Addr(s[i].target), now, true
-		}
+	if _, _, i := b.find(pc); i >= 0 {
+		b.lastUse[i] = b.tick
+		b.Stats.Hits++
+		return memsys.Addr(b.entries[i].target), now, true
 	}
 	return 0, now, false
 }
@@ -160,27 +168,14 @@ func (b *Dedicated) Lookup(now uint64, pc memsys.Addr) (memsys.Addr, uint64, boo
 func (b *Dedicated) Update(_ uint64, pc memsys.Addr, target memsys.Addr) {
 	b.tick++
 	b.Stats.Updates++
-	set, tag := b.cfg.index(pc)
-	s := b.set(set)
-	victim := -1
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].target = b.cfg.truncTarget(target)
-			s[i].lastUse = b.tick
-			return
+	base, tag, i := b.find(pc)
+	if i < 0 {
+		i = base + memsys.LeastStamp(b.lastUse[base:base+b.cfg.Ways])
+		if b.lastUse[i] != 0 {
+			b.Stats.Evicts++
 		}
-		if victim < 0 && !s[i].valid {
-			victim = i
-		}
+		b.entries[i].tag = tag
 	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(s); i++ {
-			if s[i].lastUse < s[victim].lastUse {
-				victim = i
-			}
-		}
-		b.Stats.Evicts++
-	}
-	s[victim] = dedEntry{tag: tag, target: b.cfg.truncTarget(target), lastUse: b.tick, valid: true}
+	b.entries[i].target = b.cfg.truncTarget(target)
+	b.lastUse[i] = b.tick
 }

@@ -91,14 +91,19 @@ func (s *ProxyStats) L2FillRate() float64 {
 }
 
 // pvEntry is one PVCache slot: a decoded predictor set plus bookkeeping.
+// Its LRU stamp lives in Proxy.lastUse.
 type pvEntry[S any] struct {
 	set     int
 	s       S
-	valid   bool
 	dirty   bool
-	lastUse uint64
 	readyAt uint64 // completion time of the fetch that installed it
 }
+
+// inFlightKey marks a victim key whose fetch is still outstanding. The
+// clock advances once per Access, so stamps stay below 2^62 and a marked
+// key sorts above every completed entry's stamp while keeping the order
+// of the stamps it marks.
+const inFlightKey = 1 << 62
 
 // Proxy is the PVProxy of Figure 1b, generic over the decoded set type S.
 // The optimization engine calls Access with the set index it would have used
@@ -113,6 +118,11 @@ type Proxy[S any] struct {
 	table   *Table[S]
 	be      Backend
 	entries []pvEntry[S]
+	// lastUse holds each slot's LRU stamp, 0 for an empty slot; tick
+	// advances before every stamp, as memsys.LeastStamp requires. keys
+	// is the miss path's victim-key scratch, one per slot.
+	lastUse []uint64
+	keys    []uint64
 	tick    uint64
 
 	Stats ProxyStats
@@ -124,7 +134,9 @@ func NewProxy[S any](cfg ProxyConfig, table *Table[S], be Backend) *Proxy[S] {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Proxy[S]{cfg: cfg, table: table, be: be, entries: make([]pvEntry[S], cfg.CacheEntries)}
+	n := cfg.CacheEntries
+	return &Proxy[S]{cfg: cfg, table: table, be: be, entries: make([]pvEntry[S], n),
+		lastUse: make([]uint64, n), keys: make([]uint64, n)}
 }
 
 // Config returns the proxy configuration.
@@ -144,28 +156,42 @@ func (p *Proxy[S]) Access(now uint64, set int) (s *S, readyAt uint64, hit bool) 
 	p.tick++
 	p.Stats.Lookups++
 
-	for i := range p.entries {
+	if i := p.slot(set); i >= 0 {
 		e := &p.entries[i]
-		if e.valid && e.set == set {
-			e.lastUse = p.tick
-			p.Stats.Hits++
-			ready := now
-			if e.readyAt > now {
-				ready = e.readyAt
-				p.Stats.InFlightMerges++
-			}
-			return &e.s, ready, true
+		p.lastUse[i] = p.tick
+		p.Stats.Hits++
+		ready := now
+		if e.readyAt > now {
+			ready = e.readyAt
+			p.Stats.InFlightMerges++
 		}
+		return &e.s, ready, true
 	}
 
+	// One pass counts the fetches still outstanding at now, finds the
+	// earliest completion among them, and keys each slot for the victim
+	// pick: 0 when empty, the stamp when complete, the stamp marked
+	// inFlightKey while in flight. The least key is then the first empty
+	// slot, else the LRU completed entry, else (every entry in flight,
+	// only possible when MSHRs == CacheEntries) the global LRU entry.
 	p.Stats.Misses++
+	busy, earliest := 0, ^uint64(0)
+	for i := range p.entries {
+		k := p.lastUse[i]
+		if r := p.entries[i].readyAt; k != 0 && r > now {
+			busy++
+			earliest = min(earliest, r)
+			k |= inFlightKey
+		}
+		p.keys[i] = k
+	}
 	issueAt := now
-	if busy, earliest := p.inFlight(now); busy >= p.cfg.MSHRs {
+	if busy >= p.cfg.MSHRs {
 		issueAt = earliest
 		p.Stats.MSHRStalls++
 	}
 
-	victim := p.pickVictim(now)
+	victim := memsys.LeastStamp(p.keys)
 	p.evict(victim)
 
 	res := p.be.Read(p.table.AddrOf(set))
@@ -182,70 +208,29 @@ func (p *Proxy[S]) Access(now uint64, set int) (s *S, readyAt uint64, hit bool) 
 	e := &p.entries[victim]
 	e.set = set
 	p.table.ReadSetInto(set, &e.s)
-	e.valid = true
 	e.dirty = false
-	e.lastUse = p.tick
 	e.readyAt = issueAt + res.Latency
+	p.lastUse[victim] = p.tick
 	return &e.s, e.readyAt, false
 }
 
-// inFlight counts entries whose fetches are still outstanding at now and
-// returns the earliest completion among them.
-func (p *Proxy[S]) inFlight(now uint64) (busy int, earliest uint64) {
-	earliest = ^uint64(0)
+// slot returns the PVCache slot holding set, or -1.
+func (p *Proxy[S]) slot(set int) int {
 	for i := range p.entries {
-		e := &p.entries[i]
-		if e.valid && e.readyAt > now {
-			busy++
-			if e.readyAt < earliest {
-				earliest = e.readyAt
-			}
-		}
-	}
-	if busy == 0 {
-		earliest = now
-	}
-	return busy, earliest
-}
-
-// pickVictim chooses a PVCache slot to replace: an invalid slot if one
-// exists, otherwise the least-recently-used completed entry (in-flight
-// entries are skipped while any completed entry remains).
-func (p *Proxy[S]) pickVictim(now uint64) int {
-	best := -1
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
+		if p.lastUse[i] != 0 && p.entries[i].set == set {
 			return i
 		}
-		if e.readyAt > now {
-			continue
-		}
-		if best < 0 || e.lastUse < p.entries[best].lastUse {
-			best = i
-		}
 	}
-	if best >= 0 {
-		return best
-	}
-	// Every entry is in flight (only possible when MSHRs == CacheEntries);
-	// fall back to global LRU.
-	best = 0
-	for i := 1; i < len(p.entries); i++ {
-		if p.entries[i].lastUse < p.entries[best].lastUse {
-			best = i
-		}
-	}
-	return best
+	return -1
 }
 
 // evict disposes of slot i: a dirty set is packed into the PVTable and
 // written back through the evict buffer; clean sets are discarded.
 func (p *Proxy[S]) evict(i int) {
-	e := &p.entries[i]
-	if !e.valid {
+	if p.lastUse[i] == 0 {
 		return
 	}
+	e := &p.entries[i]
 	if e.dirty {
 		p.table.WriteSet(e.set, e.s)
 		p.be.Write(p.table.AddrOf(e.set))
@@ -253,40 +238,28 @@ func (p *Proxy[S]) evict(i int) {
 	} else {
 		p.Stats.CleanEvictions++
 	}
-	e.valid = false
+	p.lastUse[i] = 0
 }
 
 // MarkDirty records that the cached copy of set was modified; it panics if
 // the set is not resident, which would indicate engine/proxy disagreement.
 func (p *Proxy[S]) MarkDirty(set int) {
-	for i := range p.entries {
-		if p.entries[i].valid && p.entries[i].set == set {
-			p.entries[i].dirty = true
-			return
-		}
+	i := p.slot(set)
+	if i < 0 {
+		panic(fmt.Sprintf("pvproxy %s: MarkDirty(%d) on non-resident set", p.cfg.Name, set))
 	}
-	panic(fmt.Sprintf("pvproxy %s: MarkDirty(%d) on non-resident set", p.cfg.Name, set))
+	p.entries[i].dirty = true
 }
 
 // Contains reports whether a set is resident (tests use it).
-func (p *Proxy[S]) Contains(set int) bool {
-	for i := range p.entries {
-		if p.entries[i].valid && p.entries[i].set == set {
-			return true
-		}
-	}
-	return false
-}
+func (p *Proxy[S]) Contains(set int) bool { return p.slot(set) >= 0 }
 
 // Invalidate drops a set from the PVCache without writeback. §2.3 requires
 // this coherence action when software updates the in-memory table directly.
 func (p *Proxy[S]) Invalidate(set int) {
-	for i := range p.entries {
-		if p.entries[i].valid && p.entries[i].set == set {
-			p.entries[i].valid = false
-			p.Stats.Invalidations++
-			return
-		}
+	if i := p.slot(set); i >= 0 {
+		p.lastUse[i] = 0
+		p.Stats.Invalidations++
 	}
 }
 
@@ -301,8 +274,8 @@ func (p *Proxy[S]) Flush() {
 // Resident returns the number of valid PVCache entries.
 func (p *Proxy[S]) Resident() int {
 	n := 0
-	for i := range p.entries {
-		if p.entries[i].valid {
+	for _, u := range p.lastUse {
+		if u != 0 {
 			n++
 		}
 	}
@@ -329,7 +302,7 @@ func (p *Proxy[S]) Snapshot() []EntryState {
 	out := make([]EntryState, len(p.entries))
 	for i := range p.entries {
 		e := &p.entries[i]
-		out[i] = EntryState{Set: e.set, Valid: e.valid, Dirty: e.dirty, LastUse: e.lastUse, ReadyAt: e.readyAt}
+		out[i] = EntryState{Set: e.set, Valid: p.lastUse[i] != 0, Dirty: e.dirty, LastUse: p.lastUse[i], ReadyAt: e.readyAt}
 	}
 	return out
 }
@@ -338,14 +311,14 @@ func (p *Proxy[S]) Snapshot() []EntryState {
 func (p *Proxy[S]) CheckInvariants() error {
 	seen := make(map[int]bool, len(p.entries))
 	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
+		if p.lastUse[i] == 0 {
 			continue
 		}
-		if seen[e.set] {
-			return fmt.Errorf("pvproxy %s: set %d cached twice", p.cfg.Name, e.set)
+		set := p.entries[i].set
+		if seen[set] {
+			return fmt.Errorf("pvproxy %s: set %d cached twice", p.cfg.Name, set)
 		}
-		seen[e.set] = true
+		seen[set] = true
 	}
 	return nil
 }

@@ -244,6 +244,9 @@ func (c *Cache) victimAt(i int) Victim {
 
 // LeastStamp returns the index of the least stamp in stamps, the lowest
 // index on a tie; stamps must be non-empty and every stamp below 2^63.
+// Every LRU table calls it under one contract: a stamp of 0 marks an
+// empty slot, and live stamps are distinct, at least 1 and below 2^63,
+// so the result is the first empty slot, else the least recently used.
 // The running minimum is kept by an arithmetic select, not a compare and
 // branch: LRU victims fall in unpredictable ways, and Go's branch
 // eliminator turns only one-value selects into conditional moves, so any

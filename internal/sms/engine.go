@@ -68,19 +68,15 @@ type EngineStats struct {
 }
 
 type filterEntry struct {
-	tag     uint64
-	pc      memsys.Addr
-	offset  int
-	lastUse uint64
-	valid   bool
+	tag    uint64
+	pc     memsys.Addr
+	offset int
 }
 
 type accumEntry struct {
-	tag     uint64
-	key     uint32
-	pat     Pattern
-	lastUse uint64
-	valid   bool
+	tag uint64
+	key uint32
+	pat Pattern
 }
 
 // tagIndex maps region tags to AGT slots. It is presized for the AGT's
@@ -101,6 +97,11 @@ type Engine struct {
 	accum     []accumEntry
 	filterIdx tagIndex // region tag -> filter slot
 	accumIdx  tagIndex // region tag -> accumulation slot
+	// filterUse and accumUse hold each slot's LRU stamp, 0 for an empty
+	// slot; tick advances before every stamp, as memsys.LeastStamp
+	// requires.
+	filterUse []uint64
+	accumUse  []uint64
 	tick      uint64
 
 	// patternBuf holds completion times of in-flight delayed predictions;
@@ -137,6 +138,8 @@ func NewEngineConfig(cfg Config, pht PatternStore, sink PrefetchSink) *Engine {
 		accum:         make([]accumEntry, cfg.AGT.AccumEntries),
 		filterIdx:     memsys.NewAddrTable[uint64, int32](cfg.AGT.FilterEntries),
 		accumIdx:      memsys.NewAddrTable[uint64, int32](cfg.AGT.AccumEntries),
+		filterUse:     make([]uint64, cfg.AGT.FilterEntries),
+		accumUse:      make([]uint64, cfg.AGT.AccumEntries),
 		patternBufCap: cfg.PatternBufEntries,
 	}
 	if e.patternBufCap > 0 {
@@ -180,23 +183,22 @@ func (e *Engine) OnAccess(now uint64, pc, addr memsys.Addr) {
 	off := e.geom.Offset(addr)
 
 	if i, ok := e.accumIdx.Get(tag); ok {
-		a := &e.accum[i]
-		a.pat = a.pat.Set(off)
-		a.lastUse = e.tick
+		e.accum[i].pat = e.accum[i].pat.Set(off)
+		e.accumUse[i] = e.tick
 		return
 	}
 
 	if i, ok := e.filterIdx.Get(tag); ok {
 		f := &e.filter[i]
 		if f.offset == off {
-			f.lastUse = e.tick
+			e.filterUse[i] = e.tick
 			return
 		}
 		// Second distinct block: promote filter entry to the accumulation
 		// table, where the pattern is built.
 		key := e.geom.Key(f.pc, f.offset)
 		pat := Pattern(0).Set(f.offset).Set(off)
-		f.valid = false
+		e.filterUse[i] = 0
 		e.filterIdx.Delete(tag)
 		e.insertAccum(now, tag, key, pat)
 		return
@@ -244,11 +246,10 @@ func (e *Engine) OnEvict(now uint64, blockAddr memsys.Addr) {
 		return
 	}
 	if i, ok := e.filterIdx.Get(tag); ok {
-		f := &e.filter[i]
-		if f.offset == off {
+		if e.filter[i].offset == off {
 			e.Stats.EvictionsEndingGen++
 			e.Stats.FilterGenerations++
-			f.valid = false
+			e.filterUse[i] = 0
 			e.filterIdx.Delete(tag)
 		}
 	}
@@ -261,55 +262,33 @@ func (e *Engine) closeAccum(now uint64, i int) {
 	e.pht.Store(now, a.key, a.pat)
 	e.Stats.GenerationsStored++
 	e.accumIdx.Delete(a.tag)
-	a.valid = false
+	e.accumUse[i] = 0
 }
 
 func (e *Engine) insertFilter(tag uint64, pc memsys.Addr, off int) {
-	victim := -1
-	for i := range e.filter {
-		if !e.filter[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(e.filter); i++ {
-			if e.filter[i].lastUse < e.filter[victim].lastUse {
-				victim = i
-			}
-		}
+	victim := memsys.LeastStamp(e.filterUse)
+	if e.filterUse[victim] != 0 {
 		// Capacity eviction of a single-access region: nothing is learned.
 		e.filterIdx.Delete(e.filter[victim].tag)
 		e.Stats.FilterCapacityEvicts++
 	}
 	e.tick++
-	e.filter[victim] = filterEntry{tag: tag, pc: pc, offset: off, lastUse: e.tick, valid: true}
+	e.filter[victim] = filterEntry{tag: tag, pc: pc, offset: off}
+	e.filterUse[victim] = e.tick
 	e.filterIdx.Put(tag, int32(victim))
 }
 
 func (e *Engine) insertAccum(now uint64, tag uint64, key uint32, pat Pattern) {
-	victim := -1
-	for i := range e.accum {
-		if !e.accum[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(e.accum); i++ {
-			if e.accum[i].lastUse < e.accum[victim].lastUse {
-				victim = i
-			}
-		}
+	victim := memsys.LeastStamp(e.accumUse)
+	if e.accumUse[victim] != 0 {
 		// Capacity eviction ends the victim's generation early; its
 		// partial pattern still moves to the PHT.
 		e.Stats.AccumCapacityEvicts++
 		e.closeAccum(now, victim)
 	}
 	e.tick++
-	e.accum[victim] = accumEntry{tag: tag, key: key, pat: pat, lastUse: e.tick, valid: true}
+	e.accum[victim] = accumEntry{tag: tag, key: key, pat: pat}
+	e.accumUse[victim] = e.tick
 	e.accumIdx.Put(tag, int32(victim))
 }
 
@@ -323,12 +302,12 @@ func (e *Engine) ActiveGenerations() (filter, accum int) {
 // is findable through its index.
 func (e *Engine) CheckInvariants() error {
 	if err := checkIndex(&e.filterIdx, len(e.filter), func(i int) (uint64, bool) {
-		return e.filter[i].tag, e.filter[i].valid
+		return e.filter[i].tag, e.filterUse[i] != 0
 	}); err != nil {
 		return fmt.Errorf("sms: filter %w", err)
 	}
 	if err := checkIndex(&e.accumIdx, len(e.accum), func(i int) (uint64, bool) {
-		return e.accum[i].tag, e.accum[i].valid
+		return e.accum[i].tag, e.accumUse[i] != 0
 	}); err != nil {
 		return fmt.Errorf("sms: accum %w", err)
 	}

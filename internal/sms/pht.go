@@ -3,6 +3,8 @@ package sms
 import (
 	"fmt"
 	"math/bits"
+
+	"pvsim/internal/memsys"
 )
 
 // PatternStore is the PHT abstraction the SMS engine programs against. The
@@ -55,18 +57,18 @@ type DedicatedPHT struct {
 	ways    int
 	setBits uint
 	entries []phtEntry // sets*ways, set-major
+	// lastUse holds each way's LRU stamp, 0 for an empty way; tick
+	// advances before every stamp, as memsys.LeastStamp requires.
+	lastUse []uint64
 	tick    uint64
 
 	Stats PHTStats
 }
 
-// phtEntry's fields run from widest to narrowest, so tag and valid share
-// one 8-byte word: 24 B per entry, not 32.
+// phtEntry is one way's payload; its stamp lives in DedicatedPHT.lastUse.
 type phtEntry struct {
-	pat     Pattern
-	lastUse uint64
-	tag     uint32
-	valid   bool
+	pat Pattern
+	tag uint32
 }
 
 // PHTStats counts dedicated-PHT events.
@@ -87,6 +89,7 @@ func NewDedicatedPHT(sets, ways int) *DedicatedPHT {
 		ways:    ways,
 		setBits: uint(bits.TrailingZeros(uint(sets))),
 		entries: make([]phtEntry, sets*ways),
+		lastUse: make([]uint64, sets*ways),
 	}
 }
 
@@ -99,24 +102,14 @@ func (t *DedicatedPHT) Sets() int { return t.sets }
 // Ways returns the associativity.
 func (t *DedicatedPHT) Ways() int { return t.ways }
 
-func (t *DedicatedPHT) index(key uint32) (set int, tag uint32) {
-	return int(key & uint32(t.sets-1)), key >> t.setBits
-}
-
-func (t *DedicatedPHT) set(i int) []phtEntry { return t.entries[i*t.ways : (i+1)*t.ways] }
-
 // Lookup implements PatternStore.
 func (t *DedicatedPHT) Lookup(now uint64, key uint32) (Pattern, uint64, bool) {
 	t.tick++
 	t.Stats.Lookups++
-	set, tag := t.index(key)
-	s := t.set(set)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].lastUse = t.tick
-			t.Stats.Hits++
-			return s[i].pat, now, true
-		}
+	if _, i := t.find(key); i >= 0 {
+		t.lastUse[i] = t.tick
+		t.Stats.Hits++
+		return t.entries[i].pat, now, true
 	}
 	return 0, now, false
 }
@@ -125,36 +118,35 @@ func (t *DedicatedPHT) Lookup(now uint64, key uint32) (Pattern, uint64, bool) {
 func (t *DedicatedPHT) Store(_ uint64, key uint32, pat Pattern) {
 	t.tick++
 	t.Stats.Stores++
-	set, tag := t.index(key)
-	s := t.set(set)
-	victim := -1
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].pat = pat
-			s[i].lastUse = t.tick
-			return
+	base, i := t.find(key)
+	if i < 0 {
+		i = base + memsys.LeastStamp(t.lastUse[base:base+t.ways])
+		if t.lastUse[i] != 0 {
+			t.Stats.Evicts++
 		}
-		if victim < 0 && !s[i].valid {
-			victim = i
+		t.entries[i].tag = key >> t.setBits
+	}
+	t.entries[i].pat = pat
+	t.lastUse[i] = t.tick
+}
+
+// find returns the first way of key's set and the way holding key, or -1.
+func (t *DedicatedPHT) find(key uint32) (base, way int) {
+	base = int(key&uint32(t.sets-1)) * t.ways
+	tag := key >> t.setBits
+	for i := base; i < base+t.ways; i++ {
+		if t.lastUse[i] != 0 && t.entries[i].tag == tag {
+			return base, i
 		}
 	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(s); i++ {
-			if s[i].lastUse < s[victim].lastUse {
-				victim = i
-			}
-		}
-		t.Stats.Evicts++
-	}
-	s[victim] = phtEntry{tag: tag, pat: pat, lastUse: t.tick, valid: true}
+	return base, -1
 }
 
 // Len returns the number of valid entries.
 func (t *DedicatedPHT) Len() int {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
+	for _, s := range t.lastUse {
+		if s != 0 {
 			n++
 		}
 	}

@@ -1,6 +1,7 @@
 package sms
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -84,11 +85,109 @@ func TestDedicatedPHTUpdateInPlace(t *testing.T) {
 	}
 }
 
-// TestPHTEntrySize pins the dedicated PHT's entry at 24 B: a 1K-11a table
-// holds 11,264 of them per core.
+// TestPHTEntrySize pins the dedicated PHT at 24 B per way, the entry plus
+// its 8-byte LRU stamp: a 1K-11a table holds 11,264 ways per core.
 func TestPHTEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(phtEntry{}); n != 24 {
-		t.Errorf("phtEntry is %d B, want 24", n)
+	if n := unsafe.Sizeof(phtEntry{}) + unsafe.Sizeof(uint64(0)); n != 24 {
+		t.Errorf("a PHT way is %d B, want 24", n)
+	}
+}
+
+// refPHT is the dedicated PHT written the direct way: a valid bit and a
+// stamp per entry, and a victim picked in two passes, the first invalid
+// way, else the first way with the least stamp.
+type refPHT struct {
+	sets, ways int
+	tags       []uint32
+	pats       []Pattern
+	valid      []bool
+	lastUse    []uint64
+	tick       uint64
+	stats      PHTStats
+}
+
+func newRefPHT(sets, ways int) *refPHT {
+	n := sets * ways
+	return &refPHT{sets: sets, ways: ways, tags: make([]uint32, n), pats: make([]Pattern, n),
+		valid: make([]bool, n), lastUse: make([]uint64, n)}
+}
+
+func (r *refPHT) way(key uint32) (base int, tag uint32, hit int) {
+	base = int(key%uint32(r.sets)) * r.ways
+	tag = key / uint32(r.sets)
+	for i := base; i < base+r.ways; i++ {
+		if r.valid[i] && r.tags[i] == tag {
+			return base, tag, i
+		}
+	}
+	return base, tag, -1
+}
+
+func (r *refPHT) Lookup(now uint64, key uint32) (Pattern, uint64, bool) {
+	r.tick++
+	r.stats.Lookups++
+	if _, _, i := r.way(key); i >= 0 {
+		r.lastUse[i] = r.tick
+		r.stats.Hits++
+		return r.pats[i], now, true
+	}
+	return 0, now, false
+}
+
+func (r *refPHT) Store(_ uint64, key uint32, pat Pattern) {
+	r.tick++
+	r.stats.Stores++
+	base, tag, i := r.way(key)
+	if i < 0 {
+		for w := base; w < base+r.ways; w++ {
+			if !r.valid[w] {
+				i = w
+				break
+			}
+		}
+		if i < 0 {
+			i = base
+			for w := base + 1; w < base+r.ways; w++ {
+				if r.lastUse[w] < r.lastUse[i] {
+					i = w
+				}
+			}
+			r.stats.Evicts++
+		}
+	}
+	r.tags[i], r.pats[i], r.valid[i], r.lastUse[i] = tag, pat, true, r.tick
+}
+
+// TestDedicatedPHTMatchesTwoPassLRU drives the stamp-0-is-empty table and
+// the two-pass reference with the same random stream on a 2-set, 4-way
+// geometry, with keys from a range of 16 tags per set, so sets fill, hit
+// and evict throughout. Every return value and every counter must match.
+func TestDedicatedPHTMatchesTwoPassLRU(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		got, want := NewDedicatedPHT(2, 4), newRefPHT(2, 4)
+		for op := 0; op < 2000; op++ {
+			key := uint32(rng.IntN(32))
+			now := uint64(op)
+			if rng.IntN(2) == 0 {
+				pat := Pattern(rng.Uint64())
+				got.Store(now, key, pat)
+				want.Store(now, key, pat)
+			} else {
+				gp, gr, gok := got.Lookup(now, key)
+				wp, wr, wok := want.Lookup(now, key)
+				if gp != wp || gr != wr || gok != wok {
+					t.Fatalf("seed %d op %d: Lookup(%d) = (%v, %d, %v), reference (%v, %d, %v)",
+						seed, op, key, gp, gr, gok, wp, wr, wok)
+				}
+			}
+			if got.Stats != want.stats {
+				t.Fatalf("seed %d op %d: stats %+v, reference %+v", seed, op, got.Stats, want.stats)
+			}
+		}
+		if got.Stats.Evicts == 0 || got.Stats.Hits == 0 {
+			t.Fatalf("seed %d: stream never hit or evicted: %+v", seed, got.Stats)
+		}
 	}
 }
 
