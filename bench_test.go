@@ -57,80 +57,10 @@ func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
 func BenchmarkSpace(b *testing.B)  { benchExperiment(b, "space") }
 func BenchmarkTiming(b *testing.B) { benchExperiment(b, "timing") }
 
-// Ablation benches for the design options DESIGN.md calls out.
-
-// BenchmarkAblationPVCacheSize sweeps the PVCache size (§4.3 studied 8 vs
-// 16 vs 32 and found little benefit beyond 8).
-func BenchmarkAblationPVCacheSize(b *testing.B) {
-	w, _ := workloads.ByName("Zeus")
-	for _, entries := range []int{4, 8, 16, 32} {
-		entries := entries
-		b.Run(benchName("pvcache", entries), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Default(w)
-				cfg.Warmup, cfg.Measure = 30_000, 30_000
-				cfg.Prefetch = sim.SMSVirtualizedSized(entries)
-				res := sim.Run(cfg)
-				pt := res.ProxyTotals()
-				b.ReportMetric(pt.HitRate()*100, "pvcache-hit-%")
-				b.ReportMetric(float64(res.Mem.L2Requests[memsys.PVFetch]), "pv-l2-reqs")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationOnChipOnly compares normal PV against the §2.2 option
-// that never writes predictor metadata off-chip.
-func BenchmarkAblationOnChipOnly(b *testing.B) {
-	w, _ := workloads.ByName("Oracle")
-	for _, onChipOnly := range []bool{false, true} {
-		name := "offchip-backed"
-		if onChipOnly {
-			name = "onchip-only"
-		}
-		onChipOnly := onChipOnly
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Default(w)
-				cfg.Warmup, cfg.Measure = 30_000, 30_000
-				// A small L2 forces PV lines off chip so the option matters
-				// even at bench scale.
-				cfg.Hier.L2.SizeBytes = 256 << 10
-				cfg.Prefetch = sim.PV8
-				cfg.Prefetch.OnChipOnly = onChipOnly
-				res := sim.Run(cfg)
-				offchip := res.Mem.OffChipWrites[memsys.ClassPV]
-				b.ReportMetric(float64(offchip), "pv-offchip-writes")
-				b.ReportMetric(float64(res.Mem.PVDroppedWritebacks), "pv-dropped")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSharedTable compares per-core PVTables with the §2.1
-// shared-table alternative.
-func BenchmarkAblationSharedTable(b *testing.B) {
-	w, _ := workloads.ByName("Apache")
-	for _, shared := range []bool{false, true} {
-		name := "per-core"
-		if shared {
-			name = "shared"
-		}
-		shared := shared
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Default(w)
-				cfg.Warmup, cfg.Measure = 30_000, 30_000
-				cfg.Prefetch = sim.PV8
-				cfg.Prefetch.SharedTable = shared
-				base := cfg
-				base.Prefetch = sim.Baseline
-				cov := sim.CoverageOf(sim.Run(base), sim.Run(cfg))
-				b.ReportMetric(cov.Covered*100, "cov-%")
-			}
-		})
-	}
-}
+// BenchmarkAblations runs the §2.1/§2.2 design-option studies: PVCache
+// size, on-chip-only PV, shared vs per-core tables and PVProxy
+// arbitration at the L2 banks.
+func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
 
 // Component microbenchmarks: the hot paths of the simulator itself.
 
@@ -271,45 +201,6 @@ func BenchmarkSystemStepCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Step(i & 3)
-	}
-}
-
-func benchName(prefix string, n int) string {
-	return prefix + "-" + string(rune('0'+n/10)) + string(rune('0'+n%10))
-}
-
-// BenchmarkAblationPVArbitration implements the arbitration knob §2.2
-// mentions but the paper left unimplemented: application requests
-// prioritized over PVProxy requests at the L2 banks. The paper's implicit
-// claim — that not prioritizing costs nothing — shows as near-identical
-// speedups.
-func BenchmarkAblationPVArbitration(b *testing.B) {
-	w, _ := workloads.ByName("DB2")
-	for _, prio := range []bool{false, true} {
-		name := "equal-priority"
-		if prio {
-			name = "app-first"
-		}
-		prio := prio
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sim.Default(w)
-				cfg.Warmup, cfg.Measure = 30_000, 30_000
-				cfg.Timing = true
-				cfg.Windows = 10
-				cfg.Hier.PrioritizeAppOverPV = prio
-				base := cfg
-				base.Prefetch = sim.Baseline
-				cfg.Prefetch = sim.PV8
-				bres, res := sim.Run(base), sim.Run(cfg)
-				iv, err := sim.SpeedupOver(bres, res)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric((iv.Mean-1)*100, "speedup-%")
-				b.ReportMetric(float64(res.Mem.BankWaitCycles[memsys.PVFetch]), "pv-bank-wait-cyc")
-			}
-		})
 	}
 }
 

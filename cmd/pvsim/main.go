@@ -6,6 +6,7 @@
 //	pvsim [flags] list                 # show experiments, predictors, configs, workloads
 //	pvsim [flags] fig4 [fig6 ...]      # run specific experiments
 //	pvsim [flags] all                  # run everything, in paper order
+//	pvsim [flags] calib                # calibration dashboard, read from fig4/6/8/9's rows
 //	pvsim sweep [sweep flags]          # run a spec x workload x pvcache x seed grid
 //	pvsim serve [serve flags]          # sweep service: submit/poll/fetch over HTTP
 //	pvsim shard [shard flags]          # shard worker: runs job ranges for a serve coordinator

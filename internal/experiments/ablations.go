@@ -32,38 +32,27 @@ func ablations(r *Runner) *report.Doc {
 // pvCacheSweep revisits §4.3: "there is little benefit from increasing the
 // number of dedicated on-chip resources from eight sets to 16 or even 32".
 func pvCacheSweep(r *Runner) report.Section {
-	ws := []string{"Zeus", "Qry16"}
-	sizes := []int{4, 8, 16, 32}
-
-	var cfgs []sim.Config
-	for _, name := range ws {
+	var bases []sim.Config
+	for _, name := range []string{"Zeus", "Qry16"} {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			panic(err)
 		}
-		base := r.baseConfig(w)
-		ref := base
-		ref.Prefetch = sim.SMS1K11
-		cfgs = append(cfgs, ref)
-		for _, n := range sizes {
-			c := base
-			c.Prefetch = sim.SMSVirtualizedSized(n)
-			cfgs = append(cfgs, c)
-		}
+		bases = append(bases, r.baseConfig(w))
 	}
-	results := r.RunAll(cfgs)
+	sizes := []int{4, 8, 16, 32}
+	pcs := []sim.PrefetcherConfig{sim.SMS1K11}
+	for _, n := range sizes {
+		pcs = append(pcs, sim.SMSVirtualizedSized(n))
+	}
 
 	t := report.NewTable("Workload", "PVCache", "ΔL2 requests", "PVCache hits", "MSHR stalls")
-	i := 0
-	for _, name := range ws {
-		ref := results[i]
-		i++
-		for _, n := range sizes {
-			res := results[i]
-			i++
-			proxy := res.ProxyTotals()
-			t.AddRow(name, fmt.Sprintf("%d sets", n),
-				fmtPct(relIncrease(res.Mem.L2RequestsTotal(), ref.Mem.L2RequestsTotal())),
+	for _, res := range r.runEach(bases, pcs...) {
+		ref := res[0]
+		for j, run := range res[1:] {
+			proxy := run.ProxyTotals()
+			t.AddRow(ref.Config.Workload.Name, fmt.Sprintf("%d sets", sizes[j]),
+				fmtPct(relIncrease(run.Mem.L2RequestsTotal(), ref.Mem.L2RequestsTotal())),
 				fmtPct(proxy.HitRate()),
 				fmt.Sprintf("%d", proxy.MSHRStalls))
 		}

@@ -6,8 +6,11 @@
 // # Registry
 //
 // Experiments self-register by ID (table1..3, fig4..11, space, ablations,
-// stride); All returns them in paper order and ByID looks one up — this is
-// what cmd/pvsim dispatches on. Each Run(r) returns a report.Doc whose
+// stride, btb, mixes, timing, calib); All returns them in paper order and
+// ByID looks one up — this is what cmd/pvsim dispatches on. The paper's
+// figures compute typed rows (CoverageRow, Fig6Row, OffChipRow, Fig8Row,
+// SpeedupRow) and render them; calib renders the same rows a second way.
+// Each Run(r) returns a report.Doc whose
 // text/markdown/CSV rendering is entirely deterministic for a fixed
 // (Scale, Seed), which EXPERIMENTS.md's regeneration commands and the
 // determinism tests in this package rely on.

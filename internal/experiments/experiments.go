@@ -363,6 +363,24 @@ func (r *Runner) RunAll(cfgs []sim.Config) []sim.Result {
 	return out
 }
 
+// runEach runs every base config once with each prefetcher and returns,
+// per base, its results in prefetcher order.
+func (r *Runner) runEach(bases []sim.Config, pcs ...sim.PrefetcherConfig) [][]sim.Result {
+	cfgs := make([]sim.Config, 0, len(bases)*len(pcs))
+	for _, c := range bases {
+		for _, pc := range pcs {
+			c.Prefetch = pc
+			cfgs = append(cfgs, c)
+		}
+	}
+	results := r.RunAll(cfgs)
+	out := make([][]sim.Result, len(bases))
+	for i := range out {
+		out[i] = results[i*len(pcs) : (i+1)*len(pcs)]
+	}
+	return out
+}
+
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string
@@ -380,7 +398,7 @@ func All() []Experiment {
 		"table1": 0, "table2": 1, "table3": 2,
 		"fig4": 3, "fig5": 4, "fig6": 5, "fig7": 6, "fig8": 7,
 		"fig9": 8, "fig10": 9, "fig11": 10, "space": 11, "ablations": 12, "stride": 13,
-		"btb": 14, "mixes": 15, "timing": 16,
+		"btb": 14, "mixes": 15, "timing": 16, "calib": 17,
 	}
 	out := make([]Experiment, 0, len(registry))
 	for _, e := range registry {

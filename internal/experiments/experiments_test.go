@@ -18,7 +18,7 @@ func tinyRunner() *Runner {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "space", "ablations", "stride", "btb", "mixes", "timing"}
+	want := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "space", "ablations", "stride", "btb", "mixes", "timing", "calib"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("%d experiments registered, want %d", len(all), len(want))

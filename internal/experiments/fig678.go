@@ -19,26 +19,12 @@ func init() {
 // PV-16 and PV-32 for every workload (functional), shared across Figures
 // 6–8 via the runner cache. PV-32 covers §4.3's "increasing the number of
 // sets to 32" remark.
-func pvComparison(r *Runner) (ref, pv8, pv16, pv32 []sim.Result) {
-	ws := workloads.All()
-	pv32cfg := sim.SMSVirtualizedSized(32)
-	var cfgs []sim.Config
-	for _, w := range ws {
-		base := r.baseConfig(w)
-		for _, pc := range []sim.PrefetcherConfig{sim.SMS1K11, sim.PV8, sim.PV16, pv32cfg} {
-			c := base
-			c.Prefetch = pc
-			cfgs = append(cfgs, c)
-		}
+func pvComparison(r *Runner) [][]sim.Result {
+	var bases []sim.Config
+	for _, w := range workloads.All() {
+		bases = append(bases, r.baseConfig(w))
 	}
-	results := r.RunAll(cfgs)
-	for i := 0; i < len(ws); i++ {
-		ref = append(ref, results[4*i])
-		pv8 = append(pv8, results[4*i+1])
-		pv16 = append(pv16, results[4*i+2])
-		pv32 = append(pv32, results[4*i+3])
-	}
-	return ref, pv8, pv16, pv32
+	return r.runEach(bases, sim.SMS1K11, sim.PV8, sim.PV16, sim.SMSVirtualizedSized(32))
 }
 
 func relIncrease(after, before uint64) float64 {
@@ -48,18 +34,31 @@ func relIncrease(after, before uint64) float64 {
 	return (float64(after) - float64(before)) / float64(before)
 }
 
-func fig6(r *Runner) *report.Doc {
-	ref, pv8, pv16, pv32 := pvComparison(r)
-	ws := workloads.All()
+// Fig6Row is one workload's L2-request increase over SMS 1K-11a for each
+// virtualized PHT size.
+type Fig6Row struct {
+	Workload        string
+	PV8, PV16, PV32 float64
+}
 
+func fig6Rows(r *Runner) []Fig6Row {
+	var rows []Fig6Row
+	for _, res := range pvComparison(r) {
+		ref := res[0].Mem.L2RequestsTotal()
+		rows = append(rows, Fig6Row{res[0].Config.Workload.Name,
+			relIncrease(res[1].Mem.L2RequestsTotal(), ref),
+			relIncrease(res[2].Mem.L2RequestsTotal(), ref),
+			relIncrease(res[3].Mem.L2RequestsTotal(), ref)})
+	}
+	return rows
+}
+
+func fig6(r *Runner) *report.Doc {
 	t := report.NewTable("Workload", "PV-8", "PV-16", "PV-32", "L2 request increase (scale 50%)")
 	var inc8s []float64
-	for i, w := range ws {
-		inc8 := relIncrease(pv8[i].Mem.L2RequestsTotal(), ref[i].Mem.L2RequestsTotal())
-		inc16 := relIncrease(pv16[i].Mem.L2RequestsTotal(), ref[i].Mem.L2RequestsTotal())
-		inc32 := relIncrease(pv32[i].Mem.L2RequestsTotal(), ref[i].Mem.L2RequestsTotal())
-		inc8s = append(inc8s, inc8)
-		t.AddRow(w.Name, fmtPct(inc8), fmtPct(inc16), fmtPct(inc32), report.Bar(inc8, 0.5, 40))
+	for _, row := range fig6Rows(r) {
+		inc8s = append(inc8s, row.PV8)
+		t.AddRow(row.Workload, fmtPct(row.PV8), fmtPct(row.PV16), fmtPct(row.PV32), report.Bar(row.PV8, 0.5, 40))
 	}
 	t.AddRow("AVG", fmtPct(avg(inc8s)), "", "", "")
 
@@ -73,24 +72,67 @@ func fig6(r *Runner) *report.Doc {
 	return doc
 }
 
-func fig7(r *Runner) *report.Doc {
-	ref, pv8, pv16, _ := pvComparison(r)
-	ws := workloads.All()
+// OffChip is one virtualized predictor's off-chip traffic against the SMS
+// 1K-11a reference on the same L2: the relative increase in L2 misses
+// (off-chip reads), in writebacks, and in their sum.
+type OffChip struct {
+	Label                     string
+	L2Bytes                   int // total shared L2 capacity
+	Misses, Writebacks, Total float64
+}
 
+// OffChipRow is one workload of Figure 7 or 10: one OffChip per L2 size,
+// ascending, and per predictor within a size.
+type OffChipRow struct {
+	Workload string
+	Cells    []OffChip
+}
+
+// offChipRows runs SMS 1K-11a and each virtualized predictor on every
+// workload at each total L2 size.
+func offChipRows(r *Runner, sizes []int, pvs ...sim.PrefetcherConfig) []OffChipRow {
+	var bases []sim.Config
+	for _, w := range workloads.All() {
+		for _, size := range sizes {
+			c := r.baseConfig(w)
+			c.Hier.L2.SizeBytes = size
+			bases = append(bases, c)
+		}
+	}
+	traffic := func(res sim.Result) (reads, writes uint64) {
+		return res.Mem.OffChipReads[memsys.ClassApp] + res.Mem.OffChipReads[memsys.ClassPV],
+			res.Mem.OffChipWrites[memsys.ClassApp] + res.Mem.OffChipWrites[memsys.ClassPV]
+	}
+	var rows []OffChipRow
+	for i, res := range r.runEach(bases, append([]sim.PrefetcherConfig{sim.SMS1K11}, pvs...)...) {
+		if i%len(sizes) == 0 {
+			rows = append(rows, OffChipRow{Workload: res[0].Config.Workload.Name})
+		}
+		row := &rows[len(rows)-1]
+		refReads, refWrites := traffic(res[0])
+		for _, pv := range res[1:] {
+			reads, writes := traffic(pv)
+			row.Cells = append(row.Cells, OffChip{
+				Label:      pv.Config.Prefetch.Label(),
+				L2Bytes:    pv.Config.Hier.L2.SizeBytes,
+				Misses:     relIncrease(reads, refReads),
+				Writebacks: relIncrease(writes, refWrites),
+				Total:      relIncrease(reads+writes, refReads+refWrites),
+			})
+		}
+	}
+	return rows
+}
+
+func fig7Rows(r *Runner) []OffChipRow {
+	return offChipRows(r, []int{memsys.DefaultConfig().L2.SizeBytes}, sim.PV8, sim.PV16)
+}
+
+func fig7(r *Runner) *report.Doc {
 	t := report.NewTable("Workload", "Config", "ΔL2 misses", "ΔL2 writebacks", "ΔOff-chip total")
-	for i, w := range ws {
-		for _, pv := range []struct {
-			label string
-			res   sim.Result
-		}{{"PV-8", pv8[i]}, {"PV-16", pv16[i]}} {
-			refReads := ref[i].Mem.OffChipReads[memsys.ClassApp] + ref[i].Mem.OffChipReads[memsys.ClassPV]
-			refWrites := ref[i].Mem.OffChipWrites[memsys.ClassApp] + ref[i].Mem.OffChipWrites[memsys.ClassPV]
-			pvReads := pv.res.Mem.OffChipReads[memsys.ClassApp] + pv.res.Mem.OffChipReads[memsys.ClassPV]
-			pvWrites := pv.res.Mem.OffChipWrites[memsys.ClassApp] + pv.res.Mem.OffChipWrites[memsys.ClassPV]
-			t.AddRow(w.Name, pv.label,
-				fmtPct(relIncrease(pvReads, refReads)),
-				fmtPct(relIncrease(pvWrites, refWrites)),
-				fmtPct(relIncrease(pvReads+pvWrites, refReads+refWrites)))
+	for _, row := range fig7Rows(r) {
+		for _, c := range row.Cells {
+			t.AddRow(row.Workload, c.Label, fmtPct(c.Misses), fmtPct(c.Writebacks), fmtPct(c.Total))
 		}
 	}
 
@@ -103,31 +145,43 @@ func fig7(r *Runner) *report.Doc {
 	return doc
 }
 
-func fig8(r *Runner) *report.Doc {
-	ref, pv8, _, _ := pvComparison(r)
-	ws := workloads.All()
+// Fig8Row is one workload's PV-8 off-chip traffic split by data class,
+// each relative to the SMS 1K-11a reference's application-data count, and
+// the fraction of PVProxy fetches the L2 filled.
+type Fig8Row struct {
+	Workload                                         string
+	AppMisses, PVMisses, AppWritebacks, PVWritebacks float64
+	L2Fill                                           float64
+}
 
+func fig8Rows(r *Runner) []Fig8Row {
+	var rows []Fig8Row
+	for _, res := range pvComparison(r) {
+		ref, pv8 := res[0].Mem, res[1].Mem
+		pvWrites := 0.0
+		if ref.OffChipWrites[memsys.ClassApp] > 0 {
+			pvWrites = float64(pv8.OffChipWrites[memsys.ClassPV]) / float64(ref.OffChipWrites[memsys.ClassApp])
+		}
+		proxy := res[1].ProxyTotals()
+		rows = append(rows, Fig8Row{res[0].Config.Workload.Name,
+			relIncrease(pv8.OffChipReads[memsys.ClassApp], ref.OffChipReads[memsys.ClassApp]),
+			float64(pv8.OffChipReads[memsys.ClassPV]) / float64(ref.OffChipReads[memsys.ClassApp]),
+			relIncrease(pv8.OffChipWrites[memsys.ClassApp], ref.OffChipWrites[memsys.ClassApp]),
+			pvWrites,
+			proxy.L2FillRate()})
+	}
+	return rows
+}
+
+func fig8(r *Runner) *report.Doc {
 	t := report.NewTable("Workload", "ΔMisses app", "ΔMisses PV", "ΔWB app", "ΔWB PV", "PVProxy L2-fill")
 	var appMiss []float64
 	var fills []float64
-	for i, w := range ws {
-		refReads := float64(ref[i].Mem.OffChipReads[memsys.ClassApp])
-		refWrites := float64(ref[i].Mem.OffChipWrites[memsys.ClassApp])
-		dAppReads := (float64(pv8[i].Mem.OffChipReads[memsys.ClassApp]) - refReads) / refReads
-		pvReads := float64(pv8[i].Mem.OffChipReads[memsys.ClassPV]) / refReads
-		dAppWrites := 0.0
-		if refWrites > 0 {
-			dAppWrites = (float64(pv8[i].Mem.OffChipWrites[memsys.ClassApp]) - refWrites) / refWrites
-		}
-		pvWrites := 0.0
-		if refWrites > 0 {
-			pvWrites = float64(pv8[i].Mem.OffChipWrites[memsys.ClassPV]) / refWrites
-		}
-		proxy := pv8[i].ProxyTotals()
-		appMiss = append(appMiss, dAppReads)
-		fills = append(fills, proxy.L2FillRate())
-		t.AddRow(w.Name, fmtPct(dAppReads), fmtPct(pvReads), fmtPct(dAppWrites), fmtPct(pvWrites),
-			fmt.Sprintf("%.1f%%", proxy.L2FillRate()*100))
+	for _, row := range fig8Rows(r) {
+		appMiss = append(appMiss, row.AppMisses)
+		fills = append(fills, row.L2Fill)
+		t.AddRow(row.Workload, fmtPct(row.AppMisses), fmtPct(row.PVMisses), fmtPct(row.AppWritebacks), fmtPct(row.PVWritebacks),
+			fmt.Sprintf("%.1f%%", row.L2Fill*100))
 	}
 	t.AddRow("AVG", fmtPct(avg(appMiss)), "", "", "", fmt.Sprintf("%.1f%%", avg(fills)*100))
 

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"pvsim/internal/memsys"
 	"pvsim/internal/report"
 	"pvsim/internal/sim"
+	"pvsim/internal/stats"
 	"pvsim/internal/workloads"
 )
 
@@ -15,52 +15,60 @@ func init() {
 	register(Experiment{ID: "fig11", Title: "Performance with increased L2 latency", Run: fig11})
 }
 
-// speedupSweep runs the timing baseline plus each prefetcher per workload
-// and tabulates matched-pair speedups with 95% CIs.
-func speedupSweep(r *Runner, id, title string, pcs []sim.PrefetcherConfig, mutate func(*sim.Config), note string) *report.Doc {
-	ws := workloads.All()
-	var cfgs []sim.Config
-	for _, w := range ws {
-		base := r.timingConfig(w)
-		if mutate != nil {
-			mutate(&base)
-		}
-		cfgs = append(cfgs, base)
-		for _, pc := range pcs {
-			c := base
-			c.Prefetch = pc
-			cfgs = append(cfgs, c)
-		}
-	}
-	results := r.RunAll(cfgs)
+// SpeedupRow is one workload's matched-pair speedup over the no-prefetch
+// timing baseline, one per prefetcher in the order asked. An interval with
+// N == 0 marks a pair sim.SpeedupOver rejected.
+type SpeedupRow struct {
+	Workload string
+	Speedups []stats.Interval
+}
 
+// speedupRows runs the timing baseline plus each prefetcher per workload,
+// with mutate (when non-nil) applied to the baseline first.
+func speedupRows(r *Runner, pcs []sim.PrefetcherConfig, mutate func(*sim.Config)) []SpeedupRow {
+	var bases []sim.Config
+	for _, w := range workloads.All() {
+		c := r.timingConfig(w)
+		if mutate != nil {
+			mutate(&c)
+		}
+		bases = append(bases, c)
+	}
+	var rows []SpeedupRow
+	for _, res := range r.runEach(bases, append([]sim.PrefetcherConfig{sim.Baseline}, pcs...)...) {
+		row := SpeedupRow{Workload: res[0].Config.Workload.Name, Speedups: make([]stats.Interval, len(pcs))}
+		for j, run := range res[1:] {
+			row.Speedups[j], _ = sim.SpeedupOver(res[0], run) // a rejected pair leaves N == 0
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// renderSpeedup tabulates speedup rows with their 95% CIs and an average
+// per prefetcher.
+func renderSpeedup(id, title string, pcs []sim.PrefetcherConfig, rows []SpeedupRow, note string) *report.Doc {
 	headers := []string{"Workload"}
 	for _, pc := range pcs {
 		headers = append(headers, "SMS-"+pc.Label())
 	}
 	t := report.NewTable(headers...)
 	sums := make([]float64, len(pcs))
-	i := 0
-	for _, w := range ws {
-		base := results[i]
-		i++
-		row := []string{w.Name}
-		for j := range pcs {
-			run := results[i]
-			i++
-			iv, err := sim.SpeedupOver(base, run)
-			if err != nil {
+	for _, sr := range rows {
+		row := []string{sr.Workload}
+		for j, iv := range sr.Speedups {
+			if iv.N == 0 {
 				row = append(row, "n/a")
 				continue
 			}
 			sums[j] += iv.Mean
-			row = append(row, fmt.Sprintf("%+.1f%% ±%.1f", (iv.Mean-1)*100, iv.Half*100))
+			row = append(row, fmt.Sprintf("%s ±%.1f", stats.Percent(iv.Mean), iv.Half*100))
 		}
 		t.AddRow(row...)
 	}
 	row := []string{"AVG"}
 	for j := range pcs {
-		row = append(row, fmt.Sprintf("%+.1f%%", (sums[j]/float64(len(ws))-1)*100))
+		row = append(row, stats.Percent(sums[j]/float64(len(rows))))
 	}
 	t.AddRow(row...)
 
@@ -72,58 +80,43 @@ func speedupSweep(r *Runner, id, title string, pcs []sim.PrefetcherConfig, mutat
 	return doc
 }
 
+var (
+	fig9Prefetchers  = []sim.PrefetcherConfig{sim.SMS1K11, sim.SMS16, sim.SMS8, sim.PV8}
+	fig11Prefetchers = []sim.PrefetcherConfig{sim.SMS1K11, sim.PV8}
+)
+
+func fig9Rows(r *Runner) []SpeedupRow { return speedupRows(r, fig9Prefetchers, nil) }
+
 func fig9(r *Runner) *report.Doc {
-	return speedupSweep(r, "fig9", "Performance of the virtualized predictor (Figure 9)",
-		[]sim.PrefetcherConfig{sim.SMS1K11, sim.SMS16, sim.SMS8, sim.PV8}, nil,
+	return renderSpeedup("fig9", "Performance of the virtualized predictor (Figure 9)", fig9Prefetchers, fig9Rows(r),
 		"Paper: SMS-1K improves 19% on average, PV-8 18% (virtually identical); the small dedicated\n"+
 			"tables reach only about half; Apache gains nothing from small tables; Oracle: 6.7% vs 4.2%.")
 }
 
+// fig11Rows runs Figure 9's timing on an L2 with 8-cycle tags and 16-cycle
+// data.
+func fig11Rows(r *Runner) []SpeedupRow {
+	return speedupRows(r, fig11Prefetchers, func(c *sim.Config) {
+		c.Hier.L2.TagLatency = 8
+		c.Hier.L2.DataLatency = 16
+	})
+}
+
 func fig11(r *Runner) *report.Doc {
-	return speedupSweep(r, "fig11", "Performance with increased L2 latency (Figure 11)",
-		[]sim.PrefetcherConfig{sim.SMS1K11, sim.PV8},
-		func(c *sim.Config) {
-			c.Hier.L2.TagLatency = 8
-			c.Hier.L2.DataLatency = 16
-		},
+	return renderSpeedup("fig11", "Performance with increased L2 latency (Figure 11)", fig11Prefetchers, fig11Rows(r),
 		"Paper: with 8/16-cycle L2 tag/data latency, SMS-1K and SMS-PV8 differ by <1.5% on average.")
 }
 
+func fig10Rows(r *Runner) []OffChipRow {
+	return offChipRows(r, []int{2 << 20, 4 << 20, 8 << 20}, sim.PV8)
+}
+
 func fig10(r *Runner) *report.Doc {
-	ws := workloads.All()
-	sizes := []int{2 << 20, 4 << 20, 8 << 20} // total shared L2
-
-	var cfgs []sim.Config
-	for _, w := range ws {
-		for _, size := range sizes {
-			base := r.baseConfig(w)
-			base.Hier.L2.SizeBytes = size
-			for _, pc := range []sim.PrefetcherConfig{sim.SMS1K11, sim.PV8} {
-				c := base
-				c.Prefetch = pc
-				cfgs = append(cfgs, c)
-			}
-		}
-	}
-	results := r.RunAll(cfgs)
-
 	t := report.NewTable("Workload", "L2 total", "ΔL2 misses", "ΔWritebacks", "ΔOff-chip", "increase (scale 40%)")
-	i := 0
-	for _, w := range ws {
-		for _, size := range sizes {
-			ref := results[i]
-			pv := results[i+1]
-			i += 2
-			refReads := ref.Mem.OffChipReads[memsys.ClassApp] + ref.Mem.OffChipReads[memsys.ClassPV]
-			refWrites := ref.Mem.OffChipWrites[memsys.ClassApp] + ref.Mem.OffChipWrites[memsys.ClassPV]
-			pvReads := pv.Mem.OffChipReads[memsys.ClassApp] + pv.Mem.OffChipReads[memsys.ClassPV]
-			pvWrites := pv.Mem.OffChipWrites[memsys.ClassApp] + pv.Mem.OffChipWrites[memsys.ClassPV]
-			total := relIncrease(pvReads+pvWrites, refReads+refWrites)
-			t.AddRow(w.Name, fmt.Sprintf("%dMB", size>>20),
-				fmtPct(relIncrease(pvReads, refReads)),
-				fmtPct(relIncrease(pvWrites, refWrites)),
-				fmtPct(total),
-				report.Bar(total, 0.4, 32))
+	for _, row := range fig10Rows(r) {
+		for _, c := range row.Cells {
+			t.AddRow(row.Workload, fmt.Sprintf("%dMB", c.L2Bytes>>20),
+				fmtPct(c.Misses), fmtPct(c.Writebacks), fmtPct(c.Total), report.Bar(c.Total, 0.4, 32))
 		}
 	}
 

@@ -23,39 +23,21 @@ func init() {
 // only the simplest prefetchers get built, and §6 predicts PV generalizes
 // beyond SMS.
 func strideExp(r *Runner) *report.Doc {
-	ws := workloads.All()
 	pcs := []sim.PrefetcherConfig{sim.StrideLarge, sim.StridePV8, sim.SMS1K11, sim.PV8}
-
-	var cfgs []sim.Config
-	for _, w := range ws {
-		base := r.baseConfig(w)
-		cfgs = append(cfgs, base)
-		for _, pc := range pcs {
-			c := base
-			c.Prefetch = pc
-			cfgs = append(cfgs, c)
-		}
-	}
-	results := r.RunAll(cfgs)
-
+	rows := coverageRows(r, workloads.All(), pcs)
 	t := report.NewTable("Workload", "stride-1K", "stride-PV8", "SMS 1K-11a", "SMS PV-8")
 	sums := make([]float64, len(pcs))
-	i := 0
-	for _, w := range ws {
-		base := results[i]
-		i++
-		row := []string{w.Name}
-		for j := range pcs {
-			cov := sim.CoverageOf(base, results[i])
-			i++
+	for _, c := range rows {
+		row := []string{c.Workload}
+		for j, cov := range c.Cov {
 			sums[j] += cov.Covered
 			row = append(row, fmtPct(cov.Covered))
 		}
 		t.AddRow(row...)
 	}
 	avgRow := []string{"AVG"}
-	for j := range sums {
-		avgRow = append(avgRow, fmtPct(sums[j]/float64(len(ws))))
+	for _, sum := range sums {
+		avgRow = append(avgRow, fmtPct(sum/float64(len(rows))))
 	}
 	t.AddRow(avgRow...)
 

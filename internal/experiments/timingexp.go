@@ -34,13 +34,9 @@ var timingPVSizes = []int{4, 8, 16, 32}
 // (including the scale-adaptive ctx-fast mix, so phase switching is
 // costed at every scale).
 func timingExp(r *Runner) *report.Doc {
-	type scenario struct {
-		name string
-		base sim.Config
-	}
-	var scens []scenario
+	var scens []sim.Config
 	for _, w := range workloads.All() {
-		scens = append(scens, scenario{w.Name, r.baseConfig(w)})
+		scens = append(scens, r.baseConfig(w))
 	}
 	var mixes []workloads.Mix
 	for _, name := range []string{"oltp-web", "dss-oltp"} {
@@ -56,37 +52,29 @@ func timingExp(r *Runner) *report.Doc {
 		if err != nil {
 			panic(err)
 		}
-		scens = append(scens, scenario{m.Name, cfg})
+		scens = append(scens, cfg)
 	}
 
 	// Per scenario: baseline, dedicated 1K-11a, and one PV run per PVCache
 	// size — all with the cost model on.
-	perScen := 2 + len(timingPVSizes)
-	var cfgs []sim.Config
-	for _, sc := range scens {
-		base := sc.base
-		base.Cost = timing.Config{Enabled: true}
-		ded := base
-		ded.Prefetch = sim.SMS1K11
-		cfgs = append(cfgs, base, ded)
-		for _, entries := range timingPVSizes {
-			pv := base
-			pv.Prefetch = sim.SMSVirtualizedSized(entries)
-			cfgs = append(cfgs, pv)
-		}
+	pcs := []sim.PrefetcherConfig{sim.Baseline, sim.SMS1K11}
+	for _, entries := range timingPVSizes {
+		pcs = append(pcs, sim.SMSVirtualizedSized(entries))
 	}
-	results := r.RunAll(cfgs)
+	for i := range scens {
+		scens[i].Cost = timing.Config{Enabled: true}
+	}
 
 	cyc := report.NewTable("Scenario", "none", "1K-11a", "PV-4", "PV-8", "PV-16", "PV-32", "spd 1K-11a", "spd PV-8")
 	slow := report.NewTable("Scenario", "PV-4", "PV-8", "PV-16", "PV-32", "PV-8 hit%", "PV-8 miss cyc", "PV-8 stall cyc", "PV-8 bus cyc", "IPC-proxy ded", "IPC-proxy PV-8")
 	var slowdown8s, spd8s []float64
-	for i, sc := range scens {
-		row := results[i*perScen : (i+1)*perScen]
+	for _, row := range r.runEach(scens, pcs...) {
 		base, ded := row[0], row[1]
+		name := base.Config.Workload.Name
 		pvBySize := row[2:]
 		pv8 := pvBySize[1] // timingPVSizes[1] == 8
 
-		cells := []string{sc.name,
+		cells := []string{name,
 			fmt.Sprintf("%d", base.Cost.ElapsedCycles()),
 			fmt.Sprintf("%d", ded.Cost.ElapsedCycles())}
 		for _, res := range pvBySize {
@@ -97,7 +85,7 @@ func timingExp(r *Runner) *report.Doc {
 			report.Ratio(base.Cost.SlowdownOver(pv8.Cost)))
 		cyc.AddRow(cells...)
 
-		scells := []string{sc.name}
+		scells := []string{name}
 		for _, res := range pvBySize {
 			scells = append(scells, report.Ratio(res.Cost.SlowdownOver(ded.Cost)))
 		}
